@@ -63,7 +63,7 @@ def build_parser():
     )
     sub.add_argument("--word-level", action="store_true", help="aggregate word-word similarities")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1, help="worker cap for gradient passes")
+    sub.add_argument("--threads", type=int, default=1, help="ignored: training runs single-threaded")
     sub.add_argument("--lambda-feature", type=float, default=1.0, help="similarity feature weight during training")
     sub.add_argument("--weight-decay", type=float, default=0.0)
     sub.add_argument("--checkpoint-dir")
@@ -80,7 +80,7 @@ def build_parser():
     sub.add_argument("--vocab", required=True, help="vocabulary file written at training time")
     sub.add_argument("--weights", required=True, help="weight file (M+1 lines)")
     sub.add_argument("--output", help="write selections here instead of stdout")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1, help="ignored: reranking runs single-threaded")
     _add_config_flag(sub)
     subs["rerank"] = sub
 
@@ -280,6 +280,9 @@ def _cmd_eval(args) -> int:
     missing = sorted(set(hyps) - set(refs))
     if missing:
         raise corpus.CorpusError(f"hypothesis ids {missing[:5]} have no reference", args.hyp)
+    unmatched = sorted(set(refs) - set(hyps))
+    if unmatched:
+        raise corpus.CorpusError(f"reference ids {unmatched[:5]} have no hypothesis", args.hyp)
     pairs = [(refs[i], hyps[i]) for i in sorted(hyps)]
     print(f"{bleu.corpus_bleu(pairs):.4f}")
     return EXIT_OK

@@ -222,13 +222,23 @@ def parse_nbest(path) -> dict[int, list[NBestEntry]]:
                 )
             entry = NBestEntry(tokens, feats, _parse_derivation(parts[3], path, lineno))
             _check_derivation(entry, path, lineno)
-            bucket = by_id.setdefault(sent_id, [])
-            if any(e.tokens == entry.tokens and e.derivation == entry.derivation for e in bucket):
-                continue  # duplicate candidate: keep the first occurrence
-            bucket.append(entry)
+            by_id.setdefault(sent_id, []).append(entry)
     if not by_id:
         raise CorpusError("N-best file is empty", path)
-    return by_id
+    return {sent_id: _first_occurrences(entries) for sent_id, entries in by_id.items()}
+
+
+def _first_occurrences(entries) -> list[NBestEntry]:
+    """The entries with exact duplicate (tokens, derivation) candidates collapsed to the first."""
+    seen = set()
+    kept = []
+    for entry in entries:
+        # plain tuples hash in C; the PhrasePair dataclass hash runs Python code per pair
+        key = (entry.tokens, tuple([(p.source, p.target) for p in entry.derivation]))
+        if key not in seen:
+            seen.add(key)
+            kept.append(entry)
+    return kept
 
 
 def load_nbest(path, references) -> list[TrainingSample]:
@@ -278,15 +288,10 @@ def dedupe_candidates(samples) -> list[TrainingSample]:
 
     Mirrors what ``load_nbest`` does, for corpora built in memory.
     """
-    out = []
-    for sample in samples:
-        kept: list[NBestEntry] = []
-        for entry in sample.candidates:
-            if any(e.tokens == entry.tokens and e.derivation == entry.derivation for e in kept):
-                continue
-            kept.append(entry)
-        out.append(TrainingSample(sample.sample_id, sample.source, sample.reference, kept))
-    return out
+    return [
+        TrainingSample(s.sample_id, s.source, s.reference, _first_occurrences(s.candidates))
+        for s in samples
+    ]
 
 
 def build_vocabulary(samples) -> Vocabulary:

@@ -15,6 +15,8 @@ fresh arrays between optimizer iterations.
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,8 +243,36 @@ def unpack_params(template: ModelParams, vector: np.ndarray) -> ModelParams:
     return ModelParams(w1, w2, template.arch, template.sim_mode, template.word_level)
 
 
-def save_model(params: ModelParams, path) -> None:
-    """Write a model file: one JSON header line, then raw row-major float64."""
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+# Header fields and the test each value must pass; "trainer" marks a checkpoint.
+_HEADER_FIELDS = {
+    "d": _is_count,
+    "k1": _is_count,
+    "k2": _is_count,
+    "arch": lambda v: v in (ARCH_NONLINEAR, ARCH_LINEAR),
+    "sim_mode": lambda v: v in (SIM_DOT, SIM_COSINE),
+    "word_level": lambda v: isinstance(v, bool),
+}
+_TRAINER_FIELDS = {
+    "iteration": _is_count,
+    "history_len": _is_count,
+    "loss_window": lambda v: isinstance(v, list)
+    and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
+}
+
+
+def save_model(params: ModelParams, path, trainer: dict | None = None) -> None:
+    """Write a model file atomically: one JSON header line, then raw row-major float64.
+
+    ``trainer`` makes the file a training checkpoint: its ``iteration`` and
+    ``loss_window`` go into the header, and its ``s_list`` then ``y_list``
+    vectors (the optimizer history) follow the matrices.  The file is written
+    to a uniquely named temporary file next to ``path`` and renamed over it,
+    so a failed save leaves any previous file intact.
+    """
     header = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -254,50 +284,90 @@ def save_model(params: ModelParams, path) -> None:
         "word_level": params.word_level,
         "bleu_smoothing": bleu.SMOOTHING_TAG,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(params.w1, dtype=np.float64).tobytes())
-        if params.w2 is not None:
-            fh.write(np.ascontiguousarray(params.w2, dtype=np.float64).tobytes())
+    blocks = [params.w1] if params.w2 is None else [params.w1, params.w2]
+    if trainer is not None:
+        header["trainer"] = {
+            "iteration": trainer["iteration"],
+            "history_len": len(trainer["s_list"]),
+            "loss_window": [float(v) for v in trainer["loss_window"]],
+        }
+        blocks += [*trainer["s_list"], *trainer["y_list"]]
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for block in blocks:
+                fh.write(np.ascontiguousarray(block, dtype=np.float64).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_model_header(path) -> dict:
+    """The validated JSON header of a model file or checkpoint."""
     with open(path, "rb") as fh:
         line = fh.readline()
     try:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelIOError(f"{path}: unreadable model header: {exc}") from None
-    if header.get("format") != MODEL_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
         raise ModelIOError(f"{path}: not a model file")
     if header.get("version") != MODEL_VERSION:
         raise ModelIOError(f"{path}: unsupported model version {header.get('version')!r}")
+    _check_fields(path, header, _HEADER_FIELDS, "")
+    if "trainer" in header:
+        if not isinstance(header["trainer"], dict):
+            raise ModelIOError(f"{path}: header field 'trainer' is not an object")
+        _check_fields(path, header["trainer"], _TRAINER_FIELDS, "trainer.")
     return header
 
 
-def load_model(path) -> ModelParams:
-    """Read the parameters from a model file or a training checkpoint.
+def _check_fields(path, header: dict, fields: dict, prefix: str) -> None:
+    for name, valid in fields.items():
+        if name not in header:
+            raise ModelIOError(f"{path}: header lacks field '{prefix}{name}'")
+        if not valid(header[name]):
+            raise ModelIOError(f"{path}: header field '{prefix}{name}' has invalid value {header[name]!r}")
 
-    Checkpoints share the model format with optimizer state appended; only
-    the matrices are read here.
+
+def read_model(path) -> tuple[ModelParams, dict | None]:
+    """Read a model file: the parameters, plus the trainer state of a checkpoint.
+
+    The trainer state is ``None`` for a plain model file, else a dict with
+    ``iteration``, ``s_list``, ``y_list`` and ``loss_window``.
     """
     header = read_model_header(path)
     d, k1, k2 = header["d"], header["k1"], header["k2"]
     arch = header["arch"]
-    n_params = d * k1 + (k1 * k2 if arch == ARCH_NONLINEAR else 0)
-    expected = n_params * 8
-    if "trainer" in header:
-        expected += 2 * header["trainer"]["history_len"] * n_params * 8
+    n_model = d * k1 + (k1 * k2 if arch == ARCH_NONLINEAR else 0)
+    trainer = header.get("trainer")
+    hist = 0 if trainer is None else trainer["history_len"]
     with open(path, "rb") as fh:
         fh.readline()
         payload = fh.read()
+    expected = (1 + 2 * hist) * n_model * 8
     if len(payload) != expected:
         raise ModelIOError(
             f"{path}: matrix payload is {len(payload)} bytes, header shapes require {expected}"
         )
-    w1 = np.frombuffer(payload[: d * k1 * 8], dtype=np.float64).reshape(d, k1).copy()
-    w2 = None
-    if arch == ARCH_NONLINEAR:
-        w2_bytes = payload[d * k1 * 8 : d * k1 * 8 + k1 * k2 * 8]
-        w2 = np.frombuffer(w2_bytes, dtype=np.float64).reshape(k1, k2).copy()
-    return ModelParams(w1, w2, arch, header["sim_mode"], header["word_level"])
+    flat = np.frombuffer(payload, dtype=np.float64)
+    w1 = flat[: d * k1].reshape(d, k1).copy()
+    w2 = flat[d * k1 : n_model].reshape(k1, k2).copy() if arch == ARCH_NONLINEAR else None
+    params = ModelParams(w1, w2, arch, header["sim_mode"], header["word_level"])
+    if trainer is None:
+        return params, None
+    history = [flat[(1 + i) * n_model : (2 + i) * n_model].copy() for i in range(2 * hist)]
+    return params, {
+        "iteration": trainer["iteration"],
+        "s_list": history[:hist],
+        "y_list": history[hist:],
+        "loss_window": list(trainer["loss_window"]),
+    }
+
+
+def load_model(path) -> ModelParams:
+    """Read the parameters from a model file or a training checkpoint."""
+    return read_model(path)[0]

@@ -12,12 +12,14 @@ matrices.  ``full_gradient`` exploits that separation: phase 1 accumulates
 error terms across every sample, keyed by unique phrase pair, and phase 2
 evaluates ``sim_gradient`` exactly once per unique pair, so its cost scales
 with the phrase-table size rather than the corpus size.
+
+Training, tuning and reranking share one log-linear score: ``feature_matrix``
+builds a sample's candidates x (M+1) matrix H and the totals are ``H @ lam``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,29 +97,41 @@ def candidate_feature(entry, params: ModelParams, vocab: Vocabulary, sims=None) 
     return math.fsum(sims[p] for p in entry.derivation)
 
 
+def feature_matrix(
+    sample: TrainingSample, params: ModelParams, vocab: Vocabulary, sims, n_weights: int
+) -> np.ndarray:
+    """The sample's candidates x (M+1) matrix H; its log-linear totals are ``H @ lam``.
+
+    Columns are the M baseline features, then the phrase-similarity feature
+    read from ``sims``, the corpus's ``pair_similarities`` cache.
+    """
+    h = np.empty((len(sample.candidates), n_weights))
+    for i, entry in enumerate(sample.candidates):
+        if entry.features.size != n_weights - 1:
+            raise ValueError(
+                f"candidate has {entry.features.size} baseline features, weights expect {n_weights - 1}"
+            )
+        h[i, :-1] = entry.features
+        h[i, -1] = candidate_feature(entry, params, vocab, sims)
+    return h
+
+
 def score_candidates(
     sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, sims=None
 ) -> list[CandidateScore]:
     """Log-linear scores and softmax probabilities for one N-best list."""
     lam = np.asarray(lam, dtype=np.float64)
-    n_base = lam.size - 1
-    totals = np.empty(len(sample.candidates))
-    bases = np.empty(len(sample.candidates))
-    feats = np.empty(len(sample.candidates))
-    for i, entry in enumerate(sample.candidates):
-        if entry.features.size != n_base:
-            raise ValueError(
-                f"candidate has {entry.features.size} baseline features, weights expect {n_base}"
-            )
-        bases[i] = float(lam[:-1] @ entry.features)
-        feats[i] = candidate_feature(entry, params, vocab, sims)
-        totals[i] = bases[i] + lam[-1] * feats[i]
+    if sims is None:
+        sims = pair_similarities([sample], params, vocab)
+    h = feature_matrix(sample, params, vocab, sims, lam.size)
+    totals = h @ lam
+    bases = h[:, :-1] @ lam[:-1]
     shifted = totals - totals.max()
     exps = np.exp(shifted)
     norm = math.fsum(exps.tolist())
     probs = exps / norm
     return [
-        CandidateScore(float(bases[i]), float(feats[i]), float(totals[i]), float(probs[i]))
+        CandidateScore(float(bases[i]), float(h[i, -1]), float(totals[i]), float(probs[i]))
         for i in range(len(sample.candidates))
     ]
 
@@ -235,29 +249,21 @@ def sim_gradient(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> 
     return grad
 
 
-def _sample_errors(samples, params, lam, vocab, sims, threads: int):
-    if threads <= 1:
-        return [error_terms(s, params, lam, vocab, sims) for s in samples]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: error_terms(s, params, lam, vocab, sims), samples))
-
-
 def full_gradient(
-    samples, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, threads: int = 1
+    samples, params: ModelParams, lam: np.ndarray, vocab: Vocabulary
 ) -> tuple[float, GradientAccumulator]:
     """Corpus loss (negative mean expected BLEU) and its gradient.
 
-    Phase 1 gathers error terms per sample (parallel over samples, merged in
-    sample order so the result is independent of the worker count); phase 2
-    calls ``sim_gradient`` once per unique phrase pair.  The result matches
-    the naive per-occurrence summation to floating-point accuracy.
+    Phase 1 gathers error terms per sample and sums them in sample order;
+    phase 2 calls ``sim_gradient`` once per unique phrase pair.  The result
+    matches the naive per-occurrence summation to floating-point accuracy.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("corpus is empty")
     sims = pair_similarities(samples, params, vocab)
     total_delta = {pair: 0.0 for pair in sims}
-    per_sample = _sample_errors(samples, params, lam, vocab, sims, threads)
+    per_sample = [error_terms(s, params, lam, vocab, sims) for s in samples]
     for terms in per_sample:
         for pair, delta in terms.deltas.items():
             total_delta[pair] += delta
@@ -270,20 +276,13 @@ def full_gradient(
     return loss, grad
 
 
-def corpus_xbleu(
-    samples, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, threads: int = 1
-) -> float:
+def corpus_xbleu(samples, params: ModelParams, lam: np.ndarray, vocab: Vocabulary) -> float:
     """Mean expected BLEU over the corpus (the negated training loss)."""
     samples = list(samples)
     if not samples:
         raise ValueError("corpus is empty")
     sims = pair_similarities(samples, params, vocab)
-    if threads <= 1:
-        vals = [expected_bleu(s, params, lam, vocab, sims) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(lambda s: expected_bleu(s, params, lam, vocab, sims), samples))
-    return math.fsum(vals) / len(samples)
+    return math.fsum(expected_bleu(s, params, lam, vocab, sims) for s in samples) / len(samples)
 
 
 def finite_difference(fn, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:

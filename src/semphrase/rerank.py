@@ -1,12 +1,13 @@
 """N-best list reranking with the learned phrase-similarity feature.
 
-Each candidate's score is the baseline log-linear score plus the feature
-weight times the similarity feature (the sum of phrase-pair similarities over
-the candidate's derivation).  The highest-scoring candidate wins, ties going
-to the lowest candidate index.  Alongside the reranked corpus BLEU the result
-reports the baseline selection (similarity feature switched off) and the
-oracle best/worst selections, which bound what any reranker could achieve on
-the same lists.
+Each candidate's score is the log-linear total ``H @ lam`` over the rows of
+``objective.feature_matrix``: the baseline features, then the similarity
+feature (the sum of phrase-pair similarities over the candidate's
+derivation), the same score that tuning optimizes.  The highest-scoring
+candidate wins, ties going to the lowest candidate index.  Alongside the
+reranked corpus BLEU the result reports the baseline selection (similarity
+feature switched off) and the oracle best/worst selections, which bound what
+any reranker could achieve on the same lists.
 """
 
 from __future__ import annotations
@@ -65,22 +66,13 @@ def rerank(samples, params: ModelParams, lam, vocab: Vocabulary) -> RerankResult
     best_pairs = []
     worst_pairs = []
     for sample in samples:
-        bases = np.empty(len(sample.candidates))
-        feats = np.empty(len(sample.candidates))
-        for i, entry in enumerate(sample.candidates):
-            if entry.features.size != lam.size - 1:
-                raise ValueError(
-                    f"candidate has {entry.features.size} baseline features, "
-                    f"weights expect {lam.size - 1}"
-                )
-            bases[i] = float(lam[:-1] @ entry.features)
-            feats[i] = objective.candidate_feature(entry, params, vocab, sims)
-        totals = bases + lam[-1] * feats
+        h = objective.feature_matrix(sample, params, vocab, sims, lam.size)
+        totals = h @ lam
         idx = int(np.argmax(totals))  # first maximum wins ties
-        selections.append(Selection(sample.sample_id, idx, float(totals[idx]), float(feats[idx])))
+        selections.append(Selection(sample.sample_id, idx, float(totals[idx]), float(h[idx, -1])))
         chosen_pairs.append((sample.reference, sample.candidates[idx].tokens))
 
-        base_idx = int(np.argmax(bases))
+        base_idx = int(np.argmax(h[:, :-1] @ lam[:-1]))
         baseline_pairs.append((sample.reference, sample.candidates[base_idx].tokens))
 
         sbleus = _sentence_bleus(sample)

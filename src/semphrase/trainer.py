@@ -7,14 +7,16 @@ step strictly lowers the loss, so the logged loss sequence is non-increasing.
 The feature weights are tuned afterwards by deterministic coordinate ascent
 on dev-set corpus BLEU, a light-weight stand-in for a full error-rate trainer.
 
-Training is bitwise reproducible for a fixed seed and configuration: the
-gradient reduction is worker-count independent and checkpoints are written
-atomically (temp file, then rename).
+Tuning scores candidates with ``objective.feature_matrix``, the same
+``H @ lam`` totals that reranking selects by.
+
+Training is bitwise reproducible for a fixed seed and configuration: every
+pass runs single-threaded in sample order, and checkpoints are written
+atomically by ``model.save_model``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -190,7 +192,7 @@ class TrainConfig:
     seed: int = 0
     lambda_feature: float = 1.0  # weight of the similarity feature during training
     weight_decay: float = 0.0
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: every pass is single-threaded
     checkpoint_dir: str | None = None
     checkpoint_interval: int = 0  # 0 disables checkpoints
     init_model: str | None = None  # warm-start W1 from this model file
@@ -238,80 +240,40 @@ class TrainResult:
     state: LbfgsState
 
 
-def _atomic_write(path, writer) -> None:
-    tmp = f"{path}.tmp"
-    writer(tmp)
-    os.replace(tmp, path)
-
-
 def save_checkpoint(path, params: ModelParams, state: LbfgsState, loss_window) -> None:
     """Model file with the optimizer history appended after the matrices."""
-    header = {
-        "format": model.MODEL_FORMAT,
-        "version": model.MODEL_VERSION,
-        "d": params.d,
-        "k1": params.k1,
-        "k2": params.k2,
-        "arch": params.arch,
-        "sim_mode": params.sim_mode,
-        "word_level": params.word_level,
-        "bleu_smoothing": bleu.SMOOTHING_TAG,
-        "trainer": {
-            "iteration": state.iteration,
-            "history_len": len(state.s_list),
-            "loss_window": [float(v) for v in loss_window],
-        },
+    trainer_state = {
+        "iteration": state.iteration,
+        "s_list": state.s_list,
+        "y_list": state.y_list,
+        "loss_window": loss_window,
     }
-
-    def write(tmp_path):
-        with open(tmp_path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            fh.write(np.ascontiguousarray(params.w1, dtype=np.float64).tobytes())
-            if params.w2 is not None:
-                fh.write(np.ascontiguousarray(params.w2, dtype=np.float64).tobytes())
-            for vec in state.s_list:
-                fh.write(np.ascontiguousarray(vec, dtype=np.float64).tobytes())
-            for vec in state.y_list:
-                fh.write(np.ascontiguousarray(vec, dtype=np.float64).tobytes())
-
-    _atomic_write(path, write)
+    model.save_model(params, path, trainer=trainer_state)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint: parameters plus optimizer history and loss window."""
-    header = model.read_model_header(path)
-    if "trainer" not in header:
+    params, trainer_state = model.read_model(path)
+    if trainer_state is None:
         raise model.ModelIOError(f"{path}: model file carries no optimizer state")
-    d, k1, k2 = header["d"], header["k1"], header["k2"]
-    arch = header["arch"]
-    n_model = d * k1 + (k1 * k2 if arch == model.ARCH_NONLINEAR else 0)
-    hist = header["trainer"]["history_len"]
-    with open(path, "rb") as fh:
-        fh.readline()
-        payload = fh.read()
-    expected = (n_model + 2 * hist * n_model) * 8
-    if len(payload) != expected:
-        raise model.ModelIOError(
-            f"{path}: checkpoint payload is {len(payload)} bytes, header requires {expected}"
-        )
-    flat = np.frombuffer(payload, dtype=np.float64)
-    w1 = flat[: d * k1].reshape(d, k1).copy()
-    w2 = None
-    offset = d * k1
-    if arch == model.ARCH_NONLINEAR:
-        w2 = flat[offset : offset + k1 * k2].reshape(k1, k2).copy()
-        offset += k1 * k2
-    params = ModelParams(w1, w2, arch, header["sim_mode"], header["word_level"])
-    s_list = [flat[offset + i * n_model : offset + (i + 1) * n_model].copy() for i in range(hist)]
-    offset += hist * n_model
-    y_list = [flat[offset + i * n_model : offset + (i + 1) * n_model].copy() for i in range(hist)]
-    trainer_state = {
-        "iteration": header["trainer"]["iteration"],
-        "s_list": s_list,
-        "y_list": y_list,
-        "loss_window": list(header["trainer"]["loss_window"]),
-    }
     return params, trainer_state
+
+
+def _check_resume(path, params: ModelParams, config: TrainConfig, vocab: Vocabulary) -> None:
+    """Refuse a checkpoint whose shape or similarity settings differ from the run's."""
+    wanted = {
+        "arch": config.arch,
+        "d": len(vocab),
+        "k1": config.k1,
+        "k2": config.k2 if config.arch == model.ARCH_NONLINEAR else 0,
+        "sim_mode": config.sim_mode or model.default_sim_mode(config.arch),
+        "word_level": config.word_level,
+    }
+    for name, want in wanted.items():
+        got = getattr(params, name)
+        if got != want:
+            what = "the corpus vocabulary size" if name == "d" else "the configuration"
+            raise ValueError(f"{path}: checkpoint has {name}={got!r}, but {what} gives {want!r}")
 
 
 def _initial_params(config: TrainConfig, vocab: Vocabulary) -> ModelParams:
@@ -354,6 +316,7 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
     loss_window: list[float] = []
     if config.resume is not None:
         params, ck = load_checkpoint(config.resume)
+        _check_resume(config.resume, params, config, vocab)
         state = LbfgsState(m=config.history, gtol=config.tolerance, iteration=ck["iteration"])
         for s, y in zip(ck["s_list"], ck["y_list"]):
             state.store_pair(s, y)
@@ -367,7 +330,7 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
 
     def loss_fn(vec: np.ndarray):
         p = model.unpack_params(template, vec)
-        loss, grad = objective.full_gradient(samples, p, lam, vocab, threads=config.threads)
+        loss, grad = objective.full_gradient(samples, p, lam, vocab)
         g = grad.to_vector()
         if config.weight_decay != 0.0:
             loss = loss + 0.5 * config.weight_decay * float(vec @ vec)
@@ -472,17 +435,8 @@ def tune_lambda(
     if not dev_samples:
         raise ValueError("no dev samples")
     lam = np.asarray(lam_init, dtype=np.float64).copy()
-    feature_rows = []
-    for sample in dev_samples:
-        rows = np.empty((len(sample.candidates), lam.size))
-        for i, entry in enumerate(sample.candidates):
-            if entry.features.size != lam.size - 1:
-                raise ValueError(
-                    f"candidate has {entry.features.size} baseline features, weights expect {lam.size - 1}"
-                )
-            rows[i, :-1] = entry.features
-            rows[i, -1] = objective.candidate_feature(entry, params, vocab)
-        feature_rows.append(rows)
+    sims = objective.pair_similarities(dev_samples, params, vocab)
+    feature_rows = [objective.feature_matrix(s, params, vocab, sims, lam.size) for s in dev_samples]
     stats_cache = _selection_stats(dev_samples)
 
     def score_with(j: int, value: float) -> float:

@@ -77,6 +77,16 @@ class TestCliCommands:
         assert run(["eval", "--hyp", str(refs), "--refs", str(refs)]) == 0
         assert capsys.readouterr().out.strip() == "1.0000"
 
+    def test_eval_refuses_references_without_hypotheses(self, tmp_path, capsys):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("".join(f"{i} ||| src {i} ||| tgt a b c\n" for i in range(20)))
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("".join(f"{i} ||| tgt a b c\n" for i in range(3)))
+        assert run(["eval", "--hyp", str(hyp), "--refs", str(refs)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reference ids [3, 4, 5, 6, 7] have no hypothesis" in captured.err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -174,6 +184,34 @@ class TestCliCommands:
             assert len(values.split()) == 8  # k2 of the trained model
             [float(v) for v in values.split()]
         assert len(phrases) == len(lines)
+
+    @pytest.mark.parametrize("header", [b"[1]", b'{"format": "semphrase-model", "version": 1}'])
+    @pytest.mark.parametrize("command", ["rerank", "tune-lambda", "export-embeddings"])
+    def test_malformed_model_header_exits_4(self, small_run, tmp_path, capsys, command, header):
+        root, data, model_path = small_run
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(header + b"\n" + model_path.read_bytes().split(b"\n", 1)[1])
+        argv = [command, "--model", str(bad), "--vocab", str(root / "model.bin.vocab"),
+                "--nbest", str(data / "nbest.txt")]
+        if command != "export-embeddings":
+            argv += ["--refs", str(data / "refs.txt"), "--weights", str(data / "lambda.txt")]
+        if command == "tune-lambda":
+            argv += ["--out", str(tmp_path / "tuned.txt")]
+        assert run(argv) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_resume_with_another_shape_exits_4(self, small_run, tmp_path, capsys):
+        root, data, _ = small_run
+        common = ["train", "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
+                  "--weights", str(data / "lambda.txt"), "--k2", "8", "--seed", "2", "--no-timing"]
+        ck = tmp_path / "ck"
+        assert run(common + ["--out-model", str(tmp_path / "a.bin"), "--iters", "2", "--k1", "8",
+                             "--checkpoint-dir", str(ck), "--checkpoint-interval", "1"]) == 0
+        capsys.readouterr()
+        assert run(common + ["--out-model", str(tmp_path / "b.bin"), "--iters", "1", "--k1", "6",
+                             "--resume", str(ck / "checkpoint-0002.mdl")]) == 4
+        assert "checkpoint has k1=8" in capsys.readouterr().err
+        assert not (tmp_path / "b.bin").exists()
 
     def test_config_file_supplies_defaults_and_flags_win(self, tmp_path, capsys):
         conf = tmp_path / "gen.conf"

@@ -80,6 +80,30 @@ class TestLoading:
         )
         assert len(samples[0].candidates) == 2
 
+    def test_file_and_memory_collapse_keep_the_same_candidates(self, tmp_path, rng):
+        samples = make_random_corpus(rng, n_samples=5, max_candidates=5)
+        doubled = []
+        for s in samples:
+            # later copies carry other features, so keeping the first is visible
+            copies = [corpus.NBestEntry(e.tokens, e.features + 1.0, list(e.derivation)) for e in s.candidates]
+            doubled.append(corpus.TrainingSample(s.sample_id, s.source, s.reference, s.candidates + copies[::-1]))
+        per_sample = []
+        for s in doubled:
+            corpus.save_nbest([s], tmp_path / "one")
+            per_sample.append((tmp_path / "one").read_text(encoding="utf-8").splitlines(keepends=True))
+        # sentence ids interleave in the file
+        lines = [line for i in range(max(map(len, per_sample))) for ls in per_sample for line in ls[i : i + 1]]
+        (tmp_path / "nbest").write_text("".join(lines), encoding="utf-8")
+
+        parsed = corpus.parse_nbest(tmp_path / "nbest")
+        in_memory = corpus.dedupe_candidates(doubled)
+        assert list(parsed) == [s.sample_id for s in in_memory]
+        for s in in_memory:
+            assert len(s.candidates) < len(doubled[s.sample_id].candidates)
+            got = [(e.tokens, e.derivation, e.features.tolist()) for e in parsed[s.sample_id]]
+            want = [(e.tokens, e.derivation, e.features.tolist()) for e in s.candidates]
+            assert got == want
+
     def test_tokens_lowercased(self, tmp_path):
         nbest = "0 ||| The House ||| 0.5 ||| [ Das Haus # The House ]\n"
         refs = "0 ||| Das Haus ||| The House\n"

@@ -1,5 +1,6 @@
 """Encoding, projection, similarity variants, and model persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -194,6 +195,99 @@ class TestPersistence:
         model.save_model(params, path)
         header = model.read_model_header(path)
         assert header["bleu_smoothing"] == "add-one-orders-2-plus"
+
+
+def _reference_bytes(params, trainer=None):
+    """The model-file layout written out by hand: sorted JSON header line, then float64 blocks."""
+    header = {
+        "format": "semphrase-model", "version": 1, "d": params.d, "k1": params.k1,
+        "k2": params.k2, "arch": params.arch, "sim_mode": params.sim_mode,
+        "word_level": params.word_level, "bleu_smoothing": "add-one-orders-2-plus",
+    }
+    blocks = [params.w1] + ([] if params.w2 is None else [params.w2])
+    if trainer is not None:
+        header["trainer"] = {
+            "iteration": trainer["iteration"],
+            "history_len": len(trainer["s_list"]),
+            "loss_window": trainer["loss_window"],
+        }
+        blocks += trainer["s_list"] + trainer["y_list"]
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + b"".join(b.tobytes() for b in blocks)
+
+
+def _write_header(path, header: bytes):
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(header + b"\n" + payload)
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    def test_bytes_follow_the_documented_layout(self, tmp_path, arch):
+        params = model.init_params(6, 4, 3, arch=arch, seed=2)
+        n = model.pack_params(params).size
+        state = {
+            "iteration": 7,
+            "s_list": [np.full(n, 0.5), np.full(n, -1.25)],
+            "y_list": [np.full(n, 2.0), np.full(n, 1.0 / 3.0)],
+            "loss_window": [-0.25, -0.3125],
+        }
+        model.save_model(params, tmp_path / "m.bin")
+        model.save_model(params, tmp_path / "c.mdl", trainer=state)
+        assert (tmp_path / "m.bin").read_bytes() == _reference_bytes(params)
+        assert (tmp_path / "c.mdl").read_bytes() == _reference_bytes(params, state)
+        back, trailer = model.read_model(tmp_path / "c.mdl")
+        assert np.array_equal(back.w1, params.w1)
+        assert trailer["iteration"] == 7 and trailer["loss_window"] == state["loss_window"]
+        for got, want in zip(trailer["s_list"] + trailer["y_list"], state["s_list"] + state["y_list"]):
+            assert np.array_equal(got, want)
+        assert model.read_model(tmp_path / "m.bin")[1] is None
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        params = model.init_params(5, 3, 2, seed=4)
+        path = tmp_path / "m.bin"
+        model.save_model(params, path)
+        before = path.read_bytes()
+        # the history vector fails to convert after the header and matrices are written
+        state = {"iteration": 1, "s_list": [np.array(["x"])], "y_list": [np.zeros(1)], "loss_window": []}
+        with pytest.raises(ValueError):
+            model.save_model(model.init_params(5, 3, 2, seed=5), path, trainer=state)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"[1]", "not a model file"),
+            (b'"semphrase-model"', "not a model file"),
+            (b'{"format": "semphrase-model", "version": 1}', "lacks field 'd'"),
+            (b'{"arch": "nonlinear", "d": "3", "format": "semphrase-model", "k1": 3, "k2": 2,'
+             b' "sim_mode": "dot", "version": 1, "word_level": false}', "'d'"),
+            (b'{"arch": "nonlinear", "d": 4, "format": "semphrase-model", "k1": -3, "k2": 2,'
+             b' "sim_mode": "dot", "version": 1, "word_level": false}', "'k1'"),
+            (b'{"arch": "nonlinear", "d": 4, "format": "semphrase-model", "k1": 3, "k2": true,'
+             b' "sim_mode": "dot", "version": 1, "word_level": false}', "'k2'"),
+            (b'{"arch": ["nonlinear"], "d": 4, "format": "semphrase-model", "k1": 3, "k2": 2,'
+             b' "sim_mode": "dot", "version": 1, "word_level": false}', "'arch'"),
+            (b'{"arch": "nonlinear", "d": 4, "format": "semphrase-model", "k1": 3, "k2": 2,'
+             b' "version": 1, "word_level": false}', "lacks field 'sim_mode'"),
+            (b'{"arch": "nonlinear", "d": 4, "format": "semphrase-model", "k1": 3, "k2": 2,'
+             b' "sim_mode": "dot", "version": 1, "word_level": "no"}', "'word_level'"),
+            (b'{"arch": "nonlinear", "d": 4, "format": "semphrase-model", "k1": 3, "k2": 2,'
+             b' "sim_mode": "dot", "trainer": [], "version": 1, "word_level": false}', "'trainer'"),
+            (b'{"arch": "nonlinear", "d": 4, "format": "semphrase-model", "k1": 3, "k2": 2,'
+             b' "sim_mode": "dot", "trainer": {"iteration": 2, "loss_window": []}, "version": 1,'
+             b' "word_level": false}', "'trainer.history_len'"),
+            (b'{"arch": "nonlinear", "d": 4, "format": "semphrase-model", "k1": 3, "k2": 2,'
+             b' "sim_mode": "dot", "trainer": {"history_len": 0, "iteration": 2, "loss_window": ["x"]},'
+             b' "version": 1, "word_level": false}', "'trainer.loss_window'"),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "m.bin"
+        model.save_model(model.init_params(4, 3, 2, seed=10), path)
+        _write_header(path, header)
+        with pytest.raises(model.ModelIOError, match=message):
+            model.load_model(path)
 
 
 class TestPacking:

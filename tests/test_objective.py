@@ -257,13 +257,13 @@ class TestFullGradient:
         occurrences = sum(counts for counts in unique.values())
         assert len(calls) < occurrences or len(unique) == occurrences
 
-    def test_threads_do_not_change_bits(self, rng):
+    def test_repeated_calls_give_identical_bits(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=6, max_candidates=4)
-        loss1, grad1 = objective.full_gradient(samples, params, lam, vocab, threads=1)
-        loss3, grad3 = objective.full_gradient(samples, params, lam, vocab, threads=3)
-        assert loss1 == loss3
-        assert np.array_equal(grad1.d_w1, grad3.d_w1)
-        assert np.array_equal(grad1.d_w2, grad3.d_w2)
+        loss1, grad1 = objective.full_gradient(samples, params, lam, vocab)
+        loss2, grad2 = objective.full_gradient(samples, params, lam, vocab)
+        assert loss1 == loss2
+        assert np.array_equal(grad1.d_w1, grad2.d_w1)
+        assert np.array_equal(grad1.d_w2, grad2.d_w2)
 
     def test_loss_is_negative_mean_xbleu(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=5)

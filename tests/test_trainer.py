@@ -216,6 +216,30 @@ class TestCheckpoints:
         assert len(state["s_list"]) >= 1
         assert all(np.all(np.isfinite(s)) for s in state["s_list"])
 
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("arch", dict(arch=model.ARCH_LINEAR)),
+            ("k1", dict(k1=6)),
+            ("k2", dict(k2=6)),
+            ("sim_mode", dict(sim_mode=model.SIM_COSINE)),
+            ("word_level", dict(word_level=True)),
+        ],
+    )
+    def test_resume_refuses_a_different_shape(self, tmp_path, field, change):
+        samples, lam, _ = self._train_with_checkpoints(tmp_path, iters=2)
+        config = _small_config(max_iterations=1, resume=str(tmp_path / "ck" / "checkpoint-0002.mdl"), **change)
+        with pytest.raises(ValueError, match=f"checkpoint has {field}="):
+            trainer.train(samples, config, lam)
+
+    def test_resume_refuses_another_vocabulary(self, tmp_path):
+        samples, lam, _ = self._train_with_checkpoints(tmp_path, iters=2)
+        vocab = corpus.build_vocabulary(samples)
+        bigger = corpus.Vocabulary.from_tokens(vocab.tokens + ("extra",))
+        config = _small_config(max_iterations=1, resume=str(tmp_path / "ck" / "checkpoint-0002.mdl"))
+        with pytest.raises(ValueError, match="checkpoint has d=.*vocabulary"):
+            trainer.train(samples, config, lam, bigger)
+
     def test_plain_model_refuses_checkpoint_load(self, tmp_path):
         params = model.init_params(4, 3, 2, seed=0)
         path = tmp_path / "m.bin"
@@ -241,6 +265,22 @@ class TestTuneLambda:
         lam0 = np.array([0.7, -0.3, 0.5])
         tuned = trainer.tune_lambda(samples, params, vocab, lam0)
         assert np.array_equal(tuned, lam0)
+
+    def test_similarity_once_per_unique_dev_pair(self, rng, monkeypatch):
+        samples, vocab, params = _dev_set_for_tuning(rng)
+        calls = []
+        real = model.similarity
+
+        def counting(f_tokens, e_tokens, p, v):
+            calls.append((f_tokens, e_tokens))
+            return real(f_tokens, e_tokens, p, v)
+
+        monkeypatch.setattr(model, "similarity", counting)
+        trainer.tune_lambda(samples, params, vocab, np.array([0.3, 1.0]))
+        unique = corpus.collect_phrase_pairs(samples)
+        assert len(calls) == len(unique)
+        assert len(set(calls)) == len(calls)
+        assert len(calls) < sum(unique.values())
 
     def test_never_below_init(self, rng):
         samples, vocab, params = _dev_set_for_tuning(rng)
