@@ -62,10 +62,6 @@ class Vocabulary:
             raise ValueError("vocabulary tokens must be distinct")
         return cls(toks, idx)
 
-    @property
-    def size(self) -> int:
-        return len(self.tokens)
-
     def __len__(self) -> int:
         return len(self.tokens)
 

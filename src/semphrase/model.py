@@ -79,6 +79,11 @@ class ModelParams:
     def k2(self) -> int:
         return self.w2.shape[1] if self.w2 is not None else 0
 
+    @property
+    def size(self) -> int:
+        """Length of the ``pack_params`` vector."""
+        return self.w1.size + (0 if self.w2 is None else self.w2.size)
+
     def copy(self) -> "ModelParams":
         return ModelParams(
             self.w1.copy(),
@@ -104,6 +109,10 @@ def init_params(
     ``w1_init`` replaces the random first layer, e.g. with a matrix taken from
     a previously trained linear model to warm-start the nonlinear one.
     """
+    widths = {"d": d, "k1": k1} if arch == ARCH_LINEAR else {"d": d, "k1": k1, "k2": k2}
+    for name, width in widths.items():
+        if width < 1:
+            raise ValueError(f"{name} must be >= 1, got {width}")
     rng = np.random.default_rng(seed)
     r1 = np.sqrt(6.0 / (d + k1))
     w1 = rng.uniform(-r1, r1, size=(d, k1))
@@ -231,16 +240,21 @@ def pack_params(params: ModelParams) -> np.ndarray:
     return np.concatenate([params.w1.ravel(), params.w2.ravel()])
 
 
+def param_views(template: ModelParams, vector: np.ndarray):
+    """W1- and W2-shaped views of a flat ``pack_params`` vector; W2 is None for linear."""
+    n1 = template.w1.size
+    w2 = None if template.w2 is None else vector[n1:].reshape(template.w2.shape)
+    return vector[:n1].reshape(template.w1.shape), w2
+
+
 def unpack_params(template: ModelParams, vector: np.ndarray) -> ModelParams:
     """Rebuild parameters from a flat vector using ``template``'s shapes and config."""
     vector = np.asarray(vector, dtype=np.float64)
-    n1 = template.w1.size
-    n2 = 0 if template.w2 is None else template.w2.size
-    if vector.size != n1 + n2:
-        raise ValueError(f"vector has {vector.size} entries, expected {n1 + n2}")
-    w1 = vector[:n1].reshape(template.w1.shape).copy()
-    w2 = None if template.w2 is None else vector[n1:].reshape(template.w2.shape).copy()
-    return ModelParams(w1, w2, template.arch, template.sim_mode, template.word_level)
+    if vector.size != template.size:
+        raise ValueError(f"vector has {vector.size} entries, expected {template.size}")
+    w1, w2 = param_views(template, vector)
+    w2 = None if w2 is None else w2.copy()
+    return ModelParams(w1.copy(), w2, template.arch, template.sim_mode, template.word_level)
 
 
 def _is_count(value) -> bool:

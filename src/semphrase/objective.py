@@ -15,66 +15,24 @@ with the phrase-table size rather than the corpus size.
 
 Training, tuning and reranking share one log-linear score: ``feature_matrix``
 builds a sample's candidates x (M+1) matrix H and the totals are ``H @ lam``.
+
+Results are plain arrays: ``candidate_probs`` gives a sample's softmax
+probabilities, ``error_terms`` the pair -> error-term dict and the sample's
+expected BLEU, and ``sim_gradient`` and ``full_gradient`` one flat float64
+vector in the ``model.pack_params`` layout (W1 then W2, row-major), the
+vector the optimizer works on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
 
 import numpy as np
 
 from . import model
 from .corpus import PhrasePair, TrainingSample, Vocabulary, collect_phrase_pairs
 from .model import ModelParams
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    """Log-linear decomposition of one candidate's score."""
-
-    base: float  # dot product of the baseline feature weights with h
-    feature: float  # phrase-similarity feature value (sum over the derivation)
-    total: float  # base + lambda_feature * feature
-    prob: float  # softmax probability within the sample
-
-
-@dataclass(eq=False)
-class ErrorTerms:
-    """Per-phrase-pair error terms for one sample, plus the sample expectation."""
-
-    deltas: dict[PhrasePair, float]
-    xbleu: float
-    u_values: np.ndarray  # sbleu - xbleu per candidate
-
-
-@dataclass(eq=False)
-class GradientAccumulator:
-    """Dense gradients matching the model's parameter shapes."""
-
-    d_w1: np.ndarray
-    d_w2: np.ndarray | None
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "GradientAccumulator":
-        d_w2 = None if params.w2 is None else np.zeros_like(params.w2)
-        return cls(np.zeros_like(params.w1), d_w2)
-
-    def add_scaled(self, other: "GradientAccumulator", coeff: float) -> None:
-        self.d_w1 += coeff * other.d_w1
-        if self.d_w2 is not None:
-            self.d_w2 += coeff * other.d_w2
-
-    def to_vector(self) -> np.ndarray:
-        if self.d_w2 is None:
-            return self.d_w1.ravel().copy()
-        return np.concatenate([self.d_w1.ravel(), self.d_w2.ravel()])
-
-    def max_abs(self) -> float:
-        m = float(np.max(np.abs(self.d_w1))) if self.d_w1.size else 0.0
-        if self.d_w2 is not None and self.d_w2.size:
-            m = max(m, float(np.max(np.abs(self.d_w2))))
-        return m
 
 
 def pair_similarities(samples, params: ModelParams, vocab: Vocabulary) -> dict[PhrasePair, float]:
@@ -116,24 +74,16 @@ def feature_matrix(
     return h
 
 
-def score_candidates(
+def candidate_probs(
     sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, sims=None
-) -> list[CandidateScore]:
-    """Log-linear scores and softmax probabilities for one N-best list."""
+) -> np.ndarray:
+    """Softmax probabilities of one N-best list's candidates under the totals ``H @ lam``."""
     lam = np.asarray(lam, dtype=np.float64)
     if sims is None:
         sims = pair_similarities([sample], params, vocab)
-    h = feature_matrix(sample, params, vocab, sims, lam.size)
-    totals = h @ lam
-    bases = h[:, :-1] @ lam[:-1]
-    shifted = totals - totals.max()
-    exps = np.exp(shifted)
-    norm = math.fsum(exps.tolist())
-    probs = exps / norm
-    return [
-        CandidateScore(float(bases[i]), float(h[i, -1]), float(totals[i]), float(probs[i]))
-        for i in range(len(sample.candidates))
-    ]
+    totals = feature_matrix(sample, params, vocab, sims, lam.size) @ lam
+    exps = np.exp(totals - totals.max())
+    return exps / math.fsum(exps.tolist())
 
 
 def _require_sbleu(sample: TrainingSample) -> np.ndarray:
@@ -150,35 +100,32 @@ def expected_bleu(
 ) -> float:
     """Probability-weighted mean sentence BLEU of one N-best list."""
     sbleus = _require_sbleu(sample)
-    scores = score_candidates(sample, params, lam, vocab, sims)
-    return math.fsum(s.prob * b for s, b in zip(scores, sbleus))
+    probs = candidate_probs(sample, params, lam, vocab, sims)
+    return math.fsum((probs * sbleus).tolist())
 
 
 def error_terms(
     sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, sims=None
-) -> ErrorTerms:
+) -> tuple[dict[PhrasePair, float], float]:
     """How the sample's expected BLEU moves with each phrase pair's similarity.
 
-    For each pair appearing in any candidate's derivation, the error term is
-    the feature weight times the sum over candidates of
-    prob * (sbleu - xbleu) * occurrence count.
+    Returns ``(deltas, xbleu)``: for each pair appearing in any candidate's
+    derivation, the error term is the feature weight times the sum over
+    candidates of prob * (sbleu - xbleu) * occurrence count; ``xbleu`` is the
+    sample's expected BLEU.
     """
     lam = np.asarray(lam, dtype=np.float64)
     sbleus = _require_sbleu(sample)
-    scores = score_candidates(sample, params, lam, vocab, sims)
-    xbleu = math.fsum(s.prob * b for s, b in zip(scores, sbleus))
-    u_values = sbleus - xbleu
+    probs = candidate_probs(sample, params, lam, vocab, sims)
+    xbleu = math.fsum((probs * sbleus).tolist())
+    weights = probs * (sbleus - xbleu)
     deltas: dict[PhrasePair, float] = {}
-    for entry, score, u in zip(sample.candidates, scores, u_values):
-        occurrences: dict[PhrasePair, int] = {}
-        for pair in entry.derivation:
-            occurrences[pair] = occurrences.get(pair, 0) + 1
-        weight = score.prob * u
-        for pair, count in occurrences.items():
+    for entry, weight in zip(sample.candidates, weights.tolist()):
+        for pair, count in Counter(entry.derivation).items():
             deltas[pair] = deltas.get(pair, 0.0) + weight * count
     for pair in deltas:
         deltas[pair] *= float(lam[-1])
-    return ErrorTerms(deltas, xbleu, u_values)
+    return deltas, xbleu
 
 
 def _cosine_output_grads(u: np.ndarray, v: np.ndarray):
@@ -193,18 +140,18 @@ def _cosine_output_grads(u: np.ndarray, v: np.ndarray):
     return g_u, g_v
 
 
-def _backprop_side(grad: GradientAccumulator, x, trace, g_out: np.ndarray, params: ModelParams) -> None:
+def _backprop_side(d_w1, d_w2, x, trace, g_out: np.ndarray, params: ModelParams) -> None:
     if params.arch == model.ARCH_NONLINEAR:
         e2 = g_out * (1.0 - trace.y2 * trace.y2)  # tanh'(z2) = 1 - y2^2
-        grad.d_w2 += np.outer(trace.y1, e2)
+        d_w2 += np.outer(trace.y1, e2)
         e1 = (params.w2 @ e2) * (1.0 - trace.y1 * trace.y1)
-        grad.d_w1[x.indices] += x.counts[:, None] * e1[None, :]
+        d_w1[x.indices] += x.counts[:, None] * e1[None, :]
     else:
-        grad.d_w1[x.indices] += x.counts[:, None] * g_out[None, :]
+        d_w1[x.indices] += x.counts[:, None] * g_out[None, :]
 
 
 def _accumulate_pair_gradient(
-    grad: GradientAccumulator, f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary, coeff: float
+    views, f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary, coeff: float
 ) -> None:
     xf = model.encode(f_tokens, vocab)
     xe = model.encode(e_tokens, vocab)
@@ -218,22 +165,24 @@ def _accumulate_pair_gradient(
         if grads is None:
             return
         g_u, g_v = grads
-    _backprop_side(grad, xf, tf, coeff * g_u, params)
-    _backprop_side(grad, xe, te, coeff * g_v, params)
+    _backprop_side(*views, xf, tf, coeff * g_u, params)
+    _backprop_side(*views, xe, te, coeff * g_v, params)
 
 
-def sim_gradient(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> GradientAccumulator:
+def sim_gradient(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
     """Gradient of the pair's similarity score with respect to W1 (and W2).
 
-    For the two-layer network with dot-product similarity this is the
-    closed-form backpropagation through both phrase towers; cosine and linear
-    variants follow the same chain rule with their own output-layer partials.
+    The result is one flat vector in ``model.pack_params`` layout.  For the
+    two-layer network with dot-product similarity this is the closed-form
+    backpropagation through both phrase towers; cosine and linear variants
+    follow the same chain rule with their own output-layer partials.
     In word-level mode the max over tokens is handled as a subgradient:
     gradient flows only through the argmax token pair, first index on ties.
     """
-    grad = GradientAccumulator.zeros(params)
+    grad = np.zeros(params.size)
+    views = model.param_views(params, grad)
     if not params.word_level:
-        _accumulate_pair_gradient(grad, f_tokens, e_tokens, params, vocab, 1.0)
+        _accumulate_pair_gradient(views, f_tokens, e_tokens, params, vocab, 1.0)
         return grad
     sims = model.token_similarity_matrix(f_tokens, e_tokens, params, vocab)
     nf, ne = sims.shape
@@ -245,14 +194,14 @@ def sim_gradient(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> 
         i = int(np.argmax(sims[:, j]))
         coeffs[(i, j)] = coeffs.get((i, j), 0.0) + 0.5 / ne
     for (i, j), coeff in coeffs.items():
-        _accumulate_pair_gradient(grad, (f_tokens[i],), (e_tokens[j],), params, vocab, coeff)
+        _accumulate_pair_gradient(views, (f_tokens[i],), (e_tokens[j],), params, vocab, coeff)
     return grad
 
 
 def full_gradient(
     samples, params: ModelParams, lam: np.ndarray, vocab: Vocabulary
-) -> tuple[float, GradientAccumulator]:
-    """Corpus loss (negative mean expected BLEU) and its gradient.
+) -> tuple[float, np.ndarray]:
+    """Corpus loss (negative mean expected BLEU) and its gradient in ``pack_params`` layout.
 
     Phase 1 gathers error terms per sample and sums them in sample order;
     phase 2 calls ``sim_gradient`` once per unique phrase pair.  The result
@@ -263,16 +212,17 @@ def full_gradient(
         raise ValueError("corpus is empty")
     sims = pair_similarities(samples, params, vocab)
     total_delta = {pair: 0.0 for pair in sims}
-    per_sample = [error_terms(s, params, lam, vocab, sims) for s in samples]
-    for terms in per_sample:
-        for pair, delta in terms.deltas.items():
+    xbleus = []
+    for sample in samples:
+        deltas, xbleu = error_terms(sample, params, lam, vocab, sims)
+        for pair, delta in deltas.items():
             total_delta[pair] += delta
+        xbleus.append(xbleu)
     n = len(samples)
-    loss = -math.fsum(t.xbleu for t in per_sample) / n
-    grad = GradientAccumulator.zeros(params)
+    loss = -math.fsum(xbleus) / n
+    grad = np.zeros(params.size)
     for pair, delta in total_delta.items():
-        pair_grad = sim_gradient(pair.source, pair.target, params, vocab)
-        grad.add_scaled(pair_grad, -delta / n)
+        grad += (-delta / n) * sim_gradient(pair.source, pair.target, params, vocab)
     return loss, grad
 
 
@@ -308,8 +258,7 @@ def gradient_check(
     def loss_at(vec: np.ndarray) -> float:
         return full_gradient(samples, model.unpack_params(params, vec), lam, vocab)[0]
 
-    _, grad = full_gradient(samples, params, lam, vocab)
-    analytic = grad.to_vector()
+    analytic = full_gradient(samples, params, lam, vocab)[1]
     numeric = finite_difference(loss_at, x0, step)
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
     return float(rel.max())

@@ -1,9 +1,11 @@
 """Batch training of the projection matrices and tuning of the log-linear weights.
 
 The projection matrices are fit with limited-memory BFGS over the whole
-corpus: two-loop recursion for the search direction and a strong-Wolfe line
-search (sufficient decrease c1 = 1e-4, curvature c2 = 0.9).  Every accepted
-step strictly lowers the loss, so the logged loss sequence is non-increasing.
+corpus, on the flat ``model.pack_params`` vector that ``objective.full_gradient``
+returns its gradient in: two-loop recursion over the last ``HISTORY`` curvature
+pairs and a strong-Wolfe line search (``C1`` = 1e-4, ``C2`` = 0.9).  Every
+accepted step strictly lowers the loss, so the logged loss sequence is
+non-increasing.
 The feature weights are tuned afterwards by deterministic coordinate ascent
 on dev-set corpus BLEU, a light-weight stand-in for a full error-rate trainer.
 
@@ -29,15 +31,17 @@ from .corpus import Vocabulary, build_vocabulary
 from .model import ModelParams
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+HISTORY = 10  # curvature pairs kept by L-BFGS
+REL_LOSS_TOLERANCE = 1e-9  # per-iteration relative loss change, 3 in a row, stops training
+C1 = 1e-4  # strong-Wolfe sufficient decrease
+C2 = 0.9  # strong-Wolfe curvature
 
 
 @dataclass
 class LbfgsState:
-    """Optimizer memory: displacement/gradient-difference pairs and line-search knobs."""
+    """Optimizer memory: displacement/gradient-difference pairs and stopping tolerance."""
 
-    m: int = 10
-    c1: float = 1e-4
-    c2: float = 0.9
+    m: int = HISTORY
     gtol: float = 1e-6
     s_list: list = field(default_factory=list)
     y_list: list = field(default_factory=list)
@@ -84,23 +88,19 @@ def _two_loop_direction(state: LbfgsState, g: np.ndarray) -> np.ndarray:
     return -r
 
 
-def _interpolate(a_lo: float, a_hi: float) -> float:
-    return 0.5 * (a_lo + a_hi)
-
-
-def _zoom(evaluate, f0, d0, a_lo, f_lo, g_lo, a_hi, f_hi, c1, c2, max_iter=40):
+def _zoom(evaluate, f0, d0, a_lo, f_lo, g_lo, a_hi, max_iter=40):
     for _ in range(max_iter):
         if abs(a_hi - a_lo) < 1e-16 * max(1.0, abs(a_lo)):
             break
-        a = _interpolate(a_lo, a_hi)
+        a = 0.5 * (a_lo + a_hi)
         f, g, d = evaluate(a)
-        if not np.isfinite(f) or f > f0 + c1 * a * d0 or f >= f_lo:
-            a_hi, f_hi = a, f
+        if not np.isfinite(f) or f > f0 + C1 * a * d0 or f >= f_lo:
+            a_hi = a
             continue
-        if abs(d) <= -c2 * d0:
+        if abs(d) <= -C2 * d0:
             return a, f, g
         if d * (a_hi - a_lo) >= 0.0:
-            a_hi, f_hi = a_lo, f_lo
+            a_hi = a_lo
         a_lo, f_lo, g_lo = a, f, g
     # The interval collapsed before the curvature condition held; fall back to
     # the best point satisfying sufficient decrease, if any.
@@ -109,7 +109,7 @@ def _zoom(evaluate, f0, d0, a_lo, f_lo, g_lo, a_hi, f_hi, c1, c2, max_iter=40):
     return None
 
 
-def _strong_wolfe(loss_fn, x, f0, g0, p, c1, c2, max_iter=20):
+def _strong_wolfe(loss_fn, x, f0, g0, p, max_iter=20):
     """Line search returning (alpha, f, g, evals) or None on failure."""
     d0 = float(g0 @ p)
     if d0 >= 0.0:
@@ -122,19 +122,19 @@ def _strong_wolfe(loss_fn, x, f0, g0, p, c1, c2, max_iter=20):
         f, g = loss_fn(x + a * p)
         return f, g, float(g @ p)
 
-    a_prev, f_prev, g_prev, d_prev = 0.0, f0, g0, d0
+    a_prev, f_prev, g_prev = 0.0, f0, g0
     a = 1.0
     for i in range(max_iter):
         f, g, d = evaluate(a)
-        if not np.isfinite(f) or f > f0 + c1 * a * d0 or (i > 0 and f >= f_prev):
-            result = _zoom(evaluate, f0, d0, a_prev, f_prev, g_prev, a, f, c1, c2)
+        if not np.isfinite(f) or f > f0 + C1 * a * d0 or (i > 0 and f >= f_prev):
+            result = _zoom(evaluate, f0, d0, a_prev, f_prev, g_prev, a)
             return None if result is None else (*result, evals)
-        if abs(d) <= -c2 * d0:
+        if abs(d) <= -C2 * d0:
             return a, f, g, evals
         if d >= 0.0:
-            result = _zoom(evaluate, f0, d0, a, f, g, a_prev, f_prev, c1, c2)
+            result = _zoom(evaluate, f0, d0, a, f, g, a_prev)
             return None if result is None else (*result, evals)
-        a_prev, f_prev, g_prev, d_prev = a, f, g, d
+        a_prev, f_prev, g_prev = a, f, g
         a *= 2.0
     return None
 
@@ -160,7 +160,7 @@ def lbfgs_step(state: LbfgsState, x: np.ndarray, loss_fn) -> tuple[np.ndarray, L
         state.y_list.clear()
         state.rho_list.clear()
         p = -state.g.copy()
-    result = _strong_wolfe(loss_fn, x, state.f, state.g, p, state.c1, state.c2)
+    result = _strong_wolfe(loss_fn, x, state.f, state.g, p)
     if result is None:
         state.failed = True
         state.fail_reason = "line search failed to find an acceptable step"
@@ -182,8 +182,6 @@ class TrainConfig:
 
     max_iterations: int = 100
     tolerance: float = 1e-6  # infinity norm of the gradient
-    rel_loss_tolerance: float = 1e-9  # per-iteration relative change, 3 in a row
-    history: int = 10
     k1: int = 100
     k2: int = 100
     arch: str = model.ARCH_NONLINEAR
@@ -204,6 +202,10 @@ class TrainConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
+        if not math.isfinite(self.lambda_feature):
+            raise ValueError(f"lambda_feature must be finite, got {self.lambda_feature!r}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 
 
 @dataclass(frozen=True)
@@ -317,21 +319,20 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
     if config.resume is not None:
         params, ck = load_checkpoint(config.resume)
         _check_resume(config.resume, params, config, vocab)
-        state = LbfgsState(m=config.history, gtol=config.tolerance, iteration=ck["iteration"])
+        state = LbfgsState(gtol=config.tolerance, iteration=ck["iteration"])
         for s, y in zip(ck["s_list"], ck["y_list"]):
             state.store_pair(s, y)
         loss_window = list(ck["loss_window"])
     else:
         params = _initial_params(config, vocab)
-        state = LbfgsState(m=config.history, gtol=config.tolerance)
+        state = LbfgsState(gtol=config.tolerance)
 
     template = params
     x = model.pack_params(params)
 
     def loss_fn(vec: np.ndarray):
         p = model.unpack_params(template, vec)
-        loss, grad = objective.full_gradient(samples, p, lam, vocab)
-        g = grad.to_vector()
+        loss, g = objective.full_gradient(samples, p, lam, vocab)
         if config.weight_decay != 0.0:
             loss = loss + 0.5 * config.weight_decay * float(vec @ vec)
             g = g + config.weight_decay * vec
@@ -386,7 +387,7 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
         if len(loss_window) >= 4:
             recent = loss_window[-4:]
             small = all(
-                abs(recent[i + 1] - recent[i]) <= config.rel_loss_tolerance * max(1.0, abs(recent[i]))
+                abs(recent[i + 1] - recent[i]) <= REL_LOSS_TOLERANCE * max(1.0, abs(recent[i]))
                 for i in range(3)
             )
             if small:

@@ -1,5 +1,7 @@
 """Synthetic generator contracts and the command-line surface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,14 +27,14 @@ class TestSynthgen:
         paths1 = synth.synthgen(spec, tmp_path / "a")
         paths2 = synth.synthgen(spec, tmp_path / "b")
         for p1, p2 in zip(paths1, paths2):
-            assert open(p1, "rb").read() == open(p2, "rb").read()
+            assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_line_counts(self, tmp_path):
         spec = synth.SynthSpec(concepts=5, sentences=200, candidates=8, seed=1)
         refs, nbest, lam = synth.synthgen(spec, tmp_path / "d")
-        assert sum(1 for _ in open(refs)) == 200
-        assert sum(1 for _ in open(nbest)) == 200 * 8
-        assert sum(1 for _ in open(lam)) == synth.N_BASE_FEATURES + 1
+        assert len(Path(refs).read_text().splitlines()) == 200
+        assert len(Path(nbest).read_text().splitlines()) == 200 * 8
+        assert len(Path(lam).read_text().splitlines()) == synth.N_BASE_FEATURES + 1
 
     def test_fresh_seed_shares_vocabulary(self, tmp_path):
         s1, _ = synth.generate(synth.SynthSpec(sentences=150, seed=1))
@@ -107,6 +109,11 @@ class TestCliCommands:
 
     def test_gradcheck_fails_with_absurd_tolerance(self):
         assert run(["gradcheck", "--seed", "7", "--tol", "1e-18"]) == 5
+
+    @pytest.mark.parametrize("flag", ["--k1", "--k2"])
+    def test_gradcheck_refuses_zero_width(self, capsys, flag):
+        assert run(["gradcheck", "--seed", "7", flag, "0"]) == 4
+        assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
 
     def test_gradcheck_covers_variants(self):
         assert run(["gradcheck", "--seed", "3", "--arch", "linear"]) == 0
@@ -213,15 +220,35 @@ class TestCliCommands:
         assert "checkpoint has k1=8" in capsys.readouterr().err
         assert not (tmp_path / "b.bin").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k1", "0"], "k1 must be >= 1, got 0"),
+            (["--k2", "0"], "k2 must be >= 1, got 0"),
+            (["--lambda-feature", "nan"], "lambda_feature must be finite, got nan"),
+            (["--weight-decay", "inf"], "weight_decay must be finite and >= 0, got inf"),
+            (["--weight-decay", "-0.5"], "weight_decay must be finite and >= 0, got -0.5"),
+        ],
+    )
+    def test_degenerate_training_settings_exit_4(self, small_run, tmp_path, capsys, flags, message):
+        _, data, _ = small_run
+        out = tmp_path / "m.bin"
+        argv = ["train", "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
+                "--weights", str(data / "lambda.txt"), "--out-model", str(out), "--iters", "1",
+                "--k1", "4", "--k2", "4", *flags]
+        assert run(argv) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_supplies_defaults_and_flags_win(self, tmp_path, capsys):
         conf = tmp_path / "gen.conf"
         conf.write_text("out-dir = {}\nsentences = 7\nseed = 4\n".format(tmp_path / "gen"))
         assert run(["synthgen", "--config", str(conf)]) == 0
         refs = tmp_path / "gen" / "refs.txt"
-        assert sum(1 for _ in open(refs)) == 7
+        assert len(refs.read_text().splitlines()) == 7
         # explicit flag beats the config value
         assert run(["synthgen", "--config", str(conf), "--sentences", "9"]) == 0
-        assert sum(1 for _ in open(refs)) == 9
+        assert len(refs.read_text().splitlines()) == 9
 
     def test_unknown_config_key_exits_4(self, tmp_path):
         conf = tmp_path / "bad.conf"

@@ -299,7 +299,35 @@ class TestPacking:
         assert np.array_equal(back.w1, params.w1)
         assert np.array_equal(back.w2, params.w2)
 
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    def test_views_write_through_in_pack_layout(self, arch):
+        params = model.init_params(5, 4, 3, arch=arch, seed=12)
+        vec = np.zeros(params.size)
+        d_w1, d_w2 = model.param_views(params, vec)
+        d_w1 += params.w1
+        if d_w2 is not None:
+            d_w2 += params.w2
+        assert np.array_equal(vec, model.pack_params(params))
+
     def test_unpack_size_check(self):
         params = model.init_params(3, 2, 2, seed=0)
         with pytest.raises(ValueError, match="entries"):
             model.unpack_params(params, np.zeros(5))
+
+
+class TestInitParams:
+    @pytest.mark.parametrize(
+        "d, k1, k2, arch, field",
+        [
+            (0, 3, 2, model.ARCH_NONLINEAR, "d"),
+            (4, 0, 2, model.ARCH_NONLINEAR, "k1"),
+            (4, 3, 0, model.ARCH_NONLINEAR, "k2"),
+            (4, 0, 2, model.ARCH_LINEAR, "k1"),
+        ],
+    )
+    def test_zero_width_rejected(self, d, k1, k2, arch, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            model.init_params(d, k1, k2, arch=arch)
+
+    def test_linear_ignores_k2(self):
+        assert model.init_params(4, 3, 0, arch=model.ARCH_LINEAR).w2 is None

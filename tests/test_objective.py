@@ -1,4 +1,4 @@
-"""Softmax scoring, expected BLEU, error terms, and the analytic gradient."""
+"""Feature matrix, softmax probabilities, expected BLEU, error terms, and the analytic gradient."""
 
 import math
 
@@ -36,44 +36,51 @@ def _uniform_sample(n_cand, sbleus=None):
     return corpus.TrainingSample(0, ("f",), ("e",), cands)
 
 
-class TestScoreCandidates:
+class TestFeatureMatrix:
+    def test_total_decomposition(self, rng):
+        samples, vocab, params, lam = _toy_setup(rng)
+        sample = samples[0]
+        sims = objective.pair_similarities([sample], params, vocab)
+        totals = objective.feature_matrix(sample, params, vocab, sims, lam.size) @ lam
+        for entry, total in zip(sample.candidates, totals):
+            expected = lam[:-1] @ entry.features + lam[-1] * objective.candidate_feature(entry, params, vocab)
+            assert total == pytest.approx(expected, abs=1e-12)
+
+
+class TestCandidateProbs:
     def test_identical_totals_give_uniform_probs(self):
         sample = _uniform_sample(4)
         vocab = corpus.build_vocabulary([sample])
         params = model.init_params(len(vocab), 3, 2, seed=0)
-        scores = objective.score_candidates(sample, params, np.array([1.0, 2.0, 1.0]), vocab)
-        assert [s.prob for s in scores] == [0.25] * 4
+        probs = objective.candidate_probs(sample, params, np.array([1.0, 2.0, 1.0]), vocab)
+        assert probs.tolist() == [0.25] * 4
 
     def test_shift_invariance(self, rng):
         samples, vocab, params, lam = _toy_setup(rng)
         lam[0] = 1.0
         for sample in samples:
-            before = [s.prob for s in objective.score_candidates(sample, params, lam, vocab)]
+            before = objective.candidate_probs(sample, params, lam, vocab)
             shift = float(rng.uniform(-50, 50))
             for entry in sample.candidates:
                 entry.features = entry.features.copy()
                 entry.features[0] += shift
-            after = [s.prob for s in objective.score_candidates(sample, params, lam, vocab)]
+            after = objective.candidate_probs(sample, params, lam, vocab)
             np.testing.assert_allclose(after, before, atol=1e-12)
 
     def test_probs_match_direct_normalization(self, rng):
         samples, vocab, params, lam = _toy_setup(rng)
         for sample in samples:
-            scores = objective.score_candidates(sample, params, lam, vocab)
-            totals = np.array([s.total for s in scores])
+            probs = objective.candidate_probs(sample, params, lam, vocab)
+            sims = objective.pair_similarities([sample], params, vocab)
+            totals = objective.feature_matrix(sample, params, vocab, sims, lam.size) @ lam
             direct = np.exp(totals) / np.exp(totals).sum()
-            np.testing.assert_allclose([s.prob for s in scores], direct, atol=1e-12)
-            assert math.fsum(s.prob for s in scores) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(probs, direct, atol=1e-12)
+            assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_feature_count_mismatch(self, rng):
         samples, vocab, params, _ = _toy_setup(rng)
         with pytest.raises(ValueError, match="baseline features"):
-            objective.score_candidates(samples[0], params, np.array([1.0, 1.0, 1.0, 1.0]), vocab)
-
-    def test_total_decomposition(self, rng):
-        samples, vocab, params, lam = _toy_setup(rng)
-        for s in objective.score_candidates(samples[0], params, lam, vocab):
-            assert s.total == pytest.approx(s.base + lam[-1] * s.feature, abs=1e-12)
+            objective.candidate_probs(samples[0], params, np.array([1.0, 1.0, 1.0, 1.0]), vocab)
 
 
 class TestExpectedBleu:
@@ -96,8 +103,7 @@ class TestExpectedBleu:
     def test_weighted_sum_oracle(self, rng):
         samples, vocab, params, lam = _toy_setup(rng)
         for sample in samples:
-            scores = objective.score_candidates(sample, params, lam, vocab)
-            probs = np.array([s.prob for s in scores])
+            probs = objective.candidate_probs(sample, params, lam, vocab)
             sbleus = np.array([e.sbleu for e in sample.candidates])
             assert objective.expected_bleu(sample, params, lam, vocab) == pytest.approx(
                 float(probs @ sbleus), abs=1e-12
@@ -123,9 +129,9 @@ class TestErrorTerms:
         sample = _uniform_sample(1, sbleus=[0.6])
         vocab = corpus.build_vocabulary([sample])
         params = model.init_params(len(vocab), 3, 2, seed=2)
-        terms = objective.error_terms(sample, params, np.array([1.0, 0.0, 1.0]), vocab)
-        assert all(v == 0.0 for v in terms.deltas.values())
-        assert terms.u_values[0] == 0.0
+        deltas, xbleu = objective.error_terms(sample, params, np.array([1.0, 0.0, 1.0]), vocab)
+        assert all(v == 0.0 for v in deltas.values())
+        assert sample.candidates[0].sbleu - xbleu == 0.0
 
     def test_pair_in_every_candidate_sums_to_zero(self, rng):
         # A pair occurring exactly once per candidate picks up the full
@@ -138,28 +144,29 @@ class TestErrorTerms:
         sample = corpus.TrainingSample(0, ("f", "g"), ("e", "x0"), cands)
         vocab = corpus.build_vocabulary([sample])
         params = model.init_params(len(vocab), 3, 2, seed=3)
-        terms = objective.error_terms(sample, params, np.array([1.0, 0.0, 0.7]), vocab)
-        assert terms.deltas[shared] == pytest.approx(0.0, abs=1e-12)
+        deltas, _ = objective.error_terms(sample, params, np.array([1.0, 0.0, 0.7]), vocab)
+        assert deltas[shared] == pytest.approx(0.0, abs=1e-12)
 
     def test_term_by_term_oracle(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=2)
         for sample in samples:
-            scores = objective.score_candidates(sample, params, lam, vocab)
+            probs = objective.candidate_probs(sample, params, lam, vocab)
             xbleu = objective.expected_bleu(sample, params, lam, vocab)
-            terms = objective.error_terms(sample, params, lam, vocab)
-            for pair, delta in terms.deltas.items():
+            deltas, _ = objective.error_terms(sample, params, lam, vocab)
+            for pair, delta in deltas.items():
                 expected = 0.0
-                for entry, score in zip(sample.candidates, scores):
+                for entry, prob in zip(sample.candidates, probs):
                     count = sum(1 for p in entry.derivation if p == pair)
-                    expected += (entry.sbleu - xbleu) * score.prob * lam[-1] * count
+                    expected += (entry.sbleu - xbleu) * prob * lam[-1] * count
                 assert delta == pytest.approx(expected, abs=1e-12)
 
     def test_centered_expectation_invariant(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=4)
         for sample in samples:
-            terms = objective.error_terms(sample, params, lam, vocab)
-            scores = objective.score_candidates(sample, params, lam, vocab)
-            centered = math.fsum(s.prob * u for s, u in zip(scores, terms.u_values))
+            _, xbleu = objective.error_terms(sample, params, lam, vocab)
+            probs = objective.candidate_probs(sample, params, lam, vocab)
+            sbleus = np.array([e.sbleu for e in sample.candidates])
+            centered = math.fsum(probs * (sbleus - xbleu))
             assert abs(centered) <= 1e-12
 
 
@@ -175,16 +182,16 @@ class TestSimGradient:
         x = model.encode(f, vocab)
         single_w1 = np.zeros_like(params.w1)
         single_w1[x.indices] += x.counts[:, None] * e1[None, :]
-        grad = objective.sim_gradient(f, f, params, vocab)
-        np.testing.assert_allclose(grad.d_w2, 2.0 * single_w2, atol=1e-14)
-        np.testing.assert_allclose(grad.d_w1, 2.0 * single_w1, atol=1e-14)
+        d_w1, d_w2 = model.param_views(params, objective.sim_gradient(f, f, params, vocab))
+        np.testing.assert_allclose(d_w2, 2.0 * single_w2, atol=1e-14)
+        np.testing.assert_allclose(d_w1, 2.0 * single_w1, atol=1e-14)
 
     def test_zero_w1_kills_w2_gradient(self):
         vocab = corpus.Vocabulary.from_tokens(("a", "b"))
         params = model.init_params(2, 3, 2, seed=5)
         params.w1[:] = 0.0
-        grad = objective.sim_gradient(("a",), ("b",), params, vocab)
-        assert np.all(grad.d_w2 == 0.0)
+        _, d_w2 = model.param_views(params, objective.sim_gradient(("a",), ("b",), params, vocab))
+        assert np.all(d_w2 == 0.0)
 
     @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
     @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
@@ -203,7 +210,7 @@ class TestSimGradient:
             return model.similarity(f, e, model.unpack_params(params, vec), vocab)
 
         numeric = objective.finite_difference(sim_at, model.pack_params(params), step=1e-5)
-        rel = np.abs(analytic.to_vector() - numeric) / np.maximum(1.0, np.abs(numeric))
+        rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         assert rel.max() <= 1e-6
 
 
@@ -211,13 +218,13 @@ class TestFullGradient:
     def test_single_candidate_corpus_zero_gradient(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, max_candidates=1, n_samples=4)
         loss, grad = objective.full_gradient(samples, params, lam, vocab)
-        assert grad.max_abs() == 0.0
+        assert np.max(np.abs(grad)) == 0.0
 
     def test_disabled_feature_zero_gradient(self, rng):
         samples, vocab, params, lam = _toy_setup(rng)
         lam[-1] = 0.0
         _, grad = objective.full_gradient(samples, params, lam, vocab)
-        assert grad.max_abs() == 0.0
+        assert np.max(np.abs(grad)) == 0.0
 
     def test_matches_finite_differences(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=3, max_candidates=4)
@@ -227,18 +234,16 @@ class TestFullGradient:
         samples, vocab, params, lam = _toy_setup(rng, n_samples=4, max_candidates=4)
         _, grad = objective.full_gradient(samples, params, lam, vocab)
 
-        naive = objective.GradientAccumulator.zeros(params)
+        naive = np.zeros(params.size)
         n = len(samples)
         for sample in samples:
-            scores = objective.score_candidates(sample, params, lam, vocab)
+            probs = objective.candidate_probs(sample, params, lam, vocab)
             xbleu = objective.expected_bleu(sample, params, lam, vocab)
-            for entry, score in zip(sample.candidates, scores):
-                weight = -(entry.sbleu - xbleu) * score.prob * lam[-1] / n
+            for entry, prob in zip(sample.candidates, probs):
+                weight = -(entry.sbleu - xbleu) * prob * lam[-1] / n
                 for pair in entry.derivation:
-                    pg = objective.sim_gradient(pair.source, pair.target, params, vocab)
-                    naive.add_scaled(pg, weight)
-        np.testing.assert_allclose(grad.d_w1, naive.d_w1, atol=1e-12)
-        np.testing.assert_allclose(grad.d_w2, naive.d_w2, atol=1e-12)
+                    naive += weight * objective.sim_gradient(pair.source, pair.target, params, vocab)
+        np.testing.assert_allclose(grad, naive, atol=1e-12)
 
     def test_phase_two_visits_each_unique_pair_once(self, rng, monkeypatch):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=4, max_candidates=4)
@@ -262,8 +267,7 @@ class TestFullGradient:
         loss1, grad1 = objective.full_gradient(samples, params, lam, vocab)
         loss2, grad2 = objective.full_gradient(samples, params, lam, vocab)
         assert loss1 == loss2
-        assert np.array_equal(grad1.d_w1, grad2.d_w1)
-        assert np.array_equal(grad1.d_w2, grad2.d_w2)
+        assert np.array_equal(grad1, grad2)
 
     def test_loss_is_negative_mean_xbleu(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=5)
