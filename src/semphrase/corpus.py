@@ -47,10 +47,15 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Joint source+target token/index bijection with a reserved unknown slot."""
+    """Joint source+target token/index bijection with a reserved unknown slot.
+
+    ``encodings`` is ``model.encode``'s memo, phrase tokens -> word vector; it
+    lives as long as the vocabulary.
+    """
 
     tokens: tuple[str, ...]
     index: dict[str, int] = field(compare=False)
+    encodings: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_tokens(cls, tokens) -> "Vocabulary":

@@ -10,6 +10,13 @@ mean-of-max aggregation of single-token similarities.
 
 Parameters are immutable during a forward/gradient pass; the trainer swaps in
 fresh arrays between optimizer iterations.
+
+``encode`` memoizes its read-only word vectors on the ``Vocabulary``; the
+memo lives as long as the vocabulary.  ``objective.full_gradient``,
+``objective.corpus_xbleu``, ``trainer.tune_lambda`` and ``rerank.rerank``
+each work on ``with_projection_table(params)``, so each phrase is projected
+once per call; the table lives for that one call.  A caller's own params
+carry no table, so direct ``similarity`` calls project afresh.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +58,8 @@ class ModelParams:
     arch: str = ARCH_NONLINEAR
     sim_mode: str = SIM_DOT
     word_level: bool = False
+    # phrase tokens -> (WordVector, ForwardTrace); see ``with_projection_table``
+    projections: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arch not in (ARCH_NONLINEAR, ARCH_LINEAR):
@@ -145,16 +154,26 @@ class WordVector:
 
 
 def encode(tokens, vocab: Vocabulary) -> WordVector:
-    """Count-valued bag-of-words vector; unknown tokens land in the UNK slot."""
-    if not tokens:
+    """Count-valued bag-of-words vector; unknown tokens land in the UNK slot.
+
+    Memoized on ``vocab`` by ``tuple(tokens)``; the arrays are read-only.
+    """
+    key = tuple(tokens)
+    x = vocab.encodings.get(key)
+    if x is not None:
+        return x
+    if not key:
         raise ValueError("cannot encode an empty phrase")
     tally: dict[int, int] = {}
-    for tok in tokens:
+    for tok in key:
         idx = vocab.token_id(tok)
         tally[idx] = tally.get(idx, 0) + 1
     indices = np.array(sorted(tally), dtype=np.intp)
     counts = np.array([tally[i] for i in indices], dtype=np.float64)
-    return WordVector(indices, counts, len(vocab))
+    indices.flags.writeable = False
+    counts.flags.writeable = False
+    x = vocab.encodings[key] = WordVector(indices, counts, len(vocab))
+    return x
 
 
 @dataclass(eq=False)
@@ -188,6 +207,25 @@ def project(x: WordVector, params: ModelParams) -> ForwardTrace:
     return ForwardTrace(z1, y1, z2, y2)
 
 
+def with_projection_table(params: ModelParams) -> ModelParams:
+    """Params sharing ``params``' arrays, with an empty projection table."""
+    return replace(params, projections={})
+
+
+def projection(tokens, params: ModelParams, vocab: Vocabulary) -> tuple[WordVector, ForwardTrace]:
+    """A phrase's word vector and forward trace, read through the projection table if any."""
+    table = params.projections
+    if table is None:
+        x = encode(tokens, vocab)
+        return x, project(x, params)
+    key = tuple(tokens)
+    hit = table.get(key)
+    if hit is None:
+        x = encode(key, vocab)
+        hit = table[key] = (x, project(x, params))
+    return hit
+
+
 def output_similarity(u: np.ndarray, v: np.ndarray, sim_mode: str) -> float:
     """Similarity between two projected vectors; cosine of a zero vector is 0."""
     if sim_mode == SIM_DOT:
@@ -200,15 +238,15 @@ def output_similarity(u: np.ndarray, v: np.ndarray, sim_mode: str) -> float:
 
 
 def phrase_similarity(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> float:
-    uf = project(encode(f_tokens, vocab), params).output
-    ue = project(encode(e_tokens, vocab), params).output
+    uf = projection(f_tokens, params, vocab)[1].output
+    ue = projection(e_tokens, params, vocab)[1].output
     return output_similarity(uf, ue, params.sim_mode)
 
 
 def token_similarity_matrix(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
     """|f| x |e| matrix of single-token similarities."""
-    f_out = [project(encode((t,), vocab), params).output for t in f_tokens]
-    e_out = [project(encode((t,), vocab), params).output for t in e_tokens]
+    f_out = [projection((t,), params, vocab)[1].output for t in f_tokens]
+    e_out = [projection((t,), params, vocab)[1].output for t in e_tokens]
     sims = np.empty((len(f_tokens), len(e_tokens)))
     for i, u in enumerate(f_out):
         for j, v in enumerate(e_out):
@@ -332,6 +370,9 @@ def read_model_header(path) -> dict:
     if header.get("version") != MODEL_VERSION:
         raise ModelIOError(f"{path}: unsupported model version {header.get('version')!r}")
     _check_fields(path, header, _HEADER_FIELDS, "")
+    for name in ("d", "k1") if header["arch"] == ARCH_LINEAR else ("d", "k1", "k2"):
+        if header[name] < 1:
+            raise ModelIOError(f"{path}: header field '{name}' must be >= 1, got {header[name]}")
     if "trainer" in header:
         if not isinstance(header["trainer"], dict):
             raise ModelIOError(f"{path}: header field 'trainer' is not an object")

@@ -21,6 +21,11 @@ probabilities, ``error_terms`` the pair -> error-term dict and the sample's
 expected BLEU, and ``sim_gradient`` and ``full_gradient`` one flat float64
 vector in the ``model.pack_params`` layout (W1 then W2, row-major), the
 vector the optimizer works on.
+
+Each phrase is encoded once per vocabulary (``model.encode``'s memo lives as
+long as the vocabulary) and projected once per ``full_gradient`` or
+``corpus_xbleu`` call: the table of ``model.with_projection_table(params)``
+lives for that call, and phases 1 and 2 both read it.
 """
 
 from __future__ import annotations
@@ -153,10 +158,8 @@ def _backprop_side(d_w1, d_w2, x, trace, g_out: np.ndarray, params: ModelParams)
 def _accumulate_pair_gradient(
     views, f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary, coeff: float
 ) -> None:
-    xf = model.encode(f_tokens, vocab)
-    xe = model.encode(e_tokens, vocab)
-    tf = model.project(xf, params)
-    te = model.project(xe, params)
+    xf, tf = model.projection(f_tokens, params, vocab)
+    xe, te = model.projection(e_tokens, params, vocab)
     u, v = tf.output, te.output
     if params.sim_mode == model.SIM_DOT:
         g_u, g_v = v, u
@@ -210,6 +213,7 @@ def full_gradient(
     samples = list(samples)
     if not samples:
         raise ValueError("corpus is empty")
+    params = model.with_projection_table(params)
     sims = pair_similarities(samples, params, vocab)
     total_delta = {pair: 0.0 for pair in sims}
     xbleus = []
@@ -222,7 +226,9 @@ def full_gradient(
     loss = -math.fsum(xbleus) / n
     grad = np.zeros(params.size)
     for pair, delta in total_delta.items():
-        grad += (-delta / n) * sim_gradient(pair.source, pair.target, params, vocab)
+        g = sim_gradient(pair.source, pair.target, params, vocab)
+        g *= -delta / n
+        grad += g
     return loss, grad
 
 
@@ -231,6 +237,7 @@ def corpus_xbleu(samples, params: ModelParams, lam: np.ndarray, vocab: Vocabular
     samples = list(samples)
     if not samples:
         raise ValueError("corpus is empty")
+    params = model.with_projection_table(params)
     sims = pair_similarities(samples, params, vocab)
     return math.fsum(expected_bleu(s, params, lam, vocab, sims) for s in samples) / len(samples)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bleu, objective
+from . import bleu, model, objective
 from .corpus import NBestEntry, Vocabulary
 from .model import ModelParams
 
@@ -58,6 +58,7 @@ def rerank(samples, params: ModelParams, lam, vocab: Vocabulary) -> RerankResult
     if not samples:
         raise ValueError("nothing to rerank")
     lam = np.asarray(lam, dtype=np.float64)
+    params = model.with_projection_table(params)
     sims = objective.pair_similarities(samples, params, vocab)
 
     selections = []

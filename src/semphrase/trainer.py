@@ -436,6 +436,7 @@ def tune_lambda(
     if not dev_samples:
         raise ValueError("no dev samples")
     lam = np.asarray(lam_init, dtype=np.float64).copy()
+    params = model.with_projection_table(params)
     sims = objective.pair_similarities(dev_samples, params, vocab)
     feature_rows = [objective.feature_matrix(s, params, vocab, sims, lam.size) for s in dev_samples]
     stats_cache = _selection_stats(dev_samples)

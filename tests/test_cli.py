@@ -1,5 +1,6 @@
 """Synthetic generator contracts and the command-line surface."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,21 @@ class TestCliCommands:
         assert run(argv) == 4
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rerank", "export-embeddings"])
+    def test_zero_width_model_header_exits_4(self, small_run, tmp_path, capsys, command):
+        root, data, model_path = small_run
+        header = json.loads(model_path.read_bytes().split(b"\n", 1)[0])
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps({**header, "k1": 0, "k2": 0}).encode() + b"\n")  # shapes need no payload
+        argv = [command, "--model", str(bad), "--vocab", str(root / "model.bin.vocab"),
+                "--nbest", str(data / "nbest.txt")]
+        if command == "rerank":
+            argv += ["--refs", str(data / "refs.txt"), "--weights", str(data / "lambda.txt")]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "header field 'k1' must be >= 1, got 0" in captured.err
+
     def test_resume_with_another_shape_exits_4(self, small_run, tmp_path, capsys):
         root, data, _ = small_run
         common = ["train", "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
@@ -254,3 +270,115 @@ class TestCliCommands:
         conf = tmp_path / "bad.conf"
         conf.write_text("banana = 1\n")
         assert run(["synthgen", "--config", str(conf), "--out-dir", str(tmp_path / "x")]) == 4
+
+
+# Which command reads which input file, and under which flag.
+_FUZZ_USES = {
+    "nbest": ["train", "rerank", "tune-lambda", "export-embeddings"],
+    "refs": ["train", "rerank", "tune-lambda", "eval"],
+    "weights": ["train", "rerank", "tune-lambda"],
+    "model": ["rerank", "tune-lambda", "export-embeddings"],
+    "vocab": ["rerank", "tune-lambda", "export-embeddings"],
+    "hyp": ["eval"],
+}
+_FUZZ_CORRUPTIONS = ["truncate", "flip", "drop_sep", "nan", "non_utf8", "header"]
+_HEADER_VALUES = [0, -1, 10**6, 2.5, "x", None, True, [], {}]
+
+
+def _corrupt(data: bytes, how: str, rng) -> bytes:
+    """A seeded corruption of a file's bytes."""
+    lines = data.splitlines(keepends=True)
+    pick = int(rng.integers(0, len(lines)))
+    if how == "truncate":
+        return data[: int(rng.integers(0, len(data)))]
+    if how == "flip":
+        buf = bytearray(data)
+        for _ in range(int(rng.integers(1, 4))):
+            buf[int(rng.integers(0, len(buf)))] ^= int(rng.integers(1, 256))
+        return bytes(buf)
+    if how == "drop_sep":
+        with_sep = [i for i, line in enumerate(lines) if b"|||" in line] or [pick]
+        i = with_sep[int(rng.integers(0, len(with_sep)))]
+        lines[i] = lines[i].replace(b"|||", b"", 1)
+    elif how == "nan":
+        fields = lines[pick].split(b" ")
+        numeric = [j for j, f in enumerate(fields) if f.strip().lstrip(b"-").replace(b".", b"", 1).isdigit()]
+        j = numeric[int(rng.integers(0, len(numeric)))] if numeric else 0
+        fields[j] = b"nan" + (b"\n" if fields[j].endswith(b"\n") else b"")
+        lines[pick] = b" ".join(fields)
+    elif how == "non_utf8":
+        lines.insert(pick, b"0 ||| \xff\xfe caf\xe9 ||| \x80\n")
+    elif how == "header":  # model files only: one header field edited or removed
+        header = json.loads(lines[0])
+        name = sorted(header)[int(rng.integers(0, len(header)))]
+        if rng.integers(0, 4) == 0:
+            del header[name]
+        else:
+            header[name] = _HEADER_VALUES[int(rng.integers(0, len(_HEADER_VALUES)))]
+        lines[0] = json.dumps(header).encode() + b"\n"
+    return b"".join(lines)
+
+
+def _fuzz_cases():
+    cases = []
+    for kind, commands in _FUZZ_USES.items():
+        for how in _FUZZ_CORRUPTIONS:
+            if how == "header" and kind != "model":
+                continue
+            cases += [(kind, how, command) for command in commands]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A tiny corpus, a model trained on it, and a hypothesis file, all well-formed."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert run(["synthgen", "--out-dir", str(root), "--sentences", "6", "--candidates", "3",
+                "--concepts", "3", "--seed", "8"]) == 0
+    assert run(["train", "--nbest", str(root / "nbest.txt"), "--refs", str(root / "refs.txt"),
+                "--weights", str(root / "lambda.txt"), "--out-model", str(root / "model.bin"),
+                "--iters", "1", "--k1", "3", "--k2", "2", "--no-timing"]) == 0
+    refs = [line.split("|||") for line in (root / "refs.txt").read_text().splitlines()]
+    (root / "hyp.txt").write_text("".join(f"{sid}|||{ref}\n" for sid, _, ref in refs))
+    return {
+        "nbest": root / "nbest.txt",
+        "refs": root / "refs.txt",
+        "weights": root / "lambda.txt",
+        "model": root / "model.bin",
+        "vocab": root / "model.bin.vocab",
+        "hyp": root / "hyp.txt",
+    }
+
+
+def _fuzz_argv(command: str, files: dict, out) -> list:
+    corpus_flags = ["--nbest", str(files["nbest"]), "--refs", str(files["refs"])]
+    model_flags = ["--model", str(files["model"]), "--vocab", str(files["vocab"])]
+    weights = ["--weights", str(files["weights"])]
+    return {
+        "train": ["train", *corpus_flags, *weights, "--out-model", str(out), "--iters", "1",
+                  "--k1", "3", "--k2", "2", "--no-timing"],
+        "rerank": ["rerank", *corpus_flags, *model_flags, *weights, "--output", str(out)],
+        "tune-lambda": ["tune-lambda", *corpus_flags, *model_flags, *weights, "--out", str(out)],
+        "eval": ["eval", "--hyp", str(files["hyp"]), "--refs", str(files["refs"])],
+        "export-embeddings": ["export-embeddings", *model_flags, "--nbest", str(files["nbest"]),
+                              "--out", str(out)],
+    }[command]
+
+
+def test_fuzzed_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys):
+    """Seeded corruptions of every input file: each command exits 0, 3 or 4 and never raises."""
+    cases = _fuzz_cases()
+    outcomes = []
+    for i, (kind, how, command) in enumerate(cases):
+        rng = np.random.default_rng([20261018, i])
+        bad = tmp_path / f"{i}-{fuzz_inputs[kind].name}"
+        bad.write_bytes(_corrupt(fuzz_inputs[kind].read_bytes(), how, rng))
+        argv = _fuzz_argv(command, {**fuzz_inputs, kind: bad}, tmp_path / f"{i}.out")
+        try:
+            code = run(argv)
+        except Exception as exc:  # any escape is the failure under test
+            code = f"raised {exc!r}"
+        capsys.readouterr()
+        outcomes.append((kind, how, command, code))
+    assert [o for o in outcomes if o[3] not in (0, 3, 4)] == []
+    assert any(o[3] == 4 for o in outcomes) and any(o[3] == 0 for o in outcomes)

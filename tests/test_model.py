@@ -45,8 +45,26 @@ class TestEncode:
         assert dict(zip(wv.indices.tolist(), wv.counts.tolist())) == tally
 
     def test_empty_phrase_rejected(self):
-        with pytest.raises(ValueError):
-            model.encode((), tiny_vocab("a"))
+        vocab = tiny_vocab("a")
+        model.encode(("a",), vocab)
+        for empty in ((), []):
+            with pytest.raises(ValueError, match="empty phrase"):
+                model.encode(empty, vocab)
+
+    def test_memo_gives_equal_read_only_vectors(self):
+        vocab = tiny_vocab("a", "b")
+        wv = model.encode(("a", "b", "a"), vocab)
+        again = model.encode(["a", "b", "a"], vocab)
+        assert np.array_equal(wv.indices, again.indices) and np.array_equal(wv.counts, again.counts)
+        for arr in (again.indices, again.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 5
+
+    def test_memo_leaves_vocabulary_equality_alone(self):
+        vocab = tiny_vocab("a", "b")
+        model.encode(("a",), vocab)
+        assert vocab == tiny_vocab("a", "b")
+        assert hash(vocab) == hash(tiny_vocab("a", "b"))
 
 
 class TestProject:
@@ -147,6 +165,38 @@ class TestSimilarity:
             assert model.similarity(f, e, word, vocab) == pytest.approx(
                 model.similarity(f, e, plain, vocab), abs=1e-15
             )
+
+
+    @pytest.mark.parametrize("word_level", [False, True])
+    def test_in_place_edit_between_calls_matches_fresh_params(self, word_level):
+        vocab = tiny_vocab("a", "b", "c")
+        params = model.init_params(4, 3, 2, word_level=word_level, seed=7)
+        f, e = ("a", "b"), ("c", "a")
+        before = model.similarity(f, e, params, vocab)
+        params.w1 += 0.25
+        after = model.similarity(f, e, params, vocab)
+        assert after == model.similarity(f, e, params.copy(), vocab)
+        assert after != before
+
+
+class TestProjectionTable:
+    def test_shares_arrays_and_projects_each_phrase_once(self, monkeypatch):
+        vocab = tiny_vocab("a", "b", "c")
+        params = model.init_params(4, 3, 2, seed=8)
+        tabled = model.with_projection_table(params)
+        assert tabled.w1 is params.w1 and tabled.w2 is params.w2
+        assert tabled.projections == {} and params.projections is None
+        calls = []
+        real = model.project
+
+        def counting(x, p):
+            calls.append(x)
+            return real(x, p)
+
+        monkeypatch.setattr(model, "project", counting)
+        sims = [model.similarity(f, e, tabled, vocab) for f, e in [(("a",), ("b", "c")), (["a"], ("b", "c"))]]
+        assert sims[0] == sims[1] == model.similarity(("a",), ("b", "c"), params, vocab)
+        assert len(calls) == 4  # two through the table, two without one
 
 
 class TestPersistence:
@@ -288,6 +338,36 @@ class TestModelFile:
         _write_header(path, header)
         with pytest.raises(model.ModelIOError, match=message):
             model.load_model(path)
+
+    @pytest.mark.parametrize(
+        "arch, edits, field",
+        [
+            (model.ARCH_NONLINEAR, {"d": 0}, "d"),
+            (model.ARCH_NONLINEAR, {"k1": 0, "k2": 0}, "k1"),
+            (model.ARCH_NONLINEAR, {"k2": 0}, "k2"),
+            (model.ARCH_LINEAR, {"k1": 0}, "k1"),
+            (model.ARCH_LINEAR, {"d": 0, "k1": 0}, "d"),
+        ],
+    )
+    def test_zero_width_header_rejected(self, tmp_path, arch, edits, field):
+        # The payload is cut to the size the edited shapes require, so only the
+        # width check stands between the file and an empty model.
+        path = tmp_path / "m.bin"
+        model.save_model(model.init_params(4, 3, 2, arch=arch, seed=10), path)
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = {**json.loads(line), **edits}
+        d, k1, k2 = header["d"], header["k1"], header["k2"]
+        n = d * k1 + (k1 * k2 if arch == model.ARCH_NONLINEAR else 0)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload[: 8 * n])
+        with pytest.raises(model.ModelIOError, match=f"header field '{field}' must be >= 1, got 0"):
+            model.load_model(path)
+
+    def test_linear_header_keeps_k2_zero(self, tmp_path):
+        path = tmp_path / "m.bin"
+        params = model.init_params(4, 3, arch=model.ARCH_LINEAR, seed=10)
+        model.save_model(params, path)
+        assert model.read_model_header(path)["k2"] == 0
+        assert np.array_equal(model.load_model(path).w1, params.w1)
 
 
 class TestPacking:

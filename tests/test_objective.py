@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semphrase import corpus, model, objective
+from semphrase import corpus, model, objective, rerank, trainer
 
 from conftest import make_random_corpus, random_lambda
 
@@ -274,3 +274,72 @@ class TestFullGradient:
         loss, _ = objective.full_gradient(samples, params, lam, vocab)
         mean_xbleu = objective.corpus_xbleu(samples, params, lam, vocab)
         assert loss == pytest.approx(-mean_xbleu, abs=1e-15)
+
+
+def _distinct_phrases(samples):
+    pairs = corpus.collect_phrase_pairs(samples)
+    return {p.source for p in pairs} | {p.target for p in pairs}
+
+
+def _count_projections(monkeypatch):
+    calls = []
+    real = model.project
+
+    def counting(x, p):
+        calls.append(x)
+        return real(x, p)
+
+    monkeypatch.setattr(model, "project", counting)
+    return calls
+
+
+class TestProjectionTable:
+    """One projection per distinct phrase per call; the caller's params never keep a table."""
+
+    @pytest.mark.parametrize(
+        "arch, sim_mode", [(model.ARCH_NONLINEAR, None), (model.ARCH_LINEAR, model.SIM_COSINE)]
+    )
+    def test_full_gradient_projects_each_phrase_once(self, rng, monkeypatch, arch, sim_mode):
+        samples, vocab, params, lam = _toy_setup(rng, arch=arch, sim_mode=sim_mode, n_samples=6, n_tokens=4)
+        phrases = _distinct_phrases(samples)
+        assert len(phrases) < 2 * len(corpus.collect_phrase_pairs(samples))  # pairs share phrases
+        calls = _count_projections(monkeypatch)
+        objective.full_gradient(samples, params, lam, vocab)
+        assert len(calls) == len(phrases)
+
+    def test_word_level_projects_each_token_once(self, rng, monkeypatch):
+        samples, vocab, params, lam = _toy_setup(rng, word_level=True, n_samples=6, n_tokens=5)
+        tokens = {tok for phrase in _distinct_phrases(samples) for tok in phrase}
+        calls = _count_projections(monkeypatch)
+        objective.full_gradient(samples, params, lam, vocab)
+        assert len(calls) == len(tokens)
+
+    def test_tune_lambda_projects_each_dev_phrase_once(self, rng, monkeypatch):
+        samples, vocab, params, lam = _toy_setup(rng, n_samples=6, n_tokens=4)
+        calls = _count_projections(monkeypatch)
+        trainer.tune_lambda(samples, params, vocab, lam, max_sweeps=1)
+        assert len(calls) == len(_distinct_phrases(samples))
+
+    def test_rerank_projects_each_test_phrase_once(self, rng, monkeypatch):
+        samples, vocab, params, lam = _toy_setup(rng, n_samples=6, n_tokens=4)
+        calls = _count_projections(monkeypatch)
+        rerank.rerank(samples, params, lam, vocab)
+        assert len(calls) == len(_distinct_phrases(samples))
+
+    def test_caller_params_carry_no_table(self, rng):
+        samples, vocab, params, lam = _toy_setup(rng)
+        objective.full_gradient(samples, params, lam, vocab)
+        objective.corpus_xbleu(samples, params, lam, vocab)
+        trainer.tune_lambda(samples, params, vocab, lam, max_sweeps=1)
+        rerank.rerank(samples, params, lam, vocab)
+        assert params.projections is None
+
+    def test_in_place_edit_between_calls_matches_fresh_params(self, rng):
+        samples, vocab, params, lam = _toy_setup(rng, n_samples=4)
+        before = objective.full_gradient(samples, params, lam, vocab)
+        params.w1 *= 1.7
+        params.w2 -= 0.05
+        loss, grad = objective.full_gradient(samples, params, lam, vocab)
+        fresh_loss, fresh_grad = objective.full_gradient(samples, params.copy(), lam, vocab)
+        assert loss == fresh_loss and loss != before[0]
+        assert np.array_equal(grad, fresh_grad)
