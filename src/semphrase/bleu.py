@@ -18,6 +18,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_ORDER = 4
 
 # Identifier of the sentence-level smoothing scheme, stored in model headers.
@@ -37,6 +39,10 @@ class BleuStats:
         for m, t in zip(self.matches, self.totals):
             if m < 0 or m > t:
                 raise ValueError(f"invalid n-gram statistics: matches={self.matches} totals={self.totals}")
+
+    def row(self) -> tuple[int, ...]:
+        """Matches, totals, candidate length and reference length, in one flat row."""
+        return (*self.matches, *self.totals, self.candidate_len, self.reference_len)
 
 
 def _fold(tokens) -> list[str]:
@@ -94,26 +100,24 @@ def sentence_bleu(reference, candidate) -> float:
     return _brevity_penalty(stats.candidate_len, stats.reference_len) * geo_mean
 
 
+def corpus_bleu_rows(sums) -> np.ndarray:
+    """Standard corpus BLEU of each row of summed ``BleuStats.row()`` statistics."""
+    sums = np.atleast_2d(np.asarray(sums, dtype=np.float64))
+    scores = np.zeros(len(sums))
+    ok = (sums[:, : 2 * MAX_ORDER] > 0).all(axis=1)  # a zero count zeroes the geometric mean
+    matches, totals = sums[ok, :MAX_ORDER], sums[ok, MAX_ORDER : 2 * MAX_ORDER]
+    cand_len, ref_len = sums[ok, -2], sums[ok, -1]
+    brevity = np.exp(np.minimum(0.0, 1.0 - ref_len / cand_len))
+    scores[ok] = brevity * np.exp(np.log(matches / totals).sum(axis=1) / MAX_ORDER)
+    return scores
+
+
 def corpus_bleu_from_stats(stats_list) -> float:
     """Standard corpus BLEU from pre-computed per-sentence statistics."""
-    stats_list = list(stats_list)
-    if not stats_list:
+    rows = [s.row() for s in stats_list]
+    if not rows:
         raise ValueError("corpus BLEU needs at least one sentence pair")
-    matches = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
-    cand_len = 0
-    ref_len = 0
-    for s in stats_list:
-        for i in range(MAX_ORDER):
-            matches[i] += s.matches[i]
-            totals[i] += s.totals[i]
-        cand_len += s.candidate_len
-        ref_len += s.reference_len
-    if any(t == 0 for t in totals) or any(m == 0 for m in matches):
-        return 0.0
-    log_precision = sum(math.log(m / t) for m, t in zip(matches, totals))
-    geo_mean = math.exp(log_precision / MAX_ORDER)
-    return _brevity_penalty(cand_len, ref_len) * geo_mean
+    return float(corpus_bleu_rows(np.sum(rows, axis=0))[0])
 
 
 def corpus_bleu(pairs) -> float:

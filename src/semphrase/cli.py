@@ -13,6 +13,7 @@ inconsistent data, 5 failed numerical check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -119,7 +120,10 @@ def build_parser():
     _add_config_flag(sub)
     subs["synthgen"] = sub
 
-    sub = subparsers.add_parser("tune-lambda", help="coordinate-ascent weight tuning on a dev set")
+    sub = subparsers.add_parser(
+        "tune-lambda",
+        help="tune the weights on dev BLEU: coordinate ascent, one exact line search per weight in (-5, 5)",
+    )
     _add_corpus_flags(sub, role="dev")
     sub.add_argument("--model", required=True)
     sub.add_argument("--vocab", required=True)
@@ -371,6 +375,11 @@ _HANDLERS = {
     "export-embeddings": _cmd_export_embeddings,
 }
 
+# Commands that score with a loaded model.  They run with numpy raising on
+# overflow and invalid values: finite weights near the float64 maximum still
+# overflow the forward pass, and that is malformed model data, not a warning.
+_SCORING = ("rerank", "tune-lambda", "export-embeddings")
+
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -383,7 +392,9 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        return _HANDLERS[args.command](args)
+        checked = args.command in _SCORING
+        with np.errstate(over="raise", invalid="raise") if checked else contextlib.nullcontext():
+            return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse usage errors
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except FileNotFoundError as exc:
@@ -394,6 +405,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_DATA
     except ValueError as exc:
         print(f"semphrase: {exc}", file=sys.stderr)
+        return EXIT_BAD_DATA
+    except FloatingPointError as exc:  # only a scoring command's errstate raises it
+        print(f"semphrase: {args.model}: arithmetic with this model's weights failed: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
 
 

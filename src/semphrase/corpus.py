@@ -336,33 +336,6 @@ def collect_phrase_pairs(samples) -> dict[PhrasePair, int]:
     return counts
 
 
-def save_phrase_table(pairs: dict[PhrasePair, int], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair, count in pairs.items():
-            fh.write(f"{' '.join(pair.source)} {FIELD_SEP} {' '.join(pair.target)} {FIELD_SEP} {count}\n")
-
-
-def load_phrase_table(path) -> dict[PhrasePair, int]:
-    pairs: dict[PhrasePair, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = [p.strip() for p in raw.split(FIELD_SEP)]
-            if len(parts) != 3:
-                raise CorpusError(f"expected 3 '{FIELD_SEP}' fields, got {len(parts)}", path, lineno)
-            try:
-                count = int(parts[2])
-            except ValueError:
-                raise CorpusError(f"bad count {parts[2]!r}", path, lineno) from None
-            pair = PhrasePair(_fold(parts[0].split()), _fold(parts[1].split()))
-            if pair in pairs:
-                raise CorpusError("duplicate phrase pair", path, lineno)
-            pairs[pair] = count
-    return pairs
-
-
 def load_lambda(path, expected_len: int | None = None) -> np.ndarray:
     """Read a weight vector, one real per line (M baseline weights + 1)."""
     values = []

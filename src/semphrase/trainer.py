@@ -7,10 +7,10 @@ pairs and a strong-Wolfe line search (``C1`` = 1e-4, ``C2`` = 0.9).  Every
 accepted step strictly lowers the loss, so the logged loss sequence is
 non-increasing.
 The feature weights are tuned afterwards by deterministic coordinate ascent
-on dev-set corpus BLEU, a light-weight stand-in for a full error-rate trainer.
-
-Tuning scores candidates with ``objective.feature_matrix``, the same
-``H @ lam`` totals that reranking selects by.
+on dev-set corpus BLEU of the ``H @ lam`` argmax that reranking selects by,
+with the exact line search of minimum error rate training (Och 2003): each
+weight moves to the best interval of (-``SPAN``, ``SPAN``) between the points
+where a sentence's selection changes, if that gains more than ``MIN_GAIN``.
 
 Training is bitwise reproducible for a fixed seed and configuration: every
 pass runs single-threaded in sample order, and checkpoints are written
@@ -30,11 +30,12 @@ from . import bleu, model, objective
 from .corpus import Vocabulary, build_vocabulary
 from .model import ModelParams
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 HISTORY = 10  # curvature pairs kept by L-BFGS
 REL_LOSS_TOLERANCE = 1e-9  # per-iteration relative loss change, 3 in a row, stops training
 C1 = 1e-4  # strong-Wolfe sufficient decrease
 C2 = 0.9  # strong-Wolfe curvature
+SPAN = 5.0  # tuning searches each weight over (-SPAN, SPAN)
+MIN_GAIN = 1e-6  # dev corpus BLEU gain a tuned weight must bring
 
 
 @dataclass
@@ -398,38 +399,40 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
     return TrainResult(model.unpack_params(template, x), vocab, log, state)
 
 
-def _selection_stats(dev_samples):
-    """Cache per-candidate feature rows and BLEU statistics for fast tuning sweeps."""
-    cached = []
-    for sample in dev_samples:
-        stats = [bleu.bleu_stats(sample.reference, e.tokens) for e in sample.candidates]
-        cached.append(stats)
-    return cached
+def _envelope(a: np.ndarray, b: np.ndarray) -> tuple[list[float], list[int]]:
+    """Upper envelope of the lines ``a + x * b`` over (-SPAN, SPAN).
 
-
-def _dev_bleu(feature_rows, stats_cache, lam: np.ndarray) -> float:
-    chosen = []
-    for rows, stats in zip(feature_rows, stats_cache):
-        idx = int(np.argmax(rows @ lam))  # ties resolve to the lowest index
-        chosen.append(stats[idx])
-    return bleu.corpus_bleu_from_stats(chosen)
+    Returns the points where the argmax changes and the argmax on each piece
+    between them (one more piece than points).  Identical lines resolve to the
+    lowest index, as ``np.argmax`` does.
+    """
+    flattest = np.flatnonzero(b == b.min())
+    top = int(flattest[np.argmax(a[flattest])])  # the argmax as x -> -inf
+    x, points, rows = -np.inf, [], [top]
+    while (steeper := np.flatnonzero(b > b[top])).size:
+        cross = (a[top] - a[steeper]) / (b[steeper] - b[top])
+        x = max(x, float(cross.min()))  # rounding must not walk the envelope backwards
+        if x >= SPAN:
+            break
+        tied = steeper[cross <= x]
+        top = int(tied[np.argmax(b[tied])])  # the steepest line leaves last
+        if x > -SPAN:
+            points.append(x)
+        rows[len(points) :] = [top]  # a change at or before -SPAN replaces the first piece
+    return points, rows
 
 
 def tune_lambda(
-    dev_samples,
-    params: ModelParams,
-    vocab: Vocabulary,
-    lam_init,
-    span: float = 5.0,
-    min_gain: float = 1e-6,
-    max_sweeps: int = 20,
+    dev_samples, params: ModelParams, vocab: Vocabulary, lam_init, max_sweeps: int = 20
 ) -> np.ndarray:
-    """Coordinate ascent on dev corpus BLEU of the argmax selection.
+    """Coordinate ascent on dev corpus BLEU of the argmax selection, one exact line search per weight.
 
-    Each coordinate is scanned over [-span, span] and the best bracket is
-    refined by golden-section search; a new value is kept only when it
-    improves corpus BLEU by more than ``min_gain``.  Sweeps repeat in a fixed
-    coordinate order until none improves, so the result never scores below
+    Along weight j each sentence's selection changes only where the upper
+    envelope of its candidates' lines ``total(x)`` does; summing the BLEU
+    statistics of the selections between those points scores every interval
+    of (-SPAN, SPAN).  The midpoint of the best interval (the nearest to the
+    current value on a tie) is kept if it gains more than ``MIN_GAIN``.
+    Sweeps repeat until none improves, so the result never scores below
     ``lam_init``.
     """
     dev_samples = list(dev_samples)
@@ -439,40 +442,32 @@ def tune_lambda(
     params = model.with_projection_table(params)
     sims = objective.pair_similarities(dev_samples, params, vocab)
     feature_rows = [objective.feature_matrix(s, params, vocab, sims, lam.size) for s in dev_samples]
-    stats_cache = _selection_stats(dev_samples)
-
-    def score_with(j: int, value: float) -> float:
-        trial = lam.copy()
-        trial[j] = value
-        return _dev_bleu(feature_rows, stats_cache, trial)
-
-    best = _dev_bleu(feature_rows, stats_cache, lam)
+    stats = [
+        np.array([bleu.bleu_stats(s.reference, e.tokens).row() for e in s.candidates], dtype=np.int64)
+        for s in dev_samples
+    ]
+    chosen = sum(st[np.argmax(h @ lam)] for h, st in zip(feature_rows, stats))  # ties: lowest index
+    best = float(bleu.corpus_bleu_rows(chosen)[0])
     for _ in range(max_sweeps):
         improved = False
         for j in range(lam.size):
-            grid = np.linspace(-span, span, 201)
-            values = [score_with(j, v) for v in grid]
-            k = int(np.argmax(values))
-            cand_value, cand_score = float(grid[k]), values[k]
-            # golden-section refinement inside the winning bracket
-            lo = float(grid[max(k - 1, 0)])
-            hi = float(grid[min(k + 1, grid.size - 1)])
-            a, b = lo, hi
-            for _ in range(30):
-                x1 = b - GOLDEN * (b - a)
-                x2 = a + GOLDEN * (b - a)
-                f1, f2 = score_with(j, x1), score_with(j, x2)
-                if f1 > cand_score:
-                    cand_value, cand_score = x1, f1
-                if f2 > cand_score:
-                    cand_value, cand_score = x2, f2
-                if f1 >= f2:
-                    b = x2
-                else:
-                    a = x1
-            if cand_score > best + min_gain:
-                lam[j] = cand_value
-                best = cand_score
+            start, points, deltas = 0, [], []
+            for h, st in zip(feature_rows, stats):
+                xs, rows = _envelope(h @ lam - lam[j] * h[:, j], h[:, j])
+                start = start + st[rows[0]]
+                points += xs
+                deltas += [st[new] - st[old] for old, new in zip(rows, rows[1:])]
+            order = np.argsort(points, kind="stable")  # keeps each sentence's changes in order
+            xs = np.asarray(points)[order]
+            sums = start + np.cumsum(np.reshape(deltas, (-1, start.size))[order], axis=0)
+            last = np.diff(xs, append=np.inf) != 0  # the selections after all changes at a point
+            edges = np.concatenate(([-SPAN], xs[last], [SPAN]))
+            scores = bleu.corpus_bleu_rows(np.vstack([start, sums[last]]))
+            ties = np.flatnonzero(scores == scores.max())
+            k = ties[np.argmin(np.abs(np.clip(lam[j], edges[ties], edges[ties + 1]) - lam[j]))]
+            if scores[k] > best + MIN_GAIN:
+                lam[j] = 0.5 * (edges[k] + edges[k + 1])
+                best = float(scores[k])
                 improved = True
         if not improved:
             break

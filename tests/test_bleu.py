@@ -89,6 +89,18 @@ class TestCorpusBleu:
             ]
             assert bleu.corpus_bleu(pairs) == pytest.approx(ref_corpus_bleu(pairs), abs=1e-12)
 
+    def test_rows_match_reference_oracle(self, rng):
+        tokens = ["a", "b", "c"]
+        corpora = [
+            [(_random_sentence(rng, tokens, 1, 12), _random_sentence(rng, tokens, 1, 12)) for _ in range(3)]
+            for _ in range(40)
+        ]
+        sums = [np.sum([bleu.bleu_stats(r, c).row() for r, c in pairs], axis=0) for pairs in corpora]
+        scores = bleu.corpus_bleu_rows(sums)
+        assert 0.0 in scores and scores.max() > 0.0  # rows with a zero count and rows without
+        for pairs, score in zip(corpora, scores):
+            assert score == pytest.approx(ref_corpus_bleu(pairs), abs=1e-12)
+
     def test_permutation_invariant(self, rng):
         tokens = [f"w{i}" for i in range(6)]
         pairs = [

@@ -223,6 +223,23 @@ class TestCliCommands:
         assert captured.out == ""
         assert "header field 'k1' must be >= 1, got 0" in captured.err
 
+    @pytest.mark.parametrize("command", ["rerank", "tune-lambda", "export-embeddings"])
+    def test_huge_model_weights_exit_4(self, small_run, tmp_path, capsys, command):
+        root, data, model_path = small_run
+        header, payload = model_path.read_bytes().split(b"\n", 1)
+        bad = tmp_path / "huge.bin"
+        bad.write_bytes(header + b"\n" + np.full(len(payload) // 8, 1.7e308).tobytes())  # finite, overflows
+        out = tmp_path / "out.txt"
+        argv = [command, "--model", str(bad), "--vocab", str(root / "model.bin.vocab"),
+                "--nbest", str(data / "nbest.txt"), "--output" if command == "rerank" else "--out", str(out)]
+        if command != "export-embeddings":
+            argv += ["--refs", str(data / "refs.txt"), "--weights", str(data / "lambda.txt")]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert f"{bad}: arithmetic with this model's weights failed: overflow" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_resume_with_another_shape_exits_4(self, small_run, tmp_path, capsys):
         root, data, _ = small_run
         common = ["train", "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
@@ -281,7 +298,8 @@ _FUZZ_USES = {
     "vocab": ["rerank", "tune-lambda", "export-embeddings"],
     "hyp": ["eval"],
 }
-_FUZZ_CORRUPTIONS = ["truncate", "flip", "drop_sep", "nan", "non_utf8", "header"]
+_FUZZ_CORRUPTIONS = ["truncate", "flip", "drop_sep", "nan", "non_utf8", "header", "huge"]
+_MODEL_ONLY = ("header", "huge")
 _HEADER_VALUES = [0, -1, 10**6, 2.5, "x", None, True, [], {}]
 
 
@@ -316,6 +334,8 @@ def _corrupt(data: bytes, how: str, rng) -> bytes:
         else:
             header[name] = _HEADER_VALUES[int(rng.integers(0, len(_HEADER_VALUES)))]
         lines[0] = json.dumps(header).encode() + b"\n"
+    elif how == "huge":  # model files only: every weight finite but near the float64 maximum
+        return lines[0] + np.full((len(data) - len(lines[0])) // 8, 1.7e308).tobytes()
     return b"".join(lines)
 
 
@@ -323,7 +343,7 @@ def _fuzz_cases():
     cases = []
     for kind, commands in _FUZZ_USES.items():
         for how in _FUZZ_CORRUPTIONS:
-            if how == "header" and kind != "model":
+            if how in _MODEL_ONLY and kind != "model":
                 continue
             cases += [(kind, how, command) for command in commands]
     return cases

@@ -139,13 +139,6 @@ class TestRoundTrip:
         assert back.tokens == vocab.tokens
         assert all(back.index[t] == vocab.index[t] for t in vocab.tokens)
 
-    def test_phrase_table_round_trip(self, tmp_path, rng):
-        pairs = corpus.collect_phrase_pairs(make_random_corpus(rng))
-        path = tmp_path / "table.txt"
-        corpus.save_phrase_table(pairs, path)
-        back = corpus.load_phrase_table(path)
-        assert back == pairs
-
 
 class TestVocabulary:
     def test_single_token_reserves_unk(self):

@@ -1,5 +1,7 @@
 """L-BFGS behavior, training loop guarantees, checkpoints, and weight tuning."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,34 @@ def _dev_set_for_tuning(rng, n_samples=12):
     return samples, vocab, params
 
 
+def _narrow_optimum_set():
+    """Dev set whose only perfect selection needs weight 0 in (0.31, 0.34), between grid points 0.05 apart.
+
+    Each candidate's total is ``x * f0 + f1`` at weights ``[x, 1, 0]``; the
+    similarity weight is 0 and the zero model makes every similarity 0.
+    """
+
+    def sample(sid, reference, candidates):
+        entries = []
+        for text, feats in candidates:
+            tokens = tuple(text.split())
+            entries.append(corpus.NBestEntry(tokens, np.array(feats), [corpus.PhrasePair(("src",), tokens)]))
+        return corpus.TrainingSample(sid, ("src",), tuple(reference.split()), entries)
+
+    samples = [
+        # the reference wins for x > 0.31
+        sample(0, "a b c d e", [("v w x y z", [0.0, 0.31]), ("a b c d e", [1.0, 0.0])]),
+        # the reference wins for x < 0.34
+        sample(1, "f g h i j", [("q r s t u", [1.0, 0.0]), ("f g h i j", [0.0, 0.34])]),
+        # the reference wins on (-0.5, 0.6); the other lines cross each other elsewhere
+        sample(2, "k l m n o", [("k l m n p", [3.0, -1.5]), ("k l p p p", [-2.0, 0.0]),
+                                ("k l m n o", [0.0, 1.0]), ("k p p p p", [0.5, 0.7])]),
+    ]
+    vocab = corpus.build_vocabulary(samples)
+    params = model.ModelParams(np.zeros((len(vocab), 3)), np.zeros((3, 2)))
+    return samples, vocab, params
+
+
 class TestTuneLambda:
     def test_flat_objective_returns_init(self, rng):
         # single candidate per sample: every weight vector selects the same thing
@@ -281,6 +311,30 @@ class TestTuneLambda:
         assert len(calls) == len(unique)
         assert len(set(calls)) == len(calls)
         assert len(calls) < sum(unique.values())
+
+    def test_lands_in_interval_narrower_than_grid_step(self):
+        samples, vocab, params = _narrow_optimum_set()
+        lam0 = np.array([0.0, 1.0, 0.0])
+
+        def dev_bleu(x):
+            return rerank.rerank(samples, params, np.array([x, 1.0, 0.0]), vocab).reranked_bleu
+
+        assert max(dev_bleu(x) for x in np.linspace(-5.0, 5.0, 201)) < 1.0  # no grid point sees it
+        tuned = trainer.tune_lambda(samples, params, vocab, lam0)
+        assert 0.31 < tuned[0] < 0.34
+        tuned_bleu = rerank.rerank(samples, params, tuned, vocab).reranked_bleu
+        assert tuned_bleu == 1.0
+
+        # brute force over the midpoints between every pair of lines' crossings
+        crossings = set()
+        for sample in samples:
+            lines = [(e.features[1], e.features[0]) for e in sample.candidates]
+            for (a1, b1), (a2, b2) in itertools.combinations(lines, 2):
+                if b1 != b2 and -5.0 < (a2 - a1) / (b1 - b2) < 5.0:
+                    crossings.add((a2 - a1) / (b1 - b2))
+        edges = [-5.0, *sorted(crossings), 5.0]
+        assert len(edges) > 6
+        assert tuned_bleu == max(dev_bleu(0.5 * (lo + hi)) for lo, hi in zip(edges, edges[1:]))
 
     def test_never_below_init(self, rng):
         samples, vocab, params = _dev_set_for_tuning(rng)
