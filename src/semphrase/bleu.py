@@ -10,13 +10,17 @@ positive score, while an exact match still scores 1.0 and a candidate with no
 unigram overlap scores 0.0.  Corpus BLEU is the standard unsmoothed
 aggregate.  The smoothing scheme is identified by ``SMOOTHING_TAG`` and is
 recorded in every model file so scores stay comparable across checkpoints.
+
+The statistics of one (reference, candidate) pair are one row of
+``2 * MAX_ORDER + 2`` integers: the clipped n-gram matches for n = 1..4, the
+candidate's n-gram totals for n = 1..4, the candidate length and the
+reference length.  Corpus BLEU reads the column sums of such rows.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +28,6 @@ MAX_ORDER = 4
 
 # Identifier of the sentence-level smoothing scheme, stored in model headers.
 SMOOTHING_TAG = "add-one-orders-2-plus"
-
-
-@dataclass(frozen=True)
-class BleuStats:
-    """Clipped n-gram match counts and totals for one (reference, candidate) pair."""
-
-    matches: tuple[int, ...]  # clipped matches for n = 1..MAX_ORDER
-    totals: tuple[int, ...]  # candidate n-gram counts for n = 1..MAX_ORDER
-    candidate_len: int
-    reference_len: int
-
-    def __post_init__(self):
-        for m, t in zip(self.matches, self.totals):
-            if m < 0 or m > t:
-                raise ValueError(f"invalid n-gram statistics: matches={self.matches} totals={self.totals}")
-
-    def row(self) -> tuple[int, ...]:
-        """Matches, totals, candidate length and reference length, in one flat row."""
-        return (*self.matches, *self.totals, self.candidate_len, self.reference_len)
 
 
 def _fold(tokens) -> list[str]:
@@ -53,8 +38,8 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu_stats(reference, candidate) -> BleuStats:
-    """Collect clipped match statistics for one sentence pair."""
+def bleu_stats(reference, candidate) -> tuple[int, ...]:
+    """The statistics row of one sentence pair: matches, totals, candidate and reference length."""
     ref = _fold(reference)
     cand = _fold(candidate)
     if not ref:
@@ -67,7 +52,7 @@ def bleu_stats(reference, candidate) -> BleuStats:
         clipped = sum(min(count, ref_ngrams[g]) for g, count in cand_ngrams.items())
         matches.append(clipped)
         totals.append(max(len(cand) - n + 1, 0))
-    return BleuStats(tuple(matches), tuple(totals), len(cand), len(ref))
+    return (*matches, *totals, len(cand), len(ref))
 
 
 def _brevity_penalty(candidate_len: int, reference_len: int) -> float:
@@ -85,23 +70,24 @@ def sentence_bleu(reference, candidate) -> float:
     to their own length, so a 2-token candidate is judged on unigrams and
     bigrams only.
     """
-    stats = bleu_stats(reference, candidate)
-    if stats.candidate_len == 0 or stats.matches[0] == 0:
+    row = bleu_stats(reference, candidate)
+    candidate_len, reference_len = row[-2], row[-1]
+    if candidate_len == 0 or row[0] == 0:
         return 0.0
-    top_order = min(MAX_ORDER, stats.candidate_len)
+    top_order = min(MAX_ORDER, candidate_len)
     log_precision = 0.0
     for n in range(1, top_order + 1):
-        m, t = stats.matches[n - 1], stats.totals[n - 1]
+        m, t = row[n - 1], row[MAX_ORDER + n - 1]
         if n == 1:
             log_precision += math.log(m / t)
         else:
             log_precision += math.log((m + 1.0) / (t + 1.0))
     geo_mean = math.exp(log_precision / top_order)
-    return _brevity_penalty(stats.candidate_len, stats.reference_len) * geo_mean
+    return _brevity_penalty(candidate_len, reference_len) * geo_mean
 
 
 def corpus_bleu_rows(sums) -> np.ndarray:
-    """Standard corpus BLEU of each row of summed ``BleuStats.row()`` statistics."""
+    """Standard corpus BLEU of each row of summed ``bleu_stats`` rows."""
     sums = np.atleast_2d(np.asarray(sums, dtype=np.float64))
     scores = np.zeros(len(sums))
     ok = (sums[:, : 2 * MAX_ORDER] > 0).all(axis=1)  # a zero count zeroes the geometric mean
@@ -112,9 +98,9 @@ def corpus_bleu_rows(sums) -> np.ndarray:
     return scores
 
 
-def corpus_bleu_from_stats(stats_list) -> float:
-    """Standard corpus BLEU from pre-computed per-sentence statistics."""
-    rows = [s.row() for s in stats_list]
+def corpus_bleu_from_stats(rows) -> float:
+    """Standard corpus BLEU from per-sentence ``bleu_stats`` rows."""
+    rows = list(rows)
     if not rows:
         raise ValueError("corpus BLEU needs at least one sentence pair")
     return float(corpus_bleu_rows(np.sum(rows, axis=0))[0])

@@ -246,7 +246,7 @@ def _cmd_rerank(args) -> int:
         tokens = " ".join(sample.candidates[sel.index].tokens)
         lines.append(f"{sel.sample_id} {corpus.FIELD_SEP} {tokens}\n")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with corpus.atomic_writer(args.output) as fh:
             fh.writelines(lines)
     else:
         sys.stdout.writelines(lines)
@@ -257,8 +257,8 @@ def _cmd_rerank(args) -> int:
     return EXIT_OK
 
 
-def _read_id_text_file(path) -> dict[int, tuple[str, ...]]:
-    """Take the last |||-field of each line as the token sequence, keyed by id."""
+def _read_hypotheses(path) -> dict[int, tuple[str, ...]]:
+    """Take the last |||-field of each line as the token sequence, keyed by its distinct id."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -272,6 +272,8 @@ def _read_id_text_file(path) -> dict[int, tuple[str, ...]]:
                 sent_id = int(parts[0])
             except ValueError:
                 raise corpus.CorpusError(f"bad sentence id {parts[0]!r}", path, lineno) from None
+            if sent_id in out:
+                raise corpus.CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
             out[sent_id] = tuple(parts[-1].lower().split())
     if not out:
         raise corpus.CorpusError("file is empty", path)
@@ -279,8 +281,8 @@ def _read_id_text_file(path) -> dict[int, tuple[str, ...]]:
 
 
 def _cmd_eval(args) -> int:
-    hyps = _read_id_text_file(args.hyp)
-    refs = _read_id_text_file(args.refs)
+    hyps = _read_hypotheses(args.hyp)
+    refs = {i: reference for i, (_, reference) in corpus.load_references(args.refs).items()}
     missing = sorted(set(hyps) - set(refs))
     if missing:
         raise corpus.CorpusError(f"hypothesis ids {missing[:5]} have no reference", args.hyp)
@@ -358,7 +360,7 @@ def _cmd_export_embeddings(args) -> int:
         values = " ".join(repr(float(v)) for v in out)
         lines.append(f"{' '.join(tokens)}\t{values}\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with corpus.atomic_writer(args.out) as fh:
             fh.writelines(lines)
     else:
         sys.stdout.writelines(lines)

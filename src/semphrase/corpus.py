@@ -13,12 +13,18 @@ File formats (UTF-8, fields separated by ``|||``):
   phrase-similarity feature).
 
 Tokens are lowercased at load time.  Loaded corpora are immutable by
-convention and safe to share across worker threads.
+convention and safe to share across worker threads.  Every candidate
+``load_nbest`` returns carries its sentence BLEU; training and reranking
+read that label and refuse a candidate without one.  Every file the package writes goes
+through ``atomic_writer``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,15 +53,10 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Joint source+target token/index bijection with a reserved unknown slot.
-
-    ``encodings`` is ``model.encode``'s memo, phrase tokens -> word vector; it
-    lives as long as the vocabulary.
-    """
+    """Joint source+target token/index bijection with a reserved unknown slot."""
 
     tokens: tuple[str, ...]
     index: dict[str, int] = field(compare=False)
-    encodings: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_tokens(cls, tokens) -> "Vocabulary":
@@ -105,6 +106,25 @@ class TrainingSample:
     source: tuple[str, ...]
     reference: tuple[str, ...]
     candidates: list[NBestEntry]
+
+
+@contextmanager
+def atomic_writer(path, binary: bool = False):
+    """A new file to write ``path``'s contents to, renamed over ``path`` once complete.
+
+    The file is uniquely named next to ``path`` and opened in text (UTF-8) or
+    binary mode.  If the block raises, it is removed, so a failed write leaves
+    any previous file at ``path`` intact and no temporary file behind.
+    """
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _fold(tokens) -> tuple[str, ...]:
@@ -265,7 +285,7 @@ def load_samples(nbest_path, refs_path) -> list[TrainingSample]:
 
 
 def save_nbest(samples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for sample in samples:
             for entry in sample.candidates:
                 feats = " ".join(repr(float(v)) for v in entry.features)
@@ -276,7 +296,7 @@ def save_nbest(samples, path) -> None:
 
 
 def save_references(samples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for sample in samples:
             fh.write(
                 f"{sample.sample_id} {FIELD_SEP} {' '.join(sample.source)} {FIELD_SEP} "
@@ -357,13 +377,13 @@ def load_lambda(path, expected_len: int | None = None) -> np.ndarray:
 
 
 def save_lambda(weights, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for v in np.asarray(weights, dtype=np.float64):
             fh.write(repr(float(v)) + "\n")
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for tok in vocab.tokens:
             fh.write(tok + "\n")
 

@@ -11,25 +11,23 @@ mean-of-max aggregation of single-token similarities.
 Parameters are immutable during a forward/gradient pass; the trainer swaps in
 fresh arrays between optimizer iterations.
 
-``encode`` memoizes its read-only word vectors on the ``Vocabulary``; the
-memo lives as long as the vocabulary.  ``objective.full_gradient``,
-``objective.corpus_xbleu``, ``trainer.tune_lambda`` and ``rerank.rerank``
-each work on ``with_projection_table(params)``, so each phrase is projected
-once per call; the table lives for that one call.  A caller's own params
-carry no table, so direct ``similarity`` calls project afresh.
+``objective.full_gradient``, ``objective.corpus_xbleu``,
+``trainer.tune_lambda`` and ``rerank.rerank`` each work on
+``with_projection_table(params)``, so each phrase is encoded and projected
+once per call: the table keeps its word vector and forward trace for that one
+call.  A caller's own params carry no table, so direct ``similarity`` calls
+encode and project afresh.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import uuid
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bleu
-from .corpus import Vocabulary
+from .corpus import Vocabulary, atomic_writer
 
 ARCH_NONLINEAR = "nonlinear"
 ARCH_LINEAR = "linear"
@@ -154,26 +152,16 @@ class WordVector:
 
 
 def encode(tokens, vocab: Vocabulary) -> WordVector:
-    """Count-valued bag-of-words vector; unknown tokens land in the UNK slot.
-
-    Memoized on ``vocab`` by ``tuple(tokens)``; the arrays are read-only.
-    """
-    key = tuple(tokens)
-    x = vocab.encodings.get(key)
-    if x is not None:
-        return x
-    if not key:
+    """Count-valued bag-of-words vector; unknown tokens land in the UNK slot."""
+    if not tokens:
         raise ValueError("cannot encode an empty phrase")
     tally: dict[int, int] = {}
-    for tok in key:
+    for tok in tokens:
         idx = vocab.token_id(tok)
         tally[idx] = tally.get(idx, 0) + 1
     indices = np.array(sorted(tally), dtype=np.intp)
     counts = np.array([tally[i] for i in indices], dtype=np.float64)
-    indices.flags.writeable = False
-    counts.flags.writeable = False
-    x = vocab.encodings[key] = WordVector(indices, counts, len(vocab))
-    return x
+    return WordVector(indices, counts, len(vocab))
 
 
 @dataclass(eq=False)
@@ -321,9 +309,8 @@ def save_model(params: ModelParams, path, trainer: dict | None = None) -> None:
 
     ``trainer`` makes the file a training checkpoint: its ``iteration`` and
     ``loss_window`` go into the header, and its ``s_list`` then ``y_list``
-    vectors (the optimizer history) follow the matrices.  The file is written
-    to a uniquely named temporary file next to ``path`` and renamed over it,
-    so a failed save leaves any previous file intact.
+    vectors (the optimizer history) follow the matrices.  ``corpus.atomic_writer``
+    writes it, so a failed save leaves any previous file intact.
     """
     header = {
         "format": MODEL_FORMAT,
@@ -344,17 +331,10 @@ def save_model(params: ModelParams, path, trainer: dict | None = None) -> None:
             "loss_window": [float(v) for v in trainer["loss_window"]],
         }
         blocks += [*trainer["s_list"], *trainer["y_list"]]
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for block in blocks:
-                fh.write(np.ascontiguousarray(block, dtype=np.float64).tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_writer(path, binary=True) as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype=np.float64).tobytes())
 
 
 def read_model_header(path) -> dict:

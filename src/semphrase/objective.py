@@ -22,10 +22,11 @@ expected BLEU, and ``sim_gradient`` and ``full_gradient`` one flat float64
 vector in the ``model.pack_params`` layout (W1 then W2, row-major), the
 vector the optimizer works on.
 
-Each phrase is encoded once per vocabulary (``model.encode``'s memo lives as
-long as the vocabulary) and projected once per ``full_gradient`` or
+Each phrase is encoded and projected once per ``full_gradient`` or
 ``corpus_xbleu`` call: the table of ``model.with_projection_table(params)``
-lives for that call, and phases 1 and 2 both read it.
+lives for that call, and phases 1 and 2 both read it.  The sentence BLEU
+labels come from ``corpus.load_nbest``; ``sentence_bleus`` reads them and
+refuses a candidate without one, for training and reranking alike.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def candidate_probs(
     return exps / math.fsum(exps.tolist())
 
 
-def _require_sbleu(sample: TrainingSample) -> np.ndarray:
+def sentence_bleus(sample: TrainingSample) -> np.ndarray:
+    """The cached sentence BLEU of each of the sample's candidates; all must be present."""
     vals = []
     for entry in sample.candidates:
         if entry.sbleu is None:
@@ -104,7 +106,7 @@ def expected_bleu(
     sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, sims=None
 ) -> float:
     """Probability-weighted mean sentence BLEU of one N-best list."""
-    sbleus = _require_sbleu(sample)
+    sbleus = sentence_bleus(sample)
     probs = candidate_probs(sample, params, lam, vocab, sims)
     return math.fsum((probs * sbleus).tolist())
 
@@ -120,7 +122,7 @@ def error_terms(
     sample's expected BLEU.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    sbleus = _require_sbleu(sample)
+    sbleus = sentence_bleus(sample)
     probs = candidate_probs(sample, params, lam, vocab, sims)
     xbleu = math.fsum((probs * sbleus).tolist())
     weights = probs * (sbleus - xbleu)

@@ -6,8 +6,10 @@ feature (the sum of phrase-pair similarities over the candidate's
 derivation), the same score that tuning optimizes.  The highest-scoring
 candidate wins, ties going to the lowest candidate index.  Alongside the
 reranked corpus BLEU the result reports the baseline selection (similarity
-feature switched off) and the oracle best/worst selections, which bound what
-any reranker could achieve on the same lists.
+feature switched off) and the oracle best/worst selections by cached sentence
+BLEU, which bound what any reranker could achieve on the same lists.  All
+four are scored from one (4, 10) array of summed ``bleu.bleu_stats`` rows,
+each distinct picked candidate's row computed once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bleu, model, objective
-from .corpus import NBestEntry, Vocabulary
+from .corpus import Vocabulary
 from .model import ModelParams
 
 
@@ -38,20 +40,6 @@ class RerankResult:
     oracle_worst_bleu: float
 
 
-def similarity_feature(entry: NBestEntry, params: ModelParams, vocab: Vocabulary) -> float:
-    """Sum of phrase-pair similarities over the candidate's derivation."""
-    if not entry.derivation:
-        raise ValueError("candidate has no derivation")
-    return objective.candidate_feature(entry, params, vocab)
-
-
-def _sentence_bleus(sample) -> list[float]:
-    return [
-        e.sbleu if e.sbleu is not None else bleu.sentence_bleu(sample.reference, e.tokens)
-        for e in sample.candidates
-    ]
-
-
 def rerank(samples, params: ModelParams, lam, vocab: Vocabulary) -> RerankResult:
     """Select the argmax candidate per sample and score the selections."""
     samples = list(samples)
@@ -62,30 +50,17 @@ def rerank(samples, params: ModelParams, lam, vocab: Vocabulary) -> RerankResult
     sims = objective.pair_similarities(samples, params, vocab)
 
     selections = []
-    chosen_pairs = []
-    baseline_pairs = []
-    best_pairs = []
-    worst_pairs = []
+    picked_rows = []  # per sample: the statistics rows of its four picks
     for sample in samples:
         h = objective.feature_matrix(sample, params, vocab, sims, lam.size)
         totals = h @ lam
         idx = int(np.argmax(totals))  # first maximum wins ties
         selections.append(Selection(sample.sample_id, idx, float(totals[idx]), float(h[idx, -1])))
-        chosen_pairs.append((sample.reference, sample.candidates[idx].tokens))
-
+        sbleus = objective.sentence_bleus(sample)
         base_idx = int(np.argmax(h[:, :-1] @ lam[:-1]))
-        baseline_pairs.append((sample.reference, sample.candidates[base_idx].tokens))
+        picks = (idx, base_idx, int(np.argmax(sbleus)), int(np.argmin(sbleus)))
+        rows = {i: bleu.bleu_stats(sample.reference, sample.candidates[i].tokens) for i in set(picks)}
+        picked_rows.append([rows[i] for i in picks])
 
-        sbleus = _sentence_bleus(sample)
-        oracle_best = int(np.argmax(sbleus))
-        oracle_worst = int(np.argmin(sbleus))
-        best_pairs.append((sample.reference, sample.candidates[oracle_best].tokens))
-        worst_pairs.append((sample.reference, sample.candidates[oracle_worst].tokens))
-
-    return RerankResult(
-        selections=selections,
-        reranked_bleu=bleu.corpus_bleu(chosen_pairs),
-        baseline_bleu=bleu.corpus_bleu(baseline_pairs),
-        oracle_best_bleu=bleu.corpus_bleu(best_pairs),
-        oracle_worst_bleu=bleu.corpus_bleu(worst_pairs),
-    )
+    reranked, baseline, best, worst = bleu.corpus_bleu_rows(np.sum(picked_rows, axis=0)).tolist()
+    return RerankResult(selections, reranked, baseline, best, worst)

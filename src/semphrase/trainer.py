@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bleu, model, objective
-from .corpus import Vocabulary, build_vocabulary
+from .corpus import Vocabulary, atomic_writer, build_vocabulary
 from .model import ModelParams
 
 HISTORY = 10  # curvature pairs kept by L-BFGS
@@ -227,7 +227,7 @@ class TrainingLog:
         self.rows.append(LogRow(iteration, loss, xbleu, grad_norm, seconds))
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_writer(path) as fh:
             fh.write("iter\tloss\txbleu\tgradnorm\tseconds\n")
             for r in self.rows:
                 fh.write(
@@ -443,7 +443,7 @@ def tune_lambda(
     sims = objective.pair_similarities(dev_samples, params, vocab)
     feature_rows = [objective.feature_matrix(s, params, vocab, sims, lam.size) for s in dev_samples]
     stats = [
-        np.array([bleu.bleu_stats(s.reference, e.tokens).row() for e in s.candidates], dtype=np.int64)
+        np.array([bleu.bleu_stats(s.reference, e.tokens) for e in s.candidates], dtype=np.int64)
         for s in dev_samples
     ]
     chosen = sum(st[np.argmax(h @ lam)] for h, st in zip(feature_rows, stats))  # ties: lowest index

@@ -95,7 +95,7 @@ class TestCorpusBleu:
             [(_random_sentence(rng, tokens, 1, 12), _random_sentence(rng, tokens, 1, 12)) for _ in range(3)]
             for _ in range(40)
         ]
-        sums = [np.sum([bleu.bleu_stats(r, c).row() for r, c in pairs], axis=0) for pairs in corpora]
+        sums = [np.sum([bleu.bleu_stats(r, c) for r, c in pairs], axis=0) for pairs in corpora]
         scores = bleu.corpus_bleu_rows(sums)
         assert 0.0 in scores and scores.max() > 0.0  # rows with a zero count and rows without
         for pairs, score in zip(corpora, scores):
@@ -127,16 +127,15 @@ class TestCorpusBleu:
 
 class TestBleuStats:
     def test_counts_are_consistent(self):
-        stats = bleu.bleu_stats("a b a".split(), "a a b b".split())
-        assert stats.candidate_len == 4
-        assert stats.reference_len == 3
-        assert stats.matches[0] == 3  # a a b (clipped: two a's, one b)
-        assert stats.totals[0] == 4
-        assert all(m <= t for m, t in zip(stats.matches, stats.totals))
-
-    def test_invalid_stats_rejected(self):
-        with pytest.raises(ValueError):
-            bleu.BleuStats((5,), (4,), 4, 4)
+        row = bleu.bleu_stats("a b a".split(), "a a b b".split())
+        assert len(row) == 2 * bleu.MAX_ORDER + 2
+        assert all(isinstance(v, int) for v in row)
+        matches, totals = row[: bleu.MAX_ORDER], row[bleu.MAX_ORDER : 2 * bleu.MAX_ORDER]
+        assert row[-2] == 4  # candidate length
+        assert row[-1] == 3  # reference length
+        assert matches[0] == 3  # a a b (clipped: two a's, one b)
+        assert totals == (4, 3, 2, 1)
+        assert all(m <= t for m, t in zip(matches, totals))
 
     def test_corpus_from_stats_matches_direct(self, rng):
         tokens = [f"w{i}" for i in range(6)]

@@ -1,12 +1,13 @@
 """Synthetic generator contracts and the command-line surface."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semphrase import cli, corpus, model, synth
+from semphrase import cli, corpus, model, synth, trainer
 
 
 def run(argv):
@@ -73,6 +74,53 @@ def small_run(tmp_path_factory):
     return root, data, model_path
 
 
+def _writers(root, data, model_path):
+    """Every writer of an output file, each as a function of the path it writes."""
+    samples = corpus.load_samples(data / "nbest.txt", data / "refs.txt")
+    vocab = corpus.load_vocabulary(root / "model.bin.vocab")
+    log = trainer.TrainingLog()
+    log.add(0, -0.5, 0.5, 0.25, 0.0)
+    scoring = ["--model", str(model_path), "--vocab", str(root / "model.bin.vocab"), "--nbest", str(data / "nbest.txt")]
+    return {
+        "save_model": lambda path: model.save_model(model.load_model(model_path), path),
+        "save_lambda": lambda path: corpus.save_lambda(np.array([0.5, -1.0, 1.0]), path),
+        "save_vocabulary": lambda path: corpus.save_vocabulary(vocab, path),
+        "save_nbest": lambda path: corpus.save_nbest(samples, path),
+        "save_references": lambda path: corpus.save_references(samples, path),
+        "TrainingLog.write": log.write,
+        "rerank --output": lambda path: run(
+            ["rerank", *scoring, "--refs", str(data / "refs.txt"), "--weights", str(data / "lambda.txt"),
+             "--output", str(path)]
+        ),
+        "export-embeddings --out": lambda path: run(["export-embeddings", *scoring, "--out", str(path)]),
+    }
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "writer",
+        ["save_model", "save_lambda", "save_vocabulary", "save_nbest", "save_references",
+         "TrainingLog.write", "rerank --output", "export-embeddings --out"],
+    )
+    def test_failed_save_keeps_previous_file(self, small_run, tmp_path, monkeypatch, capsys, writer):
+        write = _writers(*small_run)[writer]
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"previous\n")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)  # the new file is complete; only its rename fails
+        with pytest.raises(OSError, match="rename failed"):
+            write(path)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        monkeypatch.undo()
+        assert write(path) in (None, 0)
+        assert path.read_bytes() != b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 class TestCliCommands:
     def test_eval_identical_files_prints_one(self, tmp_path, capsys):
         refs = tmp_path / "refs.txt"
@@ -89,6 +137,28 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "reference ids [3, 4, 5, 6, 7] have no hypothesis" in captured.err
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+    def test_eval_refuses_repeated_hypothesis_id(self, tmp_path, capsys, order):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("0 ||| src a ||| a b c d\n1 ||| src b ||| q q q q\n")
+        lines = ["0 ||| a b c d\n", "1 ||| x y z w\n", "1 ||| q q q q\n"]
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("".join([lines[0], lines[order[0]], lines[order[1]]]))
+        assert run(["eval", "--hyp", str(hyp), "--refs", str(refs)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{hyp}:3: duplicate sentence id 1" in captured.err
+
+    def test_eval_refuses_repeated_reference_id(self, tmp_path, capsys):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("0 ||| src a ||| a b c d\n0 ||| src b ||| q q q q\n")
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("0 ||| a b c d\n")
+        assert run(["eval", "--hyp", str(hyp), "--refs", str(refs)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{refs}:2: duplicate sentence id 0" in captured.err
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2

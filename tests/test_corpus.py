@@ -58,6 +58,11 @@ class TestLoading:
         with pytest.raises(corpus.CorpusError, match=r":3:.*concatenate"):
             corpus.load_samples(_write(tmp_path, "nbest", bad), _write(tmp_path, "refs", REFS_SMALL))
 
+    def test_empty_derivation_reports_line(self, tmp_path):
+        bad = NBEST_SMALL + "0 ||| the house ||| 0.5 -1.0 ||| \n"
+        with pytest.raises(corpus.CorpusError, match=r":3: candidate has an empty derivation"):
+            corpus.parse_nbest(_write(tmp_path, "nbest", bad))
+
     def test_malformed_line_reports_line(self, tmp_path):
         bad = "0 ||| just three fields ||| 0.5\n"
         with pytest.raises(corpus.CorpusError, match=r":1:"):

@@ -46,25 +46,9 @@ class TestEncode:
 
     def test_empty_phrase_rejected(self):
         vocab = tiny_vocab("a")
-        model.encode(("a",), vocab)
         for empty in ((), []):
             with pytest.raises(ValueError, match="empty phrase"):
                 model.encode(empty, vocab)
-
-    def test_memo_gives_equal_read_only_vectors(self):
-        vocab = tiny_vocab("a", "b")
-        wv = model.encode(("a", "b", "a"), vocab)
-        again = model.encode(["a", "b", "a"], vocab)
-        assert np.array_equal(wv.indices, again.indices) and np.array_equal(wv.counts, again.counts)
-        for arr in (again.indices, again.counts):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 5
-
-    def test_memo_leaves_vocabulary_equality_alone(self):
-        vocab = tiny_vocab("a", "b")
-        model.encode(("a",), vocab)
-        assert vocab == tiny_vocab("a", "b")
-        assert hash(vocab) == hash(tiny_vocab("a", "b"))
 
 
 class TestProject:

@@ -47,6 +47,36 @@ class TestFeatureMatrix:
             assert total == pytest.approx(expected, abs=1e-12)
 
 
+class TestCandidateFeature:
+    def test_single_pair_equals_similarity(self, rng):
+        _, vocab, params, _ = _toy_setup(rng)
+        pair = corpus.PhrasePair(("t0", "t1"), ("t2",))
+        entry = corpus.NBestEntry(("t2",), np.zeros(2), [pair])
+        got = objective.candidate_feature(entry, params, vocab)
+        assert got == pytest.approx(model.similarity(pair.source, pair.target, params, vocab), abs=1e-15)
+
+    def test_duplicate_pair_doubles(self, rng):
+        _, vocab, params, _ = _toy_setup(rng)
+        pair = corpus.PhrasePair(("t0",), ("t1",))
+        single = corpus.NBestEntry(("t1",), np.zeros(2), [pair])
+        double = corpus.NBestEntry(("t1", "t1"), np.zeros(2), [pair, pair])
+        one = objective.candidate_feature(single, params, vocab)
+        two = objective.candidate_feature(double, params, vocab)
+        assert two == pytest.approx(2.0 * one, abs=1e-15)
+
+    def test_three_pair_sum_oracle(self, rng):
+        _, vocab, params, _ = _toy_setup(rng)
+        pairs = [
+            corpus.PhrasePair(("t0", "t1"), ("t2",)),
+            corpus.PhrasePair(("t3",), ("t4", "t5")),
+            corpus.PhrasePair(("t1",), ("t0",)),
+        ]
+        tokens = tuple(t for p in pairs for t in p.target)
+        entry = corpus.NBestEntry(tokens, np.zeros(2), pairs)
+        expected = sum(model.similarity(p.source, p.target, params, vocab) for p in pairs)
+        assert objective.candidate_feature(entry, params, vocab) == pytest.approx(expected, abs=1e-12)
+
+
 class TestCandidateProbs:
     def test_identical_totals_give_uniform_probs(self):
         sample = _uniform_sample(4)

@@ -1,9 +1,9 @@
-"""Candidate selection, the similarity feature, and reranking diagnostics."""
+"""Candidate selection and reranking diagnostics."""
 
 import numpy as np
 import pytest
 
-from semphrase import corpus, model, rerank, synth, trainer
+from semphrase import bleu, corpus, model, objective, rerank, synth, trainer
 
 from conftest import make_random_corpus, random_lambda
 
@@ -13,42 +13,6 @@ def _setup(rng, **kw):
     vocab = corpus.build_vocabulary(samples)
     params = model.init_params(len(vocab), 4, 3, seed=21)
     return samples, vocab, params
-
-
-class TestSimilarityFeature:
-    def test_single_pair_equals_similarity(self, rng):
-        samples, vocab, params = _setup(rng)
-        pair = corpus.PhrasePair(("t0", "t1"), ("t2",))
-        entry = corpus.NBestEntry(("t2",), np.zeros(2), [pair])
-        got = rerank.similarity_feature(entry, params, vocab)
-        assert got == pytest.approx(model.similarity(pair.source, pair.target, params, vocab), abs=1e-15)
-
-    def test_duplicate_pair_doubles(self, rng):
-        samples, vocab, params = _setup(rng)
-        pair = corpus.PhrasePair(("t0",), ("t1",))
-        single = corpus.NBestEntry(("t1",), np.zeros(2), [pair])
-        double = corpus.NBestEntry(("t1", "t1"), np.zeros(2), [pair, pair])
-        one = rerank.similarity_feature(single, params, vocab)
-        two = rerank.similarity_feature(double, params, vocab)
-        assert two == pytest.approx(2.0 * one, abs=1e-15)
-
-    def test_three_pair_sum_oracle(self, rng):
-        samples, vocab, params = _setup(rng)
-        pairs = [
-            corpus.PhrasePair(("t0", "t1"), ("t2",)),
-            corpus.PhrasePair(("t3",), ("t4", "t5")),
-            corpus.PhrasePair(("t1",), ("t0",)),
-        ]
-        tokens = tuple(t for p in pairs for t in p.target)
-        entry = corpus.NBestEntry(tokens, np.zeros(2), pairs)
-        expected = sum(model.similarity(p.source, p.target, params, vocab) for p in pairs)
-        assert rerank.similarity_feature(entry, params, vocab) == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_derivation_rejected(self, rng):
-        _, vocab, params = _setup(rng)
-        entry = corpus.NBestEntry(("t0",), np.zeros(2), [])
-        with pytest.raises(ValueError, match="derivation"):
-            rerank.similarity_feature(entry, params, vocab)
 
 
 class TestRerank:
@@ -75,7 +39,7 @@ class TestRerank:
         for sample, sel in zip(samples, result.selections):
             totals = [
                 float(lam[:-1] @ e.features)
-                + lam[-1] * rerank.similarity_feature(e, params, vocab)
+                + lam[-1] * objective.candidate_feature(e, params, vocab)
                 for e in sample.candidates
             ]
             best = max(totals)
@@ -140,3 +104,53 @@ class TestRerank:
         samples, vocab, params = _setup(rng)
         with pytest.raises(ValueError, match="baseline features"):
             rerank.rerank(samples, params, np.ones(5), vocab)
+
+
+def _picks(sample, params, vocab, lam):
+    """Reranked, baseline, oracle-best and oracle-worst candidate indices, computed independently."""
+    totals = [
+        float(lam[:-1] @ e.features) + lam[-1] * objective.candidate_feature(e, params, vocab)
+        for e in sample.candidates
+    ]
+    bases = [float(lam[:-1] @ e.features) for e in sample.candidates]
+    sbleus = [e.sbleu for e in sample.candidates]
+    return int(np.argmax(totals)), int(np.argmax(bases)), int(np.argmax(sbleus)), int(np.argmin(sbleus))
+
+
+class TestRerankBleu:
+    def test_four_values_equal_corpus_bleu_of_each_selection(self, rng):
+        for _ in range(20):
+            samples, vocab, params = _setup(rng, n_samples=int(rng.integers(1, 9)), max_candidates=5)
+            lam = random_lambda(rng)
+            result = rerank.rerank(samples, params, lam, vocab)
+            picks = [_picks(s, params, vocab, lam) for s in samples]
+            assert [sel.index for sel in result.selections] == [p[0] for p in picks]
+            got = [result.reranked_bleu, result.baseline_bleu, result.oracle_best_bleu, result.oracle_worst_bleu]
+            for k, value in enumerate(got):
+                pairs = [(s.reference, s.candidates[p[k]].tokens) for s, p in zip(samples, picks)]
+                assert value == bleu.corpus_bleu(pairs)
+
+    def test_one_stats_call_per_distinct_pick(self, rng, monkeypatch):
+        samples, vocab, params = _setup(rng, n_samples=8, max_candidates=3)
+        lam = random_lambda(rng)
+        distinct = sum(len(set(_picks(s, params, vocab, lam))) for s in samples)
+        assert distinct < 4 * len(samples)  # some sentence picks one candidate twice
+        calls = []
+        real = bleu.bleu_stats
+
+        def counting(reference, candidate):
+            calls.append(tuple(candidate))
+            return real(reference, candidate)
+
+        monkeypatch.setattr(bleu, "bleu_stats", counting)
+        rerank.rerank(samples, params, lam, vocab)
+        assert len(calls) == distinct
+
+    def test_missing_sentence_bleu_is_refused(self, rng):
+        samples, vocab, params = _setup(rng, n_samples=4)
+        samples[2].candidates[-1].sbleu = None
+        lam = random_lambda(rng)
+        with pytest.raises(ValueError, match="candidate is missing its cached sentence BLEU"):
+            rerank.rerank(samples, params, lam, vocab)
+        with pytest.raises(ValueError, match="candidate is missing its cached sentence BLEU"):
+            objective.expected_bleu(samples[2], params, lam, vocab)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from semphrase import corpus, model, objective, rerank, synth, trainer
+from semphrase import bleu, corpus, model, objective, rerank, synth, trainer
 
 from conftest import make_random_corpus, random_lambda
 
@@ -266,11 +266,14 @@ def _narrow_optimum_set():
     """
 
     def sample(sid, reference, candidates):
+        reference = tuple(reference.split())
         entries = []
         for text, feats in candidates:
             tokens = tuple(text.split())
-            entries.append(corpus.NBestEntry(tokens, np.array(feats), [corpus.PhrasePair(("src",), tokens)]))
-        return corpus.TrainingSample(sid, ("src",), tuple(reference.split()), entries)
+            entry = corpus.NBestEntry(tokens, np.array(feats), [corpus.PhrasePair(("src",), tokens)])
+            entry.sbleu = bleu.sentence_bleu(reference, tokens)  # labelled as load_nbest labels
+            entries.append(entry)
+        return corpus.TrainingSample(sid, ("src",), reference, entries)
 
     samples = [
         # the reference wins for x > 0.31
@@ -353,8 +356,6 @@ class TestTuneLambda:
         assert r1.reranked_bleu == r2.reranked_bleu
 
     def test_matches_grid_search_oracle(self, rng):
-        from semphrase import bleu as bleu_mod
-
         samples, vocab, params = _dev_set_for_tuning(rng, n_samples=10)
         lam0 = np.array([0.0, 0.0])
         tuned = trainer.tune_lambda(samples, params, vocab, lam0)
@@ -365,9 +366,9 @@ class TestTuneLambda:
         for sample in samples:
             base = np.array([float(e.features[0]) for e in sample.candidates])
             feat = np.array(
-                [rerank.similarity_feature(e, params, vocab) for e in sample.candidates]
+                [objective.candidate_feature(e, params, vocab) for e in sample.candidates]
             )
-            stats = [bleu_mod.bleu_stats(sample.reference, e.tokens) for e in sample.candidates]
+            stats = [bleu.bleu_stats(sample.reference, e.tokens) for e in sample.candidates]
             cached.append((base, feat, stats))
         grid = np.linspace(-5.0, 5.0, 100)
         best = 0.0
@@ -377,5 +378,5 @@ class TestTuneLambda:
                 for base, feat, stats in cached:
                     idx = int(np.argmax(a * base + b * feat))
                     chosen.append(stats[idx])
-                best = max(best, bleu_mod.corpus_bleu_from_stats(chosen))
+                best = max(best, bleu.corpus_bleu_from_stats(chosen))
         assert tuned_bleu >= best - 1e-9
