@@ -6,8 +6,8 @@ through ``--config FILE`` holding flat ``key=value`` lines (keys are the long
 flag names); explicit flags win over config values.  All randomness flows
 from the ``--seed`` flag of the respective subcommand.
 
-Exit codes: 0 success, 2 usage error, 3 missing input file, 4 malformed or
-inconsistent data, 5 failed numerical check.
+Exit codes: 0 success, 2 usage error, 3 missing or unusable file, 4 malformed
+or inconsistent data, 5 failed numerical check.
 """
 
 from __future__ import annotations
@@ -399,13 +399,11 @@ def main(argv=None) -> int:
             return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse usage errors
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"semphrase: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a missing or unusable file, input or output
+        what = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"semphrase: {what}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (corpus.CorpusError, model.ModelIOError) as exc:
-        print(f"semphrase: {exc}", file=sys.stderr)
-        return EXIT_BAD_DATA
-    except ValueError as exc:
+    except ValueError as exc:  # corpus.CorpusError and model.ModelIOError among them
         print(f"semphrase: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
     except FloatingPointError as exc:  # only a scoring command's errstate raises it

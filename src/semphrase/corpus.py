@@ -12,11 +12,12 @@ File formats (UTF-8, fields separated by ``|||``):
 * Weight file: one real per line, M+1 lines (last entry weights the learned
   phrase-similarity feature).
 
-Tokens are lowercased at load time.  Loaded corpora are immutable by
-convention and safe to share across worker threads.  Every candidate
-``load_nbest`` returns carries its sentence BLEU; training and reranking
-read that label and refuse a candidate without one.  Every file the package writes goes
-through ``atomic_writer``.
+Tokens are lowercased at load time, and loaded corpora are immutable by
+convention.  A phrase pair is a tuple value: ``PhrasePair(s, t)`` hashes and
+compares as the plain tuple ``(s, t)``, so every per-pair dict keys on it in C.
+Every candidate ``load_nbest`` returns carries its sentence BLEU; training and
+reranking read that label and refuse a candidate without one.  Every file the
+package writes goes through ``atomic_writer``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import uuid
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -76,16 +78,15 @@ class Vocabulary:
         return self.index.get(token, self.index.get(UNK_TOKEN, 0))
 
 
-@dataclass(frozen=True)
-class PhrasePair:
-    """A (source phrase, target phrase) unit from a derivation."""
+class PhrasePair(namedtuple("PhrasePair", "source target")):
+    """A (source phrase, target phrase) unit from a derivation; a tuple of two token tuples."""
 
-    source: tuple[str, ...]
-    target: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.source or not self.target:
+    def __new__(cls, source: tuple[str, ...], target: tuple[str, ...]):
+        if not source or not target:
             raise ValueError("phrases must be non-empty")
+        return super().__new__(cls, source, target)
 
 
 @dataclass(eq=False)
@@ -114,16 +115,20 @@ def atomic_writer(path, binary: bool = False):
 
     The file is uniquely named next to ``path`` and opened in text (UTF-8) or
     binary mode.  If the block raises, it is removed, so a failed write leaves
-    any previous file at ``path`` intact and no temporary file behind.
+    any previous file at ``path`` intact and no temporary file behind.  An
+    ``OSError`` about the temporary file (it cannot be created, or renamed
+    over ``path``) is re-raised naming ``path``.
     """
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename, exc.filename2 = os.fspath(path), None
         raise
 
 
@@ -254,8 +259,7 @@ def _first_occurrences(entries) -> list[NBestEntry]:
     seen = set()
     kept = []
     for entry in entries:
-        # plain tuples hash in C; the PhrasePair dataclass hash runs Python code per pair
-        key = (entry.tokens, tuple([(p.source, p.target) for p in entry.derivation]))
+        key = (entry.tokens, tuple(entry.derivation))
         if key not in seen:
             seen.add(key)
             kept.append(entry)
@@ -348,12 +352,7 @@ def collect_phrase_pairs(samples) -> dict[PhrasePair, int]:
     Keys are ordered by first occurrence, so repeated calls on the same corpus
     enumerate pairs identically.
     """
-    counts: dict[PhrasePair, int] = {}
-    for sample in samples:
-        for entry in sample.candidates:
-            for pair in entry.derivation:
-                counts[pair] = counts.get(pair, 0) + 1
-    return counts
+    return Counter(pair for sample in samples for entry in sample.candidates for pair in entry.derivation)
 
 
 def load_lambda(path, expected_len: int | None = None) -> np.ndarray:

@@ -243,25 +243,6 @@ class TrainResult:
     state: LbfgsState
 
 
-def save_checkpoint(path, params: ModelParams, state: LbfgsState, loss_window) -> None:
-    """Model file with the optimizer history appended after the matrices."""
-    trainer_state = {
-        "iteration": state.iteration,
-        "s_list": state.s_list,
-        "y_list": state.y_list,
-        "loss_window": loss_window,
-    }
-    model.save_model(params, path, trainer=trainer_state)
-
-
-def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint: parameters plus optimizer history and loss window."""
-    params, trainer_state = model.read_model(path)
-    if trainer_state is None:
-        raise model.ModelIOError(f"{path}: model file carries no optimizer state")
-    return params, trainer_state
-
-
 def _check_resume(path, params: ModelParams, config: TrainConfig, vocab: Vocabulary) -> None:
     """Refuse a checkpoint whose shape or similarity settings differ from the run's."""
     wanted = {
@@ -316,14 +297,14 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
     lam = np.asarray(lam, dtype=np.float64).copy()
     lam[-1] = config.lambda_feature
 
-    loss_window: list[float] = []
     if config.resume is not None:
-        params, ck = load_checkpoint(config.resume)
+        params, ck = model.read_model(config.resume)
+        if ck is None:
+            raise model.ModelIOError(f"{config.resume}: model file carries no optimizer state")
         _check_resume(config.resume, params, config, vocab)
         state = LbfgsState(gtol=config.tolerance, iteration=ck["iteration"])
         for s, y in zip(ck["s_list"], ck["y_list"]):
             state.store_pair(s, y)
-        loss_window = list(ck["loss_window"])
     else:
         params = _initial_params(config, vocab)
         state = LbfgsState(gtol=config.tolerance)
@@ -355,22 +336,34 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
     state.f, state.g = loss_fn(x)
     state.n_evals += 1
     log.add(state.iteration, state.f, -state.f, float(np.max(np.abs(state.g))), elapsed())
-    loss_window.append(state.f)
+    # A checkpoint's loss window already ends with the loss at its iteration.
+    loss_window = [state.f] if config.resume is None else list(ck["loss_window"])
 
     def maybe_checkpoint():
         if config.checkpoint_dir and config.checkpoint_interval > 0:
             if state.iteration % config.checkpoint_interval == 0:
                 os.makedirs(config.checkpoint_dir, exist_ok=True)
                 path = os.path.join(config.checkpoint_dir, f"checkpoint-{state.iteration:04d}.mdl")
-                save_checkpoint(
-                    path, model.unpack_params(template, x), state, loss_window[-4:]
-                )
+                history = {
+                    "iteration": state.iteration,
+                    "s_list": state.s_list,
+                    "y_list": state.y_list,
+                    "loss_window": loss_window[-4:],
+                }
+                model.save_model(model.unpack_params(template, x), path, trainer=history)
 
     stop = ""
     if float(np.max(np.abs(state.g))) <= config.tolerance:
         stop = "gradient below tolerance at the starting point"
     steps_taken = 0
     while not stop:
+        # Checked before each step, so a run resumed from the checkpoint it stopped at stops there too.
+        recent = loss_window[-4:]
+        if len(recent) == 4 and all(
+            abs(b - a) <= REL_LOSS_TOLERANCE * max(1.0, abs(a)) for a, b in zip(recent, recent[1:])
+        ):
+            stop = "relative loss change below tolerance for 3 iterations"
+            break
         if steps_taken >= config.max_iterations:
             stop = "reached max iterations"
             break
@@ -385,15 +378,6 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
         if state.converged:
             stop = "gradient below tolerance"
             break
-        if len(loss_window) >= 4:
-            recent = loss_window[-4:]
-            small = all(
-                abs(recent[i + 1] - recent[i]) <= REL_LOSS_TOLERANCE * max(1.0, abs(recent[i]))
-                for i in range(3)
-            )
-            if small:
-                stop = "relative loss change below tolerance for 3 iterations"
-                break
 
     log.stop_reason = stop
     return TrainResult(model.unpack_params(template, x), vocab, log, state)

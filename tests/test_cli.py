@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,14 +113,78 @@ class TestAtomicWrites:
             raise OSError("rename failed")
 
         monkeypatch.setattr(os, "replace", fail)  # the new file is complete; only its rename fails
-        with pytest.raises(OSError, match="rename failed"):
-            write(path)
+        if " --" in writer:  # a command reports the error and exits 3
+            assert write(path) == 3
+            assert capsys.readouterr().err == "semphrase: rename failed\n"
+        else:
+            with pytest.raises(OSError, match="rename failed"):
+                write(path)
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
         monkeypatch.undo()
         assert write(path) in (None, 0)
         assert path.read_bytes() != b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize(
+        "command", ["rerank --output", "train --out-model", "tune-lambda --out", "export-embeddings --out", "eval --hyp"]
+    )
+    @pytest.mark.parametrize("where", ["existing directory", "in a missing directory"])
+    def test_exits_3_naming_the_path(self, small_run, tmp_path, capsys, command, where):
+        path = tmp_path / "out"
+        if where == "existing directory":
+            path.mkdir()
+        else:
+            path = path / "sel.txt"
+        root, data, model_path = small_run
+        files = {"nbest": data / "nbest.txt", "refs": data / "refs.txt", "weights": data / "lambda.txt",
+                 "model": model_path, "vocab": root / "model.bin.vocab", "hyp": path}
+        assert run(_command_argv(command.split()[0], files, path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"semphrase: {path}: ")
+        assert ".tmp" not in err and "Traceback" not in err
+        assert list(tmp_path.rglob("*")) == ([path] if where == "existing directory" else [])
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """The pipeline's files and messages are byte-identical under two string-hash seeds."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def pipeline(hash_seed):
+        out = tmp_path / hash_seed
+        data, model_path = out / "data", out / "model.bin"
+        corpus_flags = ["--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt")]
+        scoring = ["--model", str(model_path), "--vocab", str(out / "model.bin.vocab")]
+        commands = [
+            ["synthgen", "--out-dir", str(data), "--sentences", "40", "--seed", "6"],
+            ["train", *corpus_flags, "--weights", str(data / "lambda.txt"), "--out-model", str(model_path),
+             "--log", str(out / "train.tsv"), "--iters", "10", "--k1", "10", "--k2", "10", "--seed", "2",
+             "--no-timing"],
+            ["rerank", *corpus_flags, *scoring, "--weights", str(data / "lambda.txt"),
+             "--output", str(out / "chosen.txt")],
+            ["export-embeddings", *scoring, "--nbest", str(data / "nbest.txt"), "--out", str(out / "emb.txt")],
+        ]
+        messages = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "semphrase.cli", *argv],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            messages.append(proc.stdout.replace(str(out).encode(), b"") + proc.stderr)
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return files, messages
+
+    files_1, messages_1 = pipeline("1")
+    files_2, messages_2 = pipeline("2")
+    assert len(files_1) == 8  # corpus (3), model, vocabulary, log, selections, embeddings
+    assert files_1 == files_2
+    assert messages_1 == messages_2
 
 
 class TestCliCommands:
@@ -168,6 +234,15 @@ class TestCliCommands:
 
     def test_missing_file_exits_3(self, tmp_path):
         assert run(["eval", "--hyp", str(tmp_path / "nope"), "--refs", str(tmp_path / "nope")]) == 3
+
+    def test_rerank_refuses_an_empty_phrase(self, small_run, tmp_path, capsys):
+        root, data, model_path = small_run
+        nbest = tmp_path / "nbest.txt"
+        nbest.write_text("0 ||| the ||| 0.5 ||| [ # the ]\n")
+        argv = ["rerank", "--nbest", str(nbest), "--refs", str(data / "refs.txt"), "--model", str(model_path),
+                "--vocab", str(root / "model.bin.vocab"), "--weights", str(data / "lambda.txt")]
+        assert run(argv) == 4
+        assert f"{nbest}:1: derivation segment has an empty phrase" in capsys.readouterr().err
 
     def test_malformed_data_exits_4(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -440,7 +515,7 @@ def fuzz_inputs(tmp_path_factory):
     }
 
 
-def _fuzz_argv(command: str, files: dict, out) -> list:
+def _command_argv(command: str, files: dict, out) -> list:
     corpus_flags = ["--nbest", str(files["nbest"]), "--refs", str(files["refs"])]
     model_flags = ["--model", str(files["model"]), "--vocab", str(files["vocab"])]
     weights = ["--weights", str(files["weights"])]
@@ -463,7 +538,7 @@ def test_fuzzed_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys):
         rng = np.random.default_rng([20261018, i])
         bad = tmp_path / f"{i}-{fuzz_inputs[kind].name}"
         bad.write_bytes(_corrupt(fuzz_inputs[kind].read_bytes(), how, rng))
-        argv = _fuzz_argv(command, {**fuzz_inputs, kind: bad}, tmp_path / f"{i}.out")
+        argv = _command_argv(command, {**fuzz_inputs, kind: bad}, tmp_path / f"{i}.out")
         try:
             code = run(argv)
         except Exception as exc:  # any escape is the failure under test

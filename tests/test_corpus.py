@@ -63,6 +63,12 @@ class TestLoading:
         with pytest.raises(corpus.CorpusError, match=r":3: candidate has an empty derivation"):
             corpus.parse_nbest(_write(tmp_path, "nbest", bad))
 
+    @pytest.mark.parametrize("derivation", ["[ # the ]", "[ das # ]"])
+    def test_empty_phrase_in_derivation_reports_line(self, tmp_path, derivation):
+        bad = NBEST_SMALL + f"0 ||| the ||| 0.5 -1.0 ||| {derivation}\n"
+        with pytest.raises(corpus.CorpusError, match=r"nbest:3: derivation segment has an empty phrase"):
+            corpus.parse_nbest(_write(tmp_path, "nbest", bad))
+
     def test_malformed_line_reports_line(self, tmp_path):
         bad = "0 ||| just three fields ||| 0.5\n"
         with pytest.raises(corpus.CorpusError, match=r":1:"):
@@ -209,5 +215,12 @@ class TestPhrasePairs:
         assert sum(counted.values()) == total
 
     def test_empty_phrase_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="phrases must be non-empty"):
             corpus.PhrasePair((), ("e",))
+
+    def test_pair_is_the_plain_tuple(self):
+        pair = corpus.PhrasePair(("f1", "f2"), ("e1",))
+        plain = (("f1", "f2"), ("e1",))
+        assert pair == plain and hash(pair) == hash(plain)
+        assert (pair.source, pair.target) == plain
+        assert {plain: 1}[pair] == 1 and {pair: 2}[plain] == 2

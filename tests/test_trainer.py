@@ -210,9 +210,29 @@ class TestCheckpoints:
             resumed.params.w1.shape, full.params.w1.shape
         )
 
+    def test_resume_stops_where_the_uninterrupted_run_stops(self, tmp_path):
+        spec = synth.SynthSpec(
+            concepts=2, phrases_per_concept=2, sentences=8, phrases_per_sentence=2, candidates=3, noise=0.3, seed=4
+        )
+        samples, lam = synth.generate(spec)
+        samples = corpus.dedupe_candidates(samples)
+
+        def config(**kw):
+            return trainer.TrainConfig(max_iterations=200, tolerance=1e-14, k1=4, k2=3, seed=1, **kw)
+
+        full = trainer.train(samples, config(checkpoint_dir=str(tmp_path), checkpoint_interval=1), lam)
+        stop = full.log.rows[-1].iteration
+        assert full.log.stop_reason.startswith("relative loss change")  # the rule a resumed run must not trip early
+        for at in range(stop - 3, stop + 1):
+            resumed = trainer.train(samples, config(resume=str(tmp_path / f"checkpoint-{at:04d}.mdl")), lam)
+            assert resumed.log.rows[-1].iteration == stop
+            assert resumed.log.stop_reason == full.log.stop_reason
+            assert resumed.params.w1.tobytes() == full.params.w1.tobytes()
+            assert resumed.params.w2.tobytes() == full.params.w2.tobytes()
+
     def test_checkpoint_stores_optimizer_state(self, tmp_path):
         _, _, _ = self._train_with_checkpoints(tmp_path, iters=4)
-        params, state = trainer.load_checkpoint(tmp_path / "ck" / "checkpoint-0004.mdl")
+        params, state = model.read_model(tmp_path / "ck" / "checkpoint-0004.mdl")
         assert state["iteration"] == 4
         assert len(state["s_list"]) == len(state["y_list"])
         assert len(state["s_list"]) >= 1
@@ -243,11 +263,12 @@ class TestCheckpoints:
             trainer.train(samples, config, lam, bigger)
 
     def test_plain_model_refuses_checkpoint_load(self, tmp_path):
-        params = model.init_params(4, 3, 2, seed=0)
+        samples, lam = synth.generate(_small_spec(sentences=4))
+        samples = corpus.dedupe_candidates(samples)
         path = tmp_path / "m.bin"
-        model.save_model(params, path)
-        with pytest.raises(model.ModelIOError, match="optimizer state"):
-            trainer.load_checkpoint(path)
+        model.save_model(model.init_params(4, 3, 2, seed=0), path)
+        with pytest.raises(model.ModelIOError, match="carries no optimizer state"):
+            trainer.train(samples, _small_config(max_iterations=1, resume=str(path)), lam)
 
 
 def _dev_set_for_tuning(rng, n_samples=12):
