@@ -15,12 +15,19 @@ The statistics of one (reference, candidate) pair are one row of
 ``2 * MAX_ORDER + 2`` integers: the clipped n-gram matches for n = 1..4, the
 candidate's n-gram totals for n = 1..4, the candidate length and the
 reference length.  Corpus BLEU reads the column sums of such rows.
+
+The n-grams of every order are counted in one pass over a sentence.  The
+reference is folded and counted once per run of calls that share it: the
+labelling, tuning and reranking loops each walk one sample's candidates in a
+row, all against the same reference.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -34,25 +41,31 @@ def _fold(tokens) -> list[str]:
     return [t.lower() for t in tokens]
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: list[str]) -> Counter:
+    """The n-gram tuples of every order 1..MAX_ORDER, counted in one C-level pass."""
+    shifted = [tokens[k:] for k in range(MAX_ORDER)]
+    return Counter(chain.from_iterable(zip(*shifted[:n]) for n in range(1, MAX_ORDER + 1)))
+
+
+@lru_cache(maxsize=1)
+def _reference_counts(reference: tuple) -> tuple[Counter, int]:
+    """The n-gram counts and length of a reference; callers must not mutate the counts."""
+    ref = _fold(reference)
+    if not ref:
+        raise ValueError("reference must be non-empty")
+    return _ngram_counts(ref), len(ref)
 
 
 def bleu_stats(reference, candidate) -> tuple[int, ...]:
     """The statistics row of one sentence pair: matches, totals, candidate and reference length."""
-    ref = _fold(reference)
+    ref_counts, ref_len = _reference_counts(tuple(reference))
     cand = _fold(candidate)
-    if not ref:
-        raise ValueError("reference must be non-empty")
-    matches = []
-    totals = []
-    for n in range(1, MAX_ORDER + 1):
-        cand_ngrams = _ngram_counts(cand, n)
-        ref_ngrams = _ngram_counts(ref, n)
-        clipped = sum(min(count, ref_ngrams[g]) for g, count in cand_ngrams.items())
-        matches.append(clipped)
-        totals.append(max(len(cand) - n + 1, 0))
-    return (*matches, *totals, len(cand), len(ref))
+    cand_counts = _ngram_counts(cand)
+    matches = [0] * MAX_ORDER
+    for g in cand_counts.keys() & ref_counts.keys():
+        matches[len(g) - 1] += min(cand_counts[g], ref_counts[g])
+    totals = [max(len(cand) - k, 0) for k in range(MAX_ORDER)]
+    return (*matches, *totals, len(cand), ref_len)
 
 
 def _brevity_penalty(candidate_len: int, reference_len: int) -> float:

@@ -235,10 +235,20 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_rerank(args) -> int:
-    samples = corpus.load_samples(args.nbest, args.refs)
+def _load_model_and_vocabulary(args) -> tuple[model.ModelParams, corpus.Vocabulary]:
+    """The ``--model`` and ``--vocab`` of a scoring command, checked to fit before any N-best is read."""
     params = model.load_model(args.model)
     vocab = corpus.load_vocabulary(args.vocab)
+    if len(vocab) != params.d:
+        raise corpus.CorpusError(
+            f"vocabulary has {len(vocab)} tokens but model {args.model} has {params.d} W1 rows", args.vocab
+        )
+    return params, vocab
+
+
+def _cmd_rerank(args) -> int:
+    params, vocab = _load_model_and_vocabulary(args)
+    samples = corpus.load_samples(args.nbest, args.refs)
     lam = corpus.load_lambda(args.weights)
     result = rerank.rerank(samples, params, lam, vocab)
     lines = []
@@ -332,9 +342,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_tune_lambda(args) -> int:
+    params, vocab = _load_model_and_vocabulary(args)
     samples = corpus.load_samples(args.nbest, args.refs)
-    params = model.load_model(args.model)
-    vocab = corpus.load_vocabulary(args.vocab)
     lam = corpus.load_lambda(args.weights)
     before = rerank.rerank(samples, params, lam, vocab).reranked_bleu
     tuned = trainer.tune_lambda(samples, params, vocab, lam)
@@ -345,9 +354,8 @@ def _cmd_tune_lambda(args) -> int:
 
 
 def _cmd_export_embeddings(args) -> int:
+    params, vocab = _load_model_and_vocabulary(args)
     by_id = corpus.parse_nbest(args.nbest)
-    params = model.load_model(args.model)
-    vocab = corpus.load_vocabulary(args.vocab)
     phrases: dict[tuple[str, ...], None] = {}
     for entries in by_id.values():
         for entry in entries:

@@ -388,8 +388,15 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        for lineno, raw in enumerate(fh, start=1):
+            token = raw.rstrip("\n")
+            if token in first_line:
+                raise CorpusError(f"token {token!r} repeats line {first_line[token]}", path, lineno)
+            if token:
+                first_line[token] = lineno
+    tokens = list(first_line)
     if not tokens:
         raise CorpusError("vocabulary file is empty", path)
     return Vocabulary.from_tokens(tokens)

@@ -29,6 +29,21 @@ def _clipped_matches(cand_ngrams, ref_ngrams):
     return matched
 
 
+def ref_bleu_stats(reference, candidate):
+    """(matches 1..4, totals 1..4, candidate length, reference length) as a tuple of ints."""
+    reference = _lower(reference)
+    candidate = _lower(candidate)
+    if len(reference) == 0:
+        raise ValueError("empty reference")
+    matches = []
+    totals = []
+    for n in range(1, 5):
+        cand_ngrams = _ngrams(candidate, n)
+        matches.append(_clipped_matches(cand_ngrams, _ngrams(reference, n)))
+        totals.append(len(cand_ngrams))
+    return tuple(matches + totals + [len(candidate), len(reference)])
+
+
 def ref_sentence_bleu(reference, candidate):
     """Smoothed sentence BLEU: add-one on orders >= 2, orders capped at len(candidate)."""
     reference = _lower(reference)

@@ -7,7 +7,7 @@ import pytest
 
 from semphrase import bleu
 
-from bleu_reference import ref_corpus_bleu, ref_sentence_bleu
+from bleu_reference import ref_bleu_stats, ref_corpus_bleu, ref_sentence_bleu
 
 
 def _random_sentence(rng, tokens, lo=1, hi=9):
@@ -145,3 +145,57 @@ class TestBleuStats:
         ]
         stats = [bleu.bleu_stats(r, c) for r, c in pairs]
         assert bleu.corpus_bleu_from_stats(stats) == bleu.corpus_bleu(pairs)
+
+    def test_rows_equal_oracle_with_repeated_ngrams(self, rng):
+        for tokens in (["a", "b", "c"], ["a", "b", "c", "d"]):
+            for _ in range(250):
+                ref = _random_sentence(rng, tokens, 1, 13)
+                cand = _random_sentence(rng, tokens, 0, 13)
+                assert bleu.bleu_stats(ref, cand) == ref_bleu_stats(ref, cand)
+
+    def test_rows_equal_oracle_at_every_candidate_length(self, rng):
+        tokens = ["a", "b", "c"]
+        for length in range(13):  # 0..3 are shorter than MAX_ORDER
+            for _ in range(10):
+                ref = _random_sentence(rng, tokens, 1, 13)
+                cand = _random_sentence(rng, tokens, length, length + 1)
+                assert bleu.bleu_stats(ref, cand) == ref_bleu_stats(ref, cand)
+
+    def test_rows_equal_oracle_on_mixed_case(self, rng):
+        tokens = ["a", "A", "b", "B"]
+        for _ in range(100):
+            ref = _random_sentence(rng, tokens, 1, 13)
+            cand = _random_sentence(rng, tokens, 0, 13)
+            row = bleu.bleu_stats(ref, cand)
+            assert row == ref_bleu_stats(ref, cand)
+            assert row == bleu.bleu_stats([t.upper() for t in ref], [t.lower() for t in cand])
+
+
+class TestReferenceReuse:
+    def test_interleaved_references_give_fresh_rows(self, rng):
+        tokens = ["a", "b", "c"]
+        ref_a, ref_b = ("a", "b", "a", "c", "b"), ("c", "c", "a")
+        cands = [_random_sentence(rng, tokens, 0, 9) for _ in range(4)]
+        reused = [bleu.bleu_stats(r, c) for r, c in zip((ref_a, ref_a, ref_b, ref_a), cands)]
+        fresh = []
+        for r, c in zip((ref_a, ref_a, ref_b, ref_a), cands):
+            bleu._reference_counts.cache_clear()
+            fresh.append(bleu.bleu_stats(r, c))
+        assert reused == fresh
+        assert reused == [ref_bleu_stats(r, c) for r, c in zip((ref_a, ref_a, ref_b, ref_a), cands)]
+
+    def test_mutated_list_reference_gives_the_new_answer(self):
+        ref = ["a", "b", "c"]
+        cand = ["a", "b", "d"]
+        assert bleu.bleu_stats(ref, cand) == ref_bleu_stats(["a", "b", "c"], cand)
+        ref[2] = "d"
+        assert bleu.bleu_stats(ref, cand) == ref_bleu_stats(["a", "b", "d"], cand)
+        assert bleu.sentence_bleu(ref, cand) == 1.0
+
+    def test_empty_reference_always_raises(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                bleu.bleu_stats([], ["a"])
+        assert bleu.bleu_stats(["a"], ["a"]) == ref_bleu_stats(["a"], ["a"])
+        with pytest.raises(ValueError):
+            bleu.bleu_stats((), ["a"])

@@ -385,6 +385,37 @@ class TestCliCommands:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["rerank", "tune-lambda", "export-embeddings"])
+    def test_vocabulary_that_does_not_fit_the_model_exits_4(self, small_run, tmp_path, capsys, command):
+        root, data, model_path = small_run
+        vocab = tmp_path / "short.vocab"
+        vocab.write_text("<unk>\na\nb\n")
+        out = tmp_path / "out.txt"
+        argv = [command, "--model", str(model_path), "--vocab", str(vocab),
+                "--nbest", str(data / "nbest.txt"), "--output" if command == "rerank" else "--out", str(out)]
+        if command != "export-embeddings":
+            argv += ["--refs", str(data / "refs.txt"), "--weights", str(data / "lambda.txt")]
+        assert run(argv) == 4
+        rows = model.load_model(model_path).d
+        err = capsys.readouterr().err
+        assert f"{vocab}: vocabulary has 3 tokens but model {model_path} has {rows} W1 rows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_repeated_vocabulary_token_names_its_line(self, small_run, tmp_path, capsys):
+        root, data, model_path = small_run
+        tokens = (root / "model.bin.vocab").read_text().splitlines()
+        vocab = tmp_path / "dup.vocab"
+        vocab.write_text("\n".join(tokens[:2] + [""] + tokens[1:]) + "\n")  # the blank line is line 3
+        out = tmp_path / "out.txt"
+        argv = ["rerank", "--model", str(model_path), "--vocab", str(vocab), "--nbest", str(data / "nbest.txt"),
+                "--refs", str(data / "refs.txt"), "--weights", str(data / "lambda.txt"), "--output", str(out)]
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert f"{vocab}:4: token {tokens[1]!r} repeats line 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_resume_with_another_shape_exits_4(self, small_run, tmp_path, capsys):
         root, data, _ = small_run
         common = ["train", "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
