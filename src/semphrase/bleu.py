@@ -17,9 +17,10 @@ candidate's n-gram totals for n = 1..4, the candidate length and the
 reference length.  Corpus BLEU reads the column sums of such rows.
 
 The n-grams of every order are counted in one pass over a sentence.  The
-reference is folded and counted once per run of calls that share it: the
-labelling, tuning and reranking loops each walk one sample's candidates in a
-row, all against the same reference.
+reference is folded and counted once per run of calls that share it.  Only
+labelling (``corpus.label_candidates``) walks candidates against a reference:
+it keeps each candidate's row and the sentence BLEU of that row, and tuning
+and reranking read the kept rows.
 """
 
 from __future__ import annotations
@@ -76,14 +77,13 @@ def _brevity_penalty(candidate_len: int, reference_len: int) -> float:
     return math.exp(1.0 - reference_len / candidate_len)
 
 
-def sentence_bleu(reference, candidate) -> float:
-    """Smoothed sentence-level BLEU in [0, 1].
+def sentence_bleu_from_stats(row) -> float:
+    """Smoothed sentence-level BLEU in [0, 1] of one ``bleu_stats`` row.
 
     Candidates shorter than MAX_ORDER tokens are scored with n-gram orders up
     to their own length, so a 2-token candidate is judged on unigrams and
     bigrams only.
     """
-    row = bleu_stats(reference, candidate)
     candidate_len, reference_len = row[-2], row[-1]
     if candidate_len == 0 or row[0] == 0:
         return 0.0
@@ -97,6 +97,11 @@ def sentence_bleu(reference, candidate) -> float:
             log_precision += math.log((m + 1.0) / (t + 1.0))
     geo_mean = math.exp(log_precision / top_order)
     return _brevity_penalty(candidate_len, reference_len) * geo_mean
+
+
+def sentence_bleu(reference, candidate) -> float:
+    """Smoothed sentence-level BLEU in [0, 1] of one sentence pair."""
+    return sentence_bleu_from_stats(bleu_stats(reference, candidate))
 
 
 def corpus_bleu_rows(sums) -> np.ndarray:

@@ -200,9 +200,15 @@ def _cmd_synthgen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
+def _load_corpus_and_weights(args) -> tuple[list[corpus.TrainingSample], np.ndarray]:
+    """The ``--nbest``/``--refs`` samples and the ``--weights`` vector, one weight per feature plus one."""
     samples = corpus.load_samples(args.nbest, args.refs)
-    lam = corpus.load_lambda(args.weights)
+    n_features = samples[0].candidates[0].features.size
+    return samples, corpus.load_lambda(args.weights, expected_len=n_features + 1)
+
+
+def _cmd_train(args) -> int:
+    samples, lam = _load_corpus_and_weights(args)
     config = trainer.TrainConfig(
         max_iterations=args.iters,
         tolerance=args.tol,
@@ -248,8 +254,7 @@ def _load_model_and_vocabulary(args) -> tuple[model.ModelParams, corpus.Vocabula
 
 def _cmd_rerank(args) -> int:
     params, vocab = _load_model_and_vocabulary(args)
-    samples = corpus.load_samples(args.nbest, args.refs)
-    lam = corpus.load_lambda(args.weights)
+    samples, lam = _load_corpus_and_weights(args)
     result = rerank.rerank(samples, params, lam, vocab)
     lines = []
     for sample, sel in zip(samples, result.selections):
@@ -343,8 +348,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_tune_lambda(args) -> int:
     params, vocab = _load_model_and_vocabulary(args)
-    samples = corpus.load_samples(args.nbest, args.refs)
-    lam = corpus.load_lambda(args.weights)
+    samples, lam = _load_corpus_and_weights(args)
     before = rerank.rerank(samples, params, lam, vocab).reranked_bleu
     tuned = trainer.tune_lambda(samples, params, vocab, lam)
     after = rerank.rerank(samples, params, tuned, vocab).reranked_bleu

@@ -15,9 +15,11 @@ File formats (UTF-8, fields separated by ``|||``):
 Tokens are lowercased at load time, and loaded corpora are immutable by
 convention.  A phrase pair is a tuple value: ``PhrasePair(s, t)`` hashes and
 compares as the plain tuple ``(s, t)``, so every per-pair dict keys on it in C.
-Every candidate ``load_nbest`` returns carries its sentence BLEU; training and
-reranking read that label and refuse a candidate without one.  Every file the
-package writes goes through ``atomic_writer``.
+Every candidate ``load_nbest`` returns carries its labels, set once by
+``label_candidates``: its ``bleu.bleu_stats`` row against the reference and the
+sentence BLEU of that row.  Training, tuning and reranking read those labels
+and refuse a candidate without them.  Every file the package writes goes
+through ``atomic_writer``.
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ class NBestEntry:
     features: np.ndarray
     derivation: list[PhrasePair]
     sbleu: float | None = None
+    stats: tuple[int, ...] | None = None
 
 
 @dataclass(eq=False)
@@ -266,19 +269,29 @@ def _first_occurrences(entries) -> list[NBestEntry]:
     return kept
 
 
+def label_candidates(entries, reference) -> None:
+    """Set each entry's ``stats``, its ``bleu.bleu_stats`` row against ``reference``, and that row's ``sbleu``."""
+    for entry in entries:
+        entry.stats = bleu.bleu_stats(reference, entry.tokens)
+        entry.sbleu = bleu.sentence_bleu_from_stats(entry.stats)
+
+
 def load_nbest(path, references) -> list[TrainingSample]:
     """Load an N-best file, pairing candidates with ``load_references`` output.
 
-    Sentence BLEU against the reference is computed and cached on each entry.
+    Every sentence id must have both a reference and candidates.  The
+    candidates are labelled against their reference by ``label_candidates``.
     """
     by_id = parse_nbest(path)
+    unmatched = sorted(set(references) - set(by_id))
+    if unmatched:
+        raise CorpusError(f"reference ids {unmatched[:5]} have no candidates", path)
     samples = []
     for sent_id, entries in by_id.items():
         if sent_id not in references:
             raise CorpusError(f"sentence id {sent_id} missing from reference file", path)
         source, reference = references[sent_id]
-        for entry in entries:
-            entry.sbleu = bleu.sentence_bleu(reference, entry.tokens)
+        label_candidates(entries, reference)
         samples.append(TrainingSample(sent_id, source, reference, entries))
     return samples
 
@@ -399,4 +412,7 @@ def load_vocabulary(path) -> Vocabulary:
     tokens = list(first_line)
     if not tokens:
         raise CorpusError("vocabulary file is empty", path)
+    if tokens[0] != UNK_TOKEN:
+        first = tokens[0]
+        raise CorpusError(f"first token is {first!r}, not the reserved {UNK_TOKEN!r}", path, first_line[first])
     return Vocabulary.from_tokens(tokens)

@@ -24,9 +24,11 @@ vector the optimizer works on.
 
 Each phrase is encoded and projected once per ``full_gradient`` or
 ``corpus_xbleu`` call: the table of ``model.with_projection_table(params)``
-lives for that call, and phases 1 and 2 both read it.  The sentence BLEU
-labels come from ``corpus.load_nbest``; ``sentence_bleus`` reads them and
-refuses a candidate without one, for training and reranking alike.
+lives for that call, and phases 1 and 2 both read it.  Every candidate's
+labels, its BLEU statistics row and the sentence BLEU of that row, come from
+``corpus.label_candidates``: ``sentence_bleus`` reads the sentence BLEU for
+training and reranking, ``stats_rows`` reads the rows for tuning and
+reranking, and each refuses a candidate without its label.
 """
 
 from __future__ import annotations
@@ -100,6 +102,14 @@ def sentence_bleus(sample: TrainingSample) -> np.ndarray:
             raise ValueError("candidate is missing its cached sentence BLEU")
         vals.append(entry.sbleu)
     return np.array(vals, dtype=np.float64)
+
+
+def stats_rows(sample: TrainingSample) -> np.ndarray:
+    """The cached BLEU statistics rows of the sample's candidates as (n, 10) int64; all must be present."""
+    rows = [entry.stats for entry in sample.candidates]
+    if any(row is None for row in rows):
+        raise ValueError("candidate is missing its cached BLEU statistics")
+    return np.array(rows, dtype=np.int64)
 
 
 def expected_bleu(

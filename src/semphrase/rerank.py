@@ -8,8 +8,8 @@ candidate wins, ties going to the lowest candidate index.  Alongside the
 reranked corpus BLEU the result reports the baseline selection (similarity
 feature switched off) and the oracle best/worst selections by cached sentence
 BLEU, which bound what any reranker could achieve on the same lists.  All
-four are scored from one (4, 10) array of summed ``bleu.bleu_stats`` rows,
-each distinct picked candidate's row computed once.
+four are scored from one (4, 10) array that sums the picked candidates'
+BLEU statistics rows, the labels ``corpus.label_candidates`` set.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ def rerank(samples, params: ModelParams, lam, vocab: Vocabulary) -> RerankResult
         sbleus = objective.sentence_bleus(sample)
         base_idx = int(np.argmax(h[:, :-1] @ lam[:-1]))
         picks = (idx, base_idx, int(np.argmax(sbleus)), int(np.argmin(sbleus)))
-        rows = {i: bleu.bleu_stats(sample.reference, sample.candidates[i].tokens) for i in set(picks)}
-        picked_rows.append([rows[i] for i in picks])
+        picked_rows.append(objective.stats_rows(sample)[list(picks)])
 
     reranked, baseline, best, worst = bleu.corpus_bleu_rows(np.sum(picked_rows, axis=0)).tolist()
     return RerankResult(selections, reranked, baseline, best, worst)

@@ -25,11 +25,11 @@ from .corpus import (
     NBestEntry,
     PhrasePair,
     TrainingSample,
+    label_candidates,
     save_lambda,
     save_nbest,
     save_references,
 )
-from . import bleu
 
 N_BASE_FEATURES = 2
 DEFAULT_LAMBDA = (1.0, 0.1, 1.0)
@@ -103,9 +103,8 @@ def generate(spec: SynthSpec) -> tuple[list[TrainingSample], np.ndarray]:
             tokens = tuple(tok for pair in derivation for tok in pair.target)
             signal = -corrupted / spec.phrases_per_sentence + rng.normal(0.0, spec.feature_noise)
             features = np.array([signal, rng.normal(0.0, 1.0)], dtype=np.float64)
-            entry = NBestEntry(tokens, features, derivation)
-            entry.sbleu = bleu.sentence_bleu(reference, tokens)
-            candidates.append(entry)
+            candidates.append(NBestEntry(tokens, features, derivation))
+        label_candidates(candidates, reference)
         samples.append(TrainingSample(i, source, reference, candidates))
     return samples, np.array(DEFAULT_LAMBDA, dtype=np.float64)
 

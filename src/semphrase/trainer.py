@@ -426,10 +426,7 @@ def tune_lambda(
     params = model.with_projection_table(params)
     sims = objective.pair_similarities(dev_samples, params, vocab)
     feature_rows = [objective.feature_matrix(s, params, vocab, sims, lam.size) for s in dev_samples]
-    stats = [
-        np.array([bleu.bleu_stats(s.reference, e.tokens) for e in s.candidates], dtype=np.int64)
-        for s in dev_samples
-    ]
+    stats = [objective.stats_rows(s) for s in dev_samples]
     chosen = sum(st[np.argmax(h @ lam)] for h, st in zip(feature_rows, stats))  # ties: lowest index
     best = float(bleu.corpus_bleu_rows(chosen)[0])
     for _ in range(max_sweeps):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semphrase import bleu, corpus
+from semphrase import corpus
 
 
 def _random_phrase(rng, tokens, max_len=2):
@@ -20,7 +20,7 @@ def make_random_corpus(
     max_phrase_len=2,
     n_features=2,
 ):
-    """Random N-best corpus with consistent derivations and cached sentence BLEU."""
+    """Random N-best corpus with consistent derivations, labelled as ``load_nbest`` labels."""
     tokens = [f"t{i}" for i in range(n_tokens)]
     samples = []
     for sid in range(n_samples):
@@ -37,9 +37,8 @@ def make_random_corpus(
             ]
             cand_tokens = tuple(t for p in derivation for t in p.target)
             feats = rng.normal(0.0, 1.0, size=n_features)
-            entry = corpus.NBestEntry(cand_tokens, feats, derivation)
-            entry.sbleu = bleu.sentence_bleu(reference, cand_tokens)
-            candidates.append(entry)
+            candidates.append(corpus.NBestEntry(cand_tokens, feats, derivation))
+        corpus.label_candidates(candidates, reference)
         samples.append(corpus.TrainingSample(sid, source, reference, candidates))
     return corpus.dedupe_candidates(samples)
 

@@ -127,6 +127,14 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def _files(small_run, **override) -> dict:
+    """The input files of ``small_run`` by kind, as ``_command_argv`` takes them, some replaced."""
+    root, data, model_path = small_run
+    files = {"nbest": data / "nbest.txt", "refs": data / "refs.txt", "weights": data / "lambda.txt",
+             "model": model_path, "vocab": root / "model.bin.vocab", "hyp": data / "refs.txt"}
+    return {**files, **override}
+
+
 class TestUnusablePaths:
     @pytest.mark.parametrize(
         "command", ["rerank --output", "train --out-model", "tune-lambda --out", "export-embeddings --out", "eval --hyp"]
@@ -138,14 +146,47 @@ class TestUnusablePaths:
             path.mkdir()
         else:
             path = path / "sel.txt"
-        root, data, model_path = small_run
-        files = {"nbest": data / "nbest.txt", "refs": data / "refs.txt", "weights": data / "lambda.txt",
-                 "model": model_path, "vocab": root / "model.bin.vocab", "hyp": path}
-        assert run(_command_argv(command.split()[0], files, path)) == 3
+        assert run(_command_argv(command.split()[0], _files(small_run, hyp=path), path)) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"semphrase: {path}: ")
         assert ".tmp" not in err and "Traceback" not in err
         assert list(tmp_path.rglob("*")) == ([path] if where == "existing directory" else [])
+
+
+class TestRefusedInputs:
+    """Inputs that do not fit each other exit 4 naming the file at fault, before any output is written."""
+
+    def _refused(self, command, files, tmp_path, capsys) -> str:
+        out = tmp_path / "out.txt"
+        assert run(_command_argv(command, files, out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["train", "rerank", "tune-lambda"])
+    def test_weights_of_another_length_name_the_file(self, small_run, tmp_path, capsys, command):
+        weights = tmp_path / "short.txt"
+        weights.write_text("0.5\n-1.0\n")
+        err = self._refused(command, _files(small_run, weights=weights), tmp_path, capsys)
+        assert f"semphrase: {weights}: expected 3 weights" in err
+        assert "found 2" in err
+
+    @pytest.mark.parametrize("order", ["dropped", "rotated"])
+    def test_vocabulary_must_start_with_unk(self, small_run, tmp_path, capsys, order):
+        tokens = (small_run[0] / "model.bin.vocab").read_text().splitlines()
+        tokens = tokens[1:] + ["extra"] if order == "dropped" else tokens[1:] + tokens[:1]
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(tokens) + "\n")
+        err = self._refused("rerank", _files(small_run, vocab=vocab), tmp_path, capsys)
+        assert f"semphrase: {vocab}:1: first token is {tokens[0]!r}, not the reserved '<unk>'" in err
+
+    def test_references_without_candidates_are_refused(self, small_run, tmp_path, capsys):
+        refs = tmp_path / "refs.txt"
+        refs.write_text((small_run[1] / "refs.txt").read_text() + "999 ||| src ||| ref\n")
+        files = _files(small_run, refs=refs)
+        err = self._refused("rerank", files, tmp_path, capsys)
+        assert f"semphrase: {files['nbest']}: reference ids [999] have no candidates" in err
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from semphrase import corpus
+from semphrase import bleu, corpus, synth
 
+from bleu_reference import ref_bleu_stats
 from conftest import make_random_corpus
 
 NBEST_SMALL = """\
@@ -36,7 +37,7 @@ def samples_equal(a, b):
                 return False
             if not np.array_equal(ea.features, eb.features):
                 return False
-            if ea.sbleu != eb.sbleu:
+            if ea.sbleu != eb.sbleu or ea.stats != eb.stats:
                 return False
     return True
 
@@ -51,6 +52,7 @@ class TestLoading:
         assert samples[0].source == ("das", "haus")
         assert samples[0].candidates[0].tokens == ("the", "house")
         assert samples[0].candidates[0].sbleu == 1.0
+        assert samples[0].candidates[0].stats == (2, 1, 0, 0, 2, 1, 0, 0, 2, 2)
         assert samples[0].candidates[1].features[1] == -2.0
 
     def test_derivation_mismatch_reports_line(self, tmp_path):
@@ -83,6 +85,12 @@ class TestLoading:
         bad = NBEST_SMALL.replace("0 |||", "7 |||", 1)
         with pytest.raises(corpus.CorpusError, match="missing from reference"):
             corpus.load_samples(_write(tmp_path, "nbest", bad), _write(tmp_path, "refs", REFS_SMALL))
+
+    def test_references_without_candidates_are_refused(self, tmp_path):
+        extra = "".join(f"{i} ||| src ||| ref {i}\n" for i in range(9, 2, -1))
+        nbest = _write(tmp_path, "nbest", NBEST_SMALL)
+        with pytest.raises(corpus.CorpusError, match=r"nbest: reference ids \[3, 4, 5, 6, 7\] have no"):
+            corpus.load_samples(nbest, _write(tmp_path, "refs", REFS_SMALL + extra))
 
     def test_duplicate_candidates_collapse_to_first(self, tmp_path):
         doubled = NBEST_SMALL + NBEST_SMALL
@@ -121,6 +129,23 @@ class TestLoading:
         samples = corpus.load_samples(_write(tmp_path, "n", nbest), _write(tmp_path, "r", refs))
         assert samples[0].candidates[0].tokens == ("the", "house")
         assert samples[0].candidates[0].derivation[0].source == ("das", "haus")
+
+
+def _assert_labelled_as_the_oracle(samples):
+    for sample in samples:
+        for entry in sample.candidates:
+            assert entry.stats == ref_bleu_stats(sample.reference, entry.tokens)
+            assert entry.sbleu == bleu.sentence_bleu(sample.reference, entry.tokens)
+
+
+class TestLabels:
+    def test_loaded_candidates_carry_the_oracle_rows(self, tmp_path):
+        refs, nbest, _ = synth.synthgen(synth.SynthSpec(sentences=20, candidates=6, seed=3), tmp_path)
+        _assert_labelled_as_the_oracle(corpus.load_samples(nbest, refs))
+
+    def test_generated_candidates_carry_the_oracle_rows(self):
+        samples, _ = synth.generate(synth.SynthSpec(sentences=20, candidates=6, noise=0.6, seed=5))
+        _assert_labelled_as_the_oracle(samples)
 
 
 class TestRoundTrip:

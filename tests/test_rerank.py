@@ -130,21 +130,27 @@ class TestRerankBleu:
                 pairs = [(s.reference, s.candidates[p[k]].tokens) for s, p in zip(samples, picks)]
                 assert value == bleu.corpus_bleu(pairs)
 
-    def test_one_stats_call_per_distinct_pick(self, rng, monkeypatch):
+    def test_rerank_and_tune_lambda_make_no_stats_call(self, rng, monkeypatch):
         samples, vocab, params = _setup(rng, n_samples=8, max_candidates=3)
         lam = random_lambda(rng)
-        distinct = sum(len(set(_picks(s, params, vocab, lam))) for s in samples)
-        assert distinct < 4 * len(samples)  # some sentence picks one candidate twice
-        calls = []
-        real = bleu.bleu_stats
+        reranked = rerank.rerank(samples, params, lam, vocab)
+        tuned = trainer.tune_lambda(samples, params, vocab, lam)
 
-        def counting(reference, candidate):
-            calls.append(tuple(candidate))
-            return real(reference, candidate)
+        def refuse(reference, candidate):
+            raise AssertionError("BLEU statistics recomputed after labelling")
 
-        monkeypatch.setattr(bleu, "bleu_stats", counting)
-        rerank.rerank(samples, params, lam, vocab)
-        assert len(calls) == distinct
+        monkeypatch.setattr(bleu, "bleu_stats", refuse)
+        assert vars(rerank.rerank(samples, params, lam, vocab)) == vars(reranked)
+        assert np.array_equal(trainer.tune_lambda(samples, params, vocab, lam), tuned)
+
+    def test_missing_statistics_are_refused(self, rng):
+        samples, vocab, params = _setup(rng, n_samples=4)
+        samples[2].candidates[-1].stats = None
+        lam = random_lambda(rng)
+        with pytest.raises(ValueError, match="candidate is missing its cached BLEU statistics"):
+            rerank.rerank(samples, params, lam, vocab)
+        with pytest.raises(ValueError, match="candidate is missing its cached BLEU statistics"):
+            trainer.tune_lambda(samples, params, vocab, lam)
 
     def test_missing_sentence_bleu_is_refused(self, rng):
         samples, vocab, params = _setup(rng, n_samples=4)

@@ -291,9 +291,8 @@ def _narrow_optimum_set():
         entries = []
         for text, feats in candidates:
             tokens = tuple(text.split())
-            entry = corpus.NBestEntry(tokens, np.array(feats), [corpus.PhrasePair(("src",), tokens)])
-            entry.sbleu = bleu.sentence_bleu(reference, tokens)  # labelled as load_nbest labels
-            entries.append(entry)
+            entries.append(corpus.NBestEntry(tokens, np.array(feats), [corpus.PhrasePair(("src",), tokens)]))
+        corpus.label_candidates(entries, reference)  # labelled as load_nbest labels
         return corpus.TrainingSample(sid, ("src",), reference, entries)
 
     samples = [
