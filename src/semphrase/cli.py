@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 
 import numpy as np
@@ -313,9 +314,13 @@ def _cmd_gradcheck(args) -> int:
     if (args.nbest is None) != (args.refs is None):
         print("gradcheck: --nbest and --refs must be given together", file=sys.stderr)
         return EXIT_USAGE
+    if math.isnan(args.tol):
+        raise ValueError("tol must be a number, got nan")
+    if not (math.isfinite(args.step) and args.step > 0.0):
+        raise ValueError(f"step must be finite and > 0, got {args.step!r}")
     if args.nbest:
         samples = corpus.load_samples(args.nbest, args.refs)
-        lam = np.array(synth.DEFAULT_LAMBDA)
+        lam = np.ones(samples[0].candidates[0].features.size + 1)
     else:
         spec = synth.SynthSpec(
             concepts=3,

@@ -8,19 +8,20 @@ phrase-similarity feature.
 The gradient factors into two independent parts: a scalar error term per
 phrase pair (how the loss moves with that pair's similarity score) and the
 gradient of the similarity score itself with respect to the projection
-matrices.  ``full_gradient`` exploits that separation: phase 1 accumulates
-error terms across every sample, keyed by unique phrase pair, and phase 2
-evaluates ``sim_gradient`` exactly once per unique pair, so its cost scales
-with the phrase-table size rather than the corpus size.
+matrices.  ``full_gradient`` exploits that separation, and each phase adds
+straight into one of its two accumulators: phase 1 (``error_terms``) adds
+every sample's error terms into one dict keyed by unique phrase pair, and
+phase 2 adds ``sim_gradient`` of each unique pair, called exactly once per
+pair, into one gradient vector, so its cost scales with the phrase-table
+size rather than the corpus size.
 
 Training, tuning and reranking share one log-linear score: ``feature_matrix``
 builds a sample's candidates x (M+1) matrix H and the totals are ``H @ lam``.
 
 Results are plain arrays: ``candidate_probs`` gives a sample's softmax
-probabilities, ``error_terms`` the pair -> error-term dict and the sample's
-expected BLEU, and ``sim_gradient`` and ``full_gradient`` one flat float64
-vector in the ``model.pack_params`` layout (W1 then W2, row-major), the
-vector the optimizer works on.
+probabilities, and ``full_gradient`` one flat float64 vector in the
+``model.pack_params`` layout (W1 then W2, row-major), the vector the
+optimizer works on and the layout ``sim_gradient`` adds into.
 
 Each phrase is encoded and projected once per ``full_gradient`` or
 ``corpus_xbleu`` call: the table of ``model.with_projection_table(params)``
@@ -34,7 +35,6 @@ reranking, and each refuses a candidate without its label.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -122,27 +122,22 @@ def expected_bleu(
 
 
 def error_terms(
-    sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, sims=None
-) -> tuple[dict[PhrasePair, float], float]:
-    """How the sample's expected BLEU moves with each phrase pair's similarity.
+    sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, deltas, sims=None
+) -> float:
+    """Add how the sample's expected BLEU moves with each phrase pair's similarity into ``deltas``.
 
-    Returns ``(deltas, xbleu)``: for each pair appearing in any candidate's
-    derivation, the error term is the feature weight times the sum over
-    candidates of prob * (sbleu - xbleu) * occurrence count; ``xbleu`` is the
-    sample's expected BLEU.
+    Each occurrence of a pair in a candidate's derivation adds the feature
+    weight times prob * (sbleu - xbleu) to ``deltas[pair]``.  Returns
+    ``xbleu``, the sample's expected BLEU.
     """
-    lam = np.asarray(lam, dtype=np.float64)
     sbleus = sentence_bleus(sample)
     probs = candidate_probs(sample, params, lam, vocab, sims)
     xbleu = math.fsum((probs * sbleus).tolist())
-    weights = probs * (sbleus - xbleu)
-    deltas: dict[PhrasePair, float] = {}
-    for entry, weight in zip(sample.candidates, weights.tolist()):
-        for pair, count in Counter(entry.derivation).items():
-            deltas[pair] = deltas.get(pair, 0.0) + weight * count
-    for pair in deltas:
-        deltas[pair] *= float(lam[-1])
-    return deltas, xbleu
+    terms = float(lam[-1]) * (probs * (sbleus - xbleu))
+    for entry, term in zip(sample.candidates, terms.tolist()):
+        for pair in entry.derivation:
+            deltas[pair] = deltas.get(pair, 0.0) + term
+    return xbleu
 
 
 def _cosine_output_grads(u: np.ndarray, v: np.ndarray):
@@ -184,21 +179,21 @@ def _accumulate_pair_gradient(
     _backprop_side(*views, xe, te, coeff * g_v, params)
 
 
-def sim_gradient(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
-    """Gradient of the pair's similarity score with respect to W1 (and W2).
+def sim_gradient(
+    f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary, grad: np.ndarray, coeff: float
+) -> None:
+    """Add ``coeff`` times the pair's similarity gradient into the ``pack_params`` vector ``grad``.
 
-    The result is one flat vector in ``model.pack_params`` layout.  For the
-    two-layer network with dot-product similarity this is the closed-form
-    backpropagation through both phrase towers; cosine and linear variants
-    follow the same chain rule with their own output-layer partials.
+    For the two-layer network with dot-product similarity this is the
+    closed-form backpropagation through both phrase towers; cosine and linear
+    variants follow the same chain rule with their own output-layer partials.
     In word-level mode the max over tokens is handled as a subgradient:
     gradient flows only through the argmax token pair, first index on ties.
     """
-    grad = np.zeros(params.size)
     views = model.param_views(params, grad)
     if not params.word_level:
-        _accumulate_pair_gradient(views, f_tokens, e_tokens, params, vocab, 1.0)
-        return grad
+        _accumulate_pair_gradient(views, f_tokens, e_tokens, params, vocab, coeff)
+        return
     sims = model.token_similarity_matrix(f_tokens, e_tokens, params, vocab)
     nf, ne = sims.shape
     coeffs: dict[tuple[int, int], float] = {}
@@ -208,9 +203,8 @@ def sim_gradient(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> 
     for j in range(ne):
         i = int(np.argmax(sims[:, j]))
         coeffs[(i, j)] = coeffs.get((i, j), 0.0) + 0.5 / ne
-    for (i, j), coeff in coeffs.items():
-        _accumulate_pair_gradient(views, (f_tokens[i],), (e_tokens[j],), params, vocab, coeff)
-    return grad
+    for (i, j), weight in coeffs.items():
+        _accumulate_pair_gradient(views, (f_tokens[i],), (e_tokens[j],), params, vocab, coeff * weight)
 
 
 def full_gradient(
@@ -218,30 +212,22 @@ def full_gradient(
 ) -> tuple[float, np.ndarray]:
     """Corpus loss (negative mean expected BLEU) and its gradient in ``pack_params`` layout.
 
-    Phase 1 gathers error terms per sample and sums them in sample order;
-    phase 2 calls ``sim_gradient`` once per unique phrase pair.  The result
-    matches the naive per-occurrence summation to floating-point accuracy.
+    Phase 1 adds every sample's error terms into one dict in sample order;
+    phase 2 adds ``sim_gradient`` of each unique phrase pair into one vector.
+    The result matches the naive per-occurrence summation to floating-point accuracy.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("corpus is empty")
     params = model.with_projection_table(params)
     sims = pair_similarities(samples, params, vocab)
-    total_delta = {pair: 0.0 for pair in sims}
-    xbleus = []
-    for sample in samples:
-        deltas, xbleu = error_terms(sample, params, lam, vocab, sims)
-        for pair, delta in deltas.items():
-            total_delta[pair] += delta
-        xbleus.append(xbleu)
+    total_delta = dict.fromkeys(sims, 0.0)
+    xbleus = [error_terms(sample, params, lam, vocab, total_delta, sims) for sample in samples]
     n = len(samples)
-    loss = -math.fsum(xbleus) / n
     grad = np.zeros(params.size)
     for pair, delta in total_delta.items():
-        g = sim_gradient(pair.source, pair.target, params, vocab)
-        g *= -delta / n
-        grad += g
-    return loss, grad
+        sim_gradient(pair.source, pair.target, params, vocab, grad, -delta / n)
+    return -math.fsum(xbleus) / n, grad
 
 
 def corpus_xbleu(samples, params: ModelParams, lam: np.ndarray, vocab: Vocabulary) -> float:

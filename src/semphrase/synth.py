@@ -16,6 +16,7 @@ for identical specs.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -54,6 +55,8 @@ class SynthSpec:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must be in [0, 1]")
+        if not (math.isfinite(self.feature_noise) and self.feature_noise >= 0.0):
+            raise ValueError(f"feature_noise must be finite and >= 0, got {self.feature_noise!r}")
 
 
 def _phrase(side: str, concept: int, synonym: int) -> tuple[str, ...]:

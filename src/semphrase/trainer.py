@@ -201,8 +201,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0.0:
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance!r}")
         if not math.isfinite(self.lambda_feature):
             raise ValueError(f"lambda_feature must be finite, got {self.lambda_feature!r}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):

@@ -1,9 +1,9 @@
-"""Shared builders for random toy corpora."""
+"""Shared builders for random toy corpora and the dense per-pair gradient reference."""
 
 import numpy as np
 import pytest
 
-from semphrase import corpus
+from semphrase import corpus, objective
 
 
 def _random_phrase(rng, tokens, max_len=2):
@@ -41,6 +41,17 @@ def make_random_corpus(
         corpus.label_candidates(candidates, reference)
         samples.append(corpus.TrainingSample(sid, source, reference, candidates))
     return corpus.dedupe_candidates(samples)
+
+
+def pair_gradient(f_tokens, e_tokens, params, vocab):
+    """The pair's similarity gradient in a fresh dense ``pack_params`` vector.
+
+    The naive references build one per occurrence, so they share no
+    accumulator with the two-phase ``full_gradient`` they are checked against.
+    """
+    grad = np.zeros(params.size)
+    objective.sim_gradient(f_tokens, e_tokens, params, vocab, grad, 1.0)
+    return grad
 
 
 def random_lambda(rng, n_features=2):

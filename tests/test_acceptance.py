@@ -16,7 +16,7 @@ import pytest
 from semphrase import bleu, cli, corpus, model, objective, rerank, synth, trainer
 
 from bleu_reference import ref_corpus_bleu, ref_sentence_bleu
-from conftest import make_random_corpus, random_lambda
+from conftest import make_random_corpus, pair_gradient, random_lambda
 
 TRAIN_SPEC = synth.SynthSpec(
     concepts=5,
@@ -173,9 +173,9 @@ def test_criterion_3_two_phase_gradient_separability(monkeypatch):
         calls = []
         real = objective.sim_gradient
 
-        def counting(f_tokens, e_tokens, p, v):
+        def counting(f_tokens, e_tokens, p, v, grad, coeff):
             calls.append((f_tokens, e_tokens))
-            return real(f_tokens, e_tokens, p, v)
+            return real(f_tokens, e_tokens, p, v, grad, coeff)
 
         monkeypatch.setattr(objective, "sim_gradient", counting)
         _, two_phase = objective.full_gradient(samples, params, lam, vocab)
@@ -194,7 +194,7 @@ def test_criterion_3_two_phase_gradient_separability(monkeypatch):
             for entry, prob in zip(sample.candidates, probs):
                 weight = -(entry.sbleu - xbleu) * prob * lam[-1] / n
                 for pair in entry.derivation:
-                    naive += weight * objective.sim_gradient(pair.source, pair.target, params, vocab)
+                    naive += weight * pair_gradient(pair.source, pair.target, params, vocab)
         gap = float(np.max(np.abs(two_phase - naive)))
         worst = max(worst, gap)
         assert gap <= 1e-12

@@ -52,6 +52,9 @@ class TestSynthgen:
             synth.SynthSpec(noise=1.5)
         with pytest.raises(ValueError):
             synth.SynthSpec(concepts=0)
+        for value in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"feature_noise must be finite and >= 0, got {value!r}"):
+                synth.SynthSpec(feature_noise=value)
 
 
 @pytest.fixture(scope="module")
@@ -297,10 +300,29 @@ class TestCliCommands:
     def test_gradcheck_fails_with_absurd_tolerance(self):
         assert run(["gradcheck", "--seed", "7", "--tol", "1e-18"]) == 5
 
-    @pytest.mark.parametrize("flag", ["--k1", "--k2"])
-    def test_gradcheck_refuses_zero_width(self, capsys, flag):
-        assert run(["gradcheck", "--seed", "7", flag, "0"]) == 4
-        assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k1", "0"], "k1 must be >= 1, got 0"),
+            (["--k2", "0"], "k2 must be >= 1, got 0"),
+            (["--tol", "nan"], "tol must be a number, got nan"),
+            (["--step", "0"], "step must be finite and > 0, got 0.0"),
+            (["--step=-1e-5"], "step must be finite and > 0, got -1e-05"),
+            (["--step", "nan"], "step must be finite and > 0, got nan"),
+            (["--step", "inf"], "step must be finite and > 0, got inf"),
+        ],
+    )
+    def test_gradcheck_refuses_degenerate_settings(self, capsys, flags, message):
+        assert run(["gradcheck", "--seed", "7", *flags]) == 4
+        assert message in capsys.readouterr().err
+
+    def test_gradcheck_nbest_with_one_feature(self, tmp_path, capsys):
+        nbest = tmp_path / "nbest.txt"
+        nbest.write_text("0 ||| a b ||| 0.5 ||| [ x # a ] [ y # b ]\n0 ||| a c ||| -0.5 ||| [ x # a ] [ y # c ]\n")
+        refs = tmp_path / "refs.txt"
+        refs.write_text("0 ||| x y ||| a b\n")
+        assert run(["gradcheck", "--nbest", str(nbest), "--refs", str(refs)]) == 0
+        assert "max relative error" in capsys.readouterr().out
 
     def test_gradcheck_covers_variants(self):
         assert run(["gradcheck", "--seed", "3", "--arch", "linear"]) == 0
@@ -475,6 +497,7 @@ class TestCliCommands:
         [
             (["--k1", "0"], "k1 must be >= 1, got 0"),
             (["--k2", "0"], "k2 must be >= 1, got 0"),
+            (["--tol", "nan"], "tolerance must be > 0, got nan"),
             (["--lambda-feature", "nan"], "lambda_feature must be finite, got nan"),
             (["--weight-decay", "inf"], "weight_decay must be finite and >= 0, got inf"),
             (["--weight-decay", "-0.5"], "weight_decay must be finite and >= 0, got -0.5"),

@@ -7,7 +7,7 @@ import pytest
 
 from semphrase import corpus, model, objective, rerank, trainer
 
-from conftest import make_random_corpus, random_lambda
+from conftest import make_random_corpus, pair_gradient, random_lambda
 
 
 def _toy_setup(rng, arch=model.ARCH_NONLINEAR, sim_mode=None, word_level=False, **corpus_kw):
@@ -159,7 +159,8 @@ class TestErrorTerms:
         sample = _uniform_sample(1, sbleus=[0.6])
         vocab = corpus.build_vocabulary([sample])
         params = model.init_params(len(vocab), 3, 2, seed=2)
-        deltas, xbleu = objective.error_terms(sample, params, np.array([1.0, 0.0, 1.0]), vocab)
+        deltas = {}
+        xbleu = objective.error_terms(sample, params, np.array([1.0, 0.0, 1.0]), vocab, deltas)
         assert all(v == 0.0 for v in deltas.values())
         assert sample.candidates[0].sbleu - xbleu == 0.0
 
@@ -174,7 +175,8 @@ class TestErrorTerms:
         sample = corpus.TrainingSample(0, ("f", "g"), ("e", "x0"), cands)
         vocab = corpus.build_vocabulary([sample])
         params = model.init_params(len(vocab), 3, 2, seed=3)
-        deltas, _ = objective.error_terms(sample, params, np.array([1.0, 0.0, 0.7]), vocab)
+        deltas = {}
+        objective.error_terms(sample, params, np.array([1.0, 0.0, 0.7]), vocab, deltas)
         assert deltas[shared] == pytest.approx(0.0, abs=1e-12)
 
     def test_term_by_term_oracle(self, rng):
@@ -182,7 +184,8 @@ class TestErrorTerms:
         for sample in samples:
             probs = objective.candidate_probs(sample, params, lam, vocab)
             xbleu = objective.expected_bleu(sample, params, lam, vocab)
-            deltas, _ = objective.error_terms(sample, params, lam, vocab)
+            deltas = {}
+            objective.error_terms(sample, params, lam, vocab, deltas)
             for pair, delta in deltas.items():
                 expected = 0.0
                 for entry, prob in zip(sample.candidates, probs):
@@ -193,11 +196,26 @@ class TestErrorTerms:
     def test_centered_expectation_invariant(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=4)
         for sample in samples:
-            _, xbleu = objective.error_terms(sample, params, lam, vocab)
+            xbleu = objective.error_terms(sample, params, lam, vocab, {})
             probs = objective.candidate_probs(sample, params, lam, vocab)
             sbleus = np.array([e.sbleu for e in sample.candidates])
             centered = math.fsum(probs * (sbleus - xbleu))
             assert abs(centered) <= 1e-12
+
+    def test_adds_into_prefilled_dict(self, rng):
+        samples, vocab, params, lam = _toy_setup(rng, n_samples=3)
+        for sample in samples:
+            fresh = {}
+            xbleu = objective.error_terms(sample, params, lam, vocab, fresh)
+            other = corpus.PhrasePair(("elsewhere",), ("unseen",))
+            start = {pair: float(rng.normal()) for pair in fresh}
+            start[other] = 0.25
+            deltas = dict(start)
+            assert objective.error_terms(sample, params, lam, vocab, deltas) == xbleu
+            assert deltas.keys() == start.keys()
+            assert deltas[other] == 0.25
+            for pair, delta in fresh.items():
+                assert deltas[pair] == pytest.approx(start[pair] + delta, abs=1e-15)
 
 
 class TestSimGradient:
@@ -212,7 +230,7 @@ class TestSimGradient:
         x = model.encode(f, vocab)
         single_w1 = np.zeros_like(params.w1)
         single_w1[x.indices] += x.counts[:, None] * e1[None, :]
-        d_w1, d_w2 = model.param_views(params, objective.sim_gradient(f, f, params, vocab))
+        d_w1, d_w2 = model.param_views(params, pair_gradient(f, f, params, vocab))
         np.testing.assert_allclose(d_w2, 2.0 * single_w2, atol=1e-14)
         np.testing.assert_allclose(d_w1, 2.0 * single_w1, atol=1e-14)
 
@@ -220,7 +238,7 @@ class TestSimGradient:
         vocab = corpus.Vocabulary.from_tokens(("a", "b"))
         params = model.init_params(2, 3, 2, seed=5)
         params.w1[:] = 0.0
-        _, d_w2 = model.param_views(params, objective.sim_gradient(("a",), ("b",), params, vocab))
+        _, d_w2 = model.param_views(params, pair_gradient(("a",), ("b",), params, vocab))
         assert np.all(d_w2 == 0.0)
 
     @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
@@ -234,7 +252,7 @@ class TestSimGradient:
         )
         f = ("t0", "t1", "t2")
         e = ("t3", "t4")
-        analytic = objective.sim_gradient(f, e, params, vocab)
+        analytic = pair_gradient(f, e, params, vocab)
 
         def sim_at(vec):
             return model.similarity(f, e, model.unpack_params(params, vec), vocab)
@@ -242,6 +260,24 @@ class TestSimGradient:
         numeric = objective.finite_difference(sim_at, model.pack_params(params), step=1e-5)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         assert rel.max() <= 1e-6
+
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
+    @pytest.mark.parametrize("word_level", [False, True])
+    def test_adds_scaled_gradient_into_prefilled_buffer(self, rng, arch, sim_mode, word_level):
+        tokens = tuple(f"t{i}" for i in range(6))
+        vocab = corpus.Vocabulary.from_tokens((corpus.UNK_TOKEN,) + tokens)
+        params = model.init_params(
+            len(vocab), 4, 3, arch=arch, sim_mode=sim_mode, word_level=word_level, seed=7
+        )
+        f, e = ("t0", "t1", "t2"), ("t3", "t4")
+        fresh = pair_gradient(f, e, params, vocab)
+        assert np.any(fresh != 0.0)
+        start = rng.uniform(-1.0, 1.0, size=params.size)
+        coeff = -0.37
+        grad = start.copy()
+        assert objective.sim_gradient(f, e, params, vocab, grad, coeff) is None
+        np.testing.assert_allclose(grad, start + coeff * fresh, rtol=0.0, atol=1e-15)
 
 
 class TestFullGradient:
@@ -272,7 +308,7 @@ class TestFullGradient:
             for entry, prob in zip(sample.candidates, probs):
                 weight = -(entry.sbleu - xbleu) * prob * lam[-1] / n
                 for pair in entry.derivation:
-                    naive += weight * objective.sim_gradient(pair.source, pair.target, params, vocab)
+                    naive += weight * pair_gradient(pair.source, pair.target, params, vocab)
         np.testing.assert_allclose(grad, naive, atol=1e-12)
 
     def test_phase_two_visits_each_unique_pair_once(self, rng, monkeypatch):
@@ -280,9 +316,9 @@ class TestFullGradient:
         calls = []
         real = objective.sim_gradient
 
-        def counting(f_tokens, e_tokens, p, v):
+        def counting(f_tokens, e_tokens, p, v, grad, coeff):
             calls.append((f_tokens, e_tokens))
-            return real(f_tokens, e_tokens, p, v)
+            return real(f_tokens, e_tokens, p, v, grad, coeff)
 
         monkeypatch.setattr(objective, "sim_gradient", counting)
         objective.full_gradient(samples, params, lam, vocab)
