@@ -18,9 +18,9 @@ reference length.  Corpus BLEU reads the column sums of such rows.
 
 The n-grams of every order are counted in one pass over a sentence.  The
 reference is folded and counted once per run of calls that share it.  Only
-labelling (``corpus.label_candidates``) walks candidates against a reference:
-it keeps each candidate's row and the sentence BLEU of that row, and tuning
-and reranking read the kept rows.
+building a ``corpus.TrainingSample`` walks candidates against a reference:
+the sample keeps each candidate's row and the sentence BLEU of that row, and
+training, tuning and reranking read the kept arrays.
 """
 
 from __future__ import annotations

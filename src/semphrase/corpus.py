@@ -15,11 +15,11 @@ File formats (UTF-8, fields separated by ``|||``):
 Tokens are lowercased at load time, and loaded corpora are immutable by
 convention.  A phrase pair is a tuple value: ``PhrasePair(s, t)`` hashes and
 compares as the plain tuple ``(s, t)``, so every per-pair dict keys on it in C.
-Every candidate ``load_nbest`` returns carries its labels, set once by
-``label_candidates``: its ``bleu.bleu_stats`` row against the reference and the
-sentence BLEU of that row.  Training, tuning and reranking read those labels
-and refuse a candidate without them.  Every file the package writes goes
-through ``atomic_writer``.
+A ``TrainingSample`` labels its candidates when it is built: ``stats`` holds
+the (n, 10) ``bleu.bleu_stats`` rows of its n candidates against the
+reference and ``sbleus`` the sentence BLEU of each row.  Training reads
+``sbleus``, tuning reads ``stats`` and reranking reads both.  Every file the
+package writes goes through ``atomic_writer``.
 """
 
 from __future__ import annotations
@@ -98,18 +98,27 @@ class NBestEntry:
     tokens: tuple[str, ...]
     features: np.ndarray
     derivation: list[PhrasePair]
-    sbleu: float | None = None
-    stats: tuple[int, ...] | None = None
 
 
 @dataclass(eq=False)
 class TrainingSample:
-    """A source sentence, its reference, and the candidate list for it."""
+    """A source sentence, its reference, and the candidate list for it, labelled once when built.
+
+    ``stats`` is the (n, 10) int64 array of the candidates' ``bleu.bleu_stats``
+    rows against ``reference``, and ``sbleus`` the (n,) sentence BLEU of each row.
+    """
 
     sample_id: int
     source: tuple[str, ...]
     reference: tuple[str, ...]
     candidates: list[NBestEntry]
+    stats: np.ndarray = field(init=False)
+    sbleus: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        rows = [bleu.bleu_stats(self.reference, entry.tokens) for entry in self.candidates]
+        self.stats = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * bleu.MAX_ORDER + 2)
+        self.sbleus = np.array([bleu.sentence_bleu_from_stats(row) for row in rows], dtype=np.float64)
 
 
 @contextmanager
@@ -269,18 +278,10 @@ def _first_occurrences(entries) -> list[NBestEntry]:
     return kept
 
 
-def label_candidates(entries, reference) -> None:
-    """Set each entry's ``stats``, its ``bleu.bleu_stats`` row against ``reference``, and that row's ``sbleu``."""
-    for entry in entries:
-        entry.stats = bleu.bleu_stats(reference, entry.tokens)
-        entry.sbleu = bleu.sentence_bleu_from_stats(entry.stats)
-
-
 def load_nbest(path, references) -> list[TrainingSample]:
     """Load an N-best file, pairing candidates with ``load_references`` output.
 
-    Every sentence id must have both a reference and candidates.  The
-    candidates are labelled against their reference by ``label_candidates``.
+    Every sentence id must have both a reference and candidates.
     """
     by_id = parse_nbest(path)
     unmatched = sorted(set(references) - set(by_id))
@@ -291,7 +292,6 @@ def load_nbest(path, references) -> list[TrainingSample]:
         if sent_id not in references:
             raise CorpusError(f"sentence id {sent_id} missing from reference file", path)
         source, reference = references[sent_id]
-        label_candidates(entries, reference)
         samples.append(TrainingSample(sent_id, source, reference, entries))
     return samples
 

@@ -120,6 +120,8 @@ def init_params(
     for name, width in widths.items():
         if width < 1:
             raise ValueError(f"{name} must be >= 1, got {width}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     r1 = np.sqrt(6.0 / (d + k1))
     w1 = rng.uniform(-r1, r1, size=(d, k1))

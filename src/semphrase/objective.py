@@ -25,11 +25,9 @@ optimizer works on and the layout ``sim_gradient`` adds into.
 
 Each phrase is encoded and projected once per ``full_gradient`` or
 ``corpus_xbleu`` call: the table of ``model.with_projection_table(params)``
-lives for that call, and phases 1 and 2 both read it.  Every candidate's
-labels, its BLEU statistics row and the sentence BLEU of that row, come from
-``corpus.label_candidates``: ``sentence_bleus`` reads the sentence BLEU for
-training and reranking, ``stats_rows`` reads the rows for tuning and
-reranking, and each refuses a candidate without its label.
+lives for that call, and phases 1 and 2 both read it.  The sentence BLEU of
+each candidate is the sample's ``sbleus`` array, computed when the sample was
+built.
 """
 
 from __future__ import annotations
@@ -94,31 +92,12 @@ def candidate_probs(
     return exps / math.fsum(exps.tolist())
 
 
-def sentence_bleus(sample: TrainingSample) -> np.ndarray:
-    """The cached sentence BLEU of each of the sample's candidates; all must be present."""
-    vals = []
-    for entry in sample.candidates:
-        if entry.sbleu is None:
-            raise ValueError("candidate is missing its cached sentence BLEU")
-        vals.append(entry.sbleu)
-    return np.array(vals, dtype=np.float64)
-
-
-def stats_rows(sample: TrainingSample) -> np.ndarray:
-    """The cached BLEU statistics rows of the sample's candidates as (n, 10) int64; all must be present."""
-    rows = [entry.stats for entry in sample.candidates]
-    if any(row is None for row in rows):
-        raise ValueError("candidate is missing its cached BLEU statistics")
-    return np.array(rows, dtype=np.int64)
-
-
 def expected_bleu(
     sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, sims=None
 ) -> float:
     """Probability-weighted mean sentence BLEU of one N-best list."""
-    sbleus = sentence_bleus(sample)
     probs = candidate_probs(sample, params, lam, vocab, sims)
-    return math.fsum((probs * sbleus).tolist())
+    return math.fsum((probs * sample.sbleus).tolist())
 
 
 def error_terms(
@@ -130,10 +109,9 @@ def error_terms(
     weight times prob * (sbleu - xbleu) to ``deltas[pair]``.  Returns
     ``xbleu``, the sample's expected BLEU.
     """
-    sbleus = sentence_bleus(sample)
     probs = candidate_probs(sample, params, lam, vocab, sims)
-    xbleu = math.fsum((probs * sbleus).tolist())
-    terms = float(lam[-1]) * (probs * (sbleus - xbleu))
+    xbleu = math.fsum((probs * sample.sbleus).tolist())
+    terms = float(lam[-1]) * (probs * (sample.sbleus - xbleu))
     for entry, term in zip(sample.candidates, terms.tolist()):
         for pair in entry.derivation:
             deltas[pair] = deltas.get(pair, 0.0) + term

@@ -6,10 +6,10 @@ feature (the sum of phrase-pair similarities over the candidate's
 derivation), the same score that tuning optimizes.  The highest-scoring
 candidate wins, ties going to the lowest candidate index.  Alongside the
 reranked corpus BLEU the result reports the baseline selection (similarity
-feature switched off) and the oracle best/worst selections by cached sentence
-BLEU, which bound what any reranker could achieve on the same lists.  All
-four are scored from one (4, 10) array that sums the picked candidates'
-BLEU statistics rows, the labels ``corpus.label_candidates`` set.
+feature switched off) and the oracle best/worst selections by each sample's
+``sbleus``, which bound what any reranker could achieve on the same lists.
+All four are scored from one (4, 10) array that sums the picked candidates'
+rows of each sample's ``stats``.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ def rerank(samples, params: ModelParams, lam, vocab: Vocabulary) -> RerankResult
         totals = h @ lam
         idx = int(np.argmax(totals))  # first maximum wins ties
         selections.append(Selection(sample.sample_id, idx, float(totals[idx]), float(h[idx, -1])))
-        sbleus = objective.sentence_bleus(sample)
         base_idx = int(np.argmax(h[:, :-1] @ lam[:-1]))
-        picks = (idx, base_idx, int(np.argmax(sbleus)), int(np.argmin(sbleus)))
-        picked_rows.append(objective.stats_rows(sample)[list(picks)])
+        picks = (idx, base_idx, int(np.argmax(sample.sbleus)), int(np.argmin(sample.sbleus)))
+        picked_rows.append(sample.stats[list(picks)])
 
     reranked, baseline, best, worst = bleu.corpus_bleu_rows(np.sum(picked_rows, axis=0)).tolist()
     return RerankResult(selections, reranked, baseline, best, worst)

@@ -26,7 +26,6 @@ from .corpus import (
     NBestEntry,
     PhrasePair,
     TrainingSample,
-    label_candidates,
     save_lambda,
     save_nbest,
     save_references,
@@ -57,6 +56,8 @@ class SynthSpec:
             raise ValueError("noise must be in [0, 1]")
         if not (math.isfinite(self.feature_noise) and self.feature_noise >= 0.0):
             raise ValueError(f"feature_noise must be finite and >= 0, got {self.feature_noise!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _phrase(side: str, concept: int, synonym: int) -> tuple[str, ...]:
@@ -107,7 +108,6 @@ def generate(spec: SynthSpec) -> tuple[list[TrainingSample], np.ndarray]:
             signal = -corrupted / spec.phrases_per_sentence + rng.normal(0.0, spec.feature_noise)
             features = np.array([signal, rng.normal(0.0, 1.0)], dtype=np.float64)
             candidates.append(NBestEntry(tokens, features, derivation))
-        label_candidates(candidates, reference)
         samples.append(TrainingSample(i, source, reference, candidates))
     return samples, np.array(DEFAULT_LAMBDA, dtype=np.float64)
 

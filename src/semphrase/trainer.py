@@ -193,7 +193,7 @@ class TrainConfig:
     weight_decay: float = 0.0
     threads: int = 1  # accepted and ignored: every pass is single-threaded
     checkpoint_dir: str | None = None
-    checkpoint_interval: int = 0  # 0 disables checkpoints
+    checkpoint_interval: int = 0  # 0 disables checkpoints; a positive one needs checkpoint_dir
     init_model: str | None = None  # warm-start W1 from this model file
     resume: str | None = None  # checkpoint file to resume from
     timing: bool = True  # False logs 0.0 in the seconds column
@@ -207,6 +207,10 @@ class TrainConfig:
             raise ValueError(f"lambda_feature must be finite, got {self.lambda_feature!r}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        if self.checkpoint_interval < 0:
+            raise ValueError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
+        if self.checkpoint_interval > 0 and not self.checkpoint_dir:
+            raise ValueError(f"checkpoint_interval {self.checkpoint_interval} needs a checkpoint_dir")
 
 
 @dataclass(frozen=True)
@@ -340,17 +344,16 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
     loss_window = [state.f] if config.resume is None else list(ck["loss_window"])
 
     def maybe_checkpoint():
-        if config.checkpoint_dir and config.checkpoint_interval > 0:
-            if state.iteration % config.checkpoint_interval == 0:
-                os.makedirs(config.checkpoint_dir, exist_ok=True)
-                path = os.path.join(config.checkpoint_dir, f"checkpoint-{state.iteration:04d}.mdl")
-                history = {
-                    "iteration": state.iteration,
-                    "s_list": state.s_list,
-                    "y_list": state.y_list,
-                    "loss_window": loss_window[-4:],
-                }
-                model.save_model(model.unpack_params(template, x), path, trainer=history)
+        if config.checkpoint_interval and state.iteration % config.checkpoint_interval == 0:
+            os.makedirs(config.checkpoint_dir, exist_ok=True)
+            path = os.path.join(config.checkpoint_dir, f"checkpoint-{state.iteration:04d}.mdl")
+            history = {
+                "iteration": state.iteration,
+                "s_list": state.s_list,
+                "y_list": state.y_list,
+                "loss_window": loss_window[-4:],
+            }
+            model.save_model(model.unpack_params(template, x), path, trainer=history)
 
     stop = ""
     if float(np.max(np.abs(state.g))) <= config.tolerance:
@@ -426,7 +429,7 @@ def tune_lambda(
     params = model.with_projection_table(params)
     sims = objective.pair_similarities(dev_samples, params, vocab)
     feature_rows = [objective.feature_matrix(s, params, vocab, sims, lam.size) for s in dev_samples]
-    stats = [objective.stats_rows(s) for s in dev_samples]
+    stats = [s.stats for s in dev_samples]
     chosen = sum(st[np.argmax(h @ lam)] for h, st in zip(feature_rows, stats))  # ties: lowest index
     best = float(bleu.corpus_bleu_rows(chosen)[0])
     for _ in range(max_sweeps):

@@ -20,7 +20,7 @@ def make_random_corpus(
     max_phrase_len=2,
     n_features=2,
 ):
-    """Random N-best corpus with consistent derivations, labelled as ``load_nbest`` labels."""
+    """Random N-best corpus with consistent derivations, duplicates collapsed as ``load_nbest`` collapses them."""
     tokens = [f"t{i}" for i in range(n_tokens)]
     samples = []
     for sid in range(n_samples):
@@ -38,7 +38,6 @@ def make_random_corpus(
             cand_tokens = tuple(t for p in derivation for t in p.target)
             feats = rng.normal(0.0, 1.0, size=n_features)
             candidates.append(corpus.NBestEntry(cand_tokens, feats, derivation))
-        corpus.label_candidates(candidates, reference)
         samples.append(corpus.TrainingSample(sid, source, reference, candidates))
     return corpus.dedupe_candidates(samples)
 

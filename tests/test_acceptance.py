@@ -140,7 +140,7 @@ def test_criterion_2_softmax_and_expectation_invariants():
         assert abs(math.fsum(probs) - 1.0) <= 1e-12
         assert all(0.0 <= p <= 1.0 for p in probs)
 
-        sbleus = [e.sbleu for e in sample.candidates]
+        sbleus = sample.sbleus
         xbleu = objective.expected_bleu(sample, params, lam, vocab)
         assert min(sbleus) - 1e-12 <= xbleu <= max(sbleus) + 1e-12
 
@@ -191,8 +191,8 @@ def test_criterion_3_two_phase_gradient_separability(monkeypatch):
         for sample in samples:
             probs = objective.candidate_probs(sample, params, lam, vocab)
             xbleu = objective.expected_bleu(sample, params, lam, vocab)
-            for entry, prob in zip(sample.candidates, probs):
-                weight = -(entry.sbleu - xbleu) * prob * lam[-1] / n
+            for entry, prob, sbleu in zip(sample.candidates, probs, sample.sbleus):
+                weight = -(sbleu - xbleu) * prob * lam[-1] / n
                 for pair in entry.derivation:
                     naive += weight * pair_gradient(pair.source, pair.target, params, vocab)
         gap = float(np.max(np.abs(two_phase - naive)))

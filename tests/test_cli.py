@@ -24,7 +24,7 @@ class TestSynthgen:
         for sample in samples:
             assert len(sample.candidates) == 1  # duplicates collapse on load
             assert sample.candidates[0].tokens == sample.reference
-            assert sample.candidates[0].sbleu == 1.0
+            assert sample.sbleus.tolist() == [1.0]
 
     def test_same_seed_byte_identical(self, tmp_path):
         spec = synth.SynthSpec(sentences=15, seed=9)
@@ -47,7 +47,7 @@ class TestSynthgen:
         v2 = set(corpus.build_vocabulary(corpus.dedupe_candidates(s2)).tokens)
         assert v1 == v2
 
-    def test_invalid_spec_rejected(self):
+    def test_invalid_spec_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             synth.SynthSpec(noise=1.5)
         with pytest.raises(ValueError):
@@ -55,6 +55,11 @@ class TestSynthgen:
         for value in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"feature_noise must be finite and >= 0, got {value!r}"):
                 synth.SynthSpec(feature_noise=value)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            synth.SynthSpec(seed=-1)
+        assert run(["synthgen", "--out-dir", str(tmp_path / "d"), "--seed", "-1"]) == 4
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +315,7 @@ class TestCliCommands:
             (["--step=-1e-5"], "step must be finite and > 0, got -1e-05"),
             (["--step", "nan"], "step must be finite and > 0, got nan"),
             (["--step", "inf"], "step must be finite and > 0, got inf"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_gradcheck_refuses_degenerate_settings(self, capsys, flags, message):
@@ -501,10 +507,14 @@ class TestCliCommands:
             (["--lambda-feature", "nan"], "lambda_feature must be finite, got nan"),
             (["--weight-decay", "inf"], "weight_decay must be finite and >= 0, got inf"),
             (["--weight-decay", "-0.5"], "weight_decay must be finite and >= 0, got -0.5"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--checkpoint-interval", "2"], "checkpoint_interval 2 needs a checkpoint_dir"),
+            (["--checkpoint-dir", "ck", "--checkpoint-interval=-2"], "checkpoint_interval must be >= 0, got -2"),
         ],
     )
-    def test_degenerate_training_settings_exit_4(self, small_run, tmp_path, capsys, flags, message):
+    def test_degenerate_training_settings_exit_4(self, small_run, tmp_path, monkeypatch, capsys, flags, message):
         _, data, _ = small_run
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "m.bin"
         argv = ["train", "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
                 "--weights", str(data / "lambda.txt"), "--out-model", str(out), "--iters", "1",
@@ -512,6 +522,7 @@ class TestCliCommands:
         assert run(argv) == 4
         assert message in capsys.readouterr().err
         assert not out.exists()
+        assert not (tmp_path / "ck").exists()
 
     def test_config_file_supplies_defaults_and_flags_win(self, tmp_path, capsys):
         conf = tmp_path / "gen.conf"

@@ -5,7 +5,7 @@ import pytest
 
 from semphrase import bleu, corpus, synth
 
-from bleu_reference import ref_bleu_stats
+from bleu_reference import ref_bleu_stats, ref_sentence_bleu
 from conftest import make_random_corpus
 
 NBEST_SMALL = """\
@@ -32,12 +32,12 @@ def samples_equal(a, b):
             return False
         if len(sa.candidates) != len(sb.candidates):
             return False
+        if not (np.array_equal(sa.stats, sb.stats) and np.array_equal(sa.sbleus, sb.sbleus)):
+            return False
         for ea, eb in zip(sa.candidates, sb.candidates):
             if ea.tokens != eb.tokens or ea.derivation != eb.derivation:
                 return False
             if not np.array_equal(ea.features, eb.features):
-                return False
-            if ea.sbleu != eb.sbleu or ea.stats != eb.stats:
                 return False
     return True
 
@@ -51,8 +51,8 @@ class TestLoading:
         assert len(samples[0].candidates) == 2
         assert samples[0].source == ("das", "haus")
         assert samples[0].candidates[0].tokens == ("the", "house")
-        assert samples[0].candidates[0].sbleu == 1.0
-        assert samples[0].candidates[0].stats == (2, 1, 0, 0, 2, 1, 0, 0, 2, 2)
+        assert samples[0].sbleus[0] == 1.0
+        assert samples[0].stats[0].tolist() == [2, 1, 0, 0, 2, 1, 0, 0, 2, 2]
         assert samples[0].candidates[1].features[1] == -2.0
 
     def test_derivation_mismatch_reports_line(self, tmp_path):
@@ -133,9 +133,13 @@ class TestLoading:
 
 def _assert_labelled_as_the_oracle(samples):
     for sample in samples:
-        for entry in sample.candidates:
-            assert entry.stats == ref_bleu_stats(sample.reference, entry.tokens)
-            assert entry.sbleu == bleu.sentence_bleu(sample.reference, entry.tokens)
+        n = len(sample.candidates)
+        assert sample.stats.shape == (n, 10) and sample.stats.dtype == np.int64
+        assert sample.sbleus.shape == (n,) and sample.sbleus.dtype == np.float64
+        for i, entry in enumerate(sample.candidates):
+            assert tuple(sample.stats[i].tolist()) == ref_bleu_stats(sample.reference, entry.tokens)
+            assert sample.sbleus[i] == bleu.sentence_bleu(sample.reference, entry.tokens)
+            assert abs(sample.sbleus[i] - ref_sentence_bleu(sample.reference, entry.tokens)) <= 1e-12
 
 
 class TestLabels:
@@ -146,6 +150,17 @@ class TestLabels:
     def test_generated_candidates_carry_the_oracle_rows(self):
         samples, _ = synth.generate(synth.SynthSpec(sentences=20, candidates=6, noise=0.6, seed=5))
         _assert_labelled_as_the_oracle(samples)
+
+    def test_deduplicated_candidates_carry_the_oracle_rows(self):
+        samples, _ = synth.generate(synth.SynthSpec(sentences=20, candidates=6, noise=0.2, seed=6))
+        deduped = corpus.dedupe_candidates(samples)
+        assert sum(len(s.candidates) for s in deduped) < sum(len(s.candidates) for s in samples)
+        _assert_labelled_as_the_oracle(deduped)
+
+    def test_sample_without_candidates_has_empty_labels(self):
+        sample = corpus.TrainingSample(0, ("a",), ("a",), [])
+        assert sample.stats.shape == (0, 10) and sample.stats.dtype == np.int64
+        assert sample.sbleus.shape == (0,) and sample.sbleus.dtype == np.float64
 
 
 class TestRoundTrip:

@@ -21,19 +21,17 @@ def _toy_setup(rng, arch=model.ARCH_NONLINEAR, sim_mode=None, word_level=False, 
     return samples, vocab, params, lam
 
 
-def _entry(tokens, feats, derivation, sbleu=None):
-    e = corpus.NBestEntry(tuple(tokens), np.asarray(feats, dtype=np.float64), derivation)
-    e.sbleu = sbleu
-    return e
+def _entry(tokens, feats, derivation):
+    return corpus.NBestEntry(tuple(tokens), np.asarray(feats, dtype=np.float64), derivation)
 
 
 def _uniform_sample(n_cand, sbleus=None):
+    """``n_cand`` identical candidates; ``sbleus`` replaces the sentence BLEU the sample computed."""
     pair = corpus.PhrasePair(("f",), ("e",))
-    cands = [
-        _entry(("e",), [0.5, -0.5], [pair], None if sbleus is None else sbleus[i])
-        for i in range(n_cand)
-    ]
-    return corpus.TrainingSample(0, ("f",), ("e",), cands)
+    sample = corpus.TrainingSample(0, ("f",), ("e",), [_entry(("e",), [0.5, -0.5], [pair]) for _ in range(n_cand)])
+    if sbleus is not None:
+        sample.sbleus = np.array(sbleus, dtype=np.float64)
+    return sample
 
 
 class TestFeatureMatrix:
@@ -134,24 +132,15 @@ class TestExpectedBleu:
         samples, vocab, params, lam = _toy_setup(rng)
         for sample in samples:
             probs = objective.candidate_probs(sample, params, lam, vocab)
-            sbleus = np.array([e.sbleu for e in sample.candidates])
             assert objective.expected_bleu(sample, params, lam, vocab) == pytest.approx(
-                float(probs @ sbleus), abs=1e-12
+                float(probs @ sample.sbleus), abs=1e-12
             )
 
     def test_bounded_by_sbleu_range(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=5)
         for sample in samples:
             xbleu = objective.expected_bleu(sample, params, lam, vocab)
-            sbleus = [e.sbleu for e in sample.candidates]
-            assert min(sbleus) - 1e-12 <= xbleu <= max(sbleus) + 1e-12
-
-    def test_missing_sbleu_rejected(self):
-        sample = _uniform_sample(2)
-        vocab = corpus.build_vocabulary([sample])
-        params = model.init_params(len(vocab), 2, 2, seed=0)
-        with pytest.raises(ValueError, match="sentence BLEU"):
-            objective.expected_bleu(sample, params, np.array([1.0, 0.0, 1.0]), vocab)
+            assert sample.sbleus.min() - 1e-12 <= xbleu <= sample.sbleus.max() + 1e-12
 
 
 class TestErrorTerms:
@@ -162,7 +151,7 @@ class TestErrorTerms:
         deltas = {}
         xbleu = objective.error_terms(sample, params, np.array([1.0, 0.0, 1.0]), vocab, deltas)
         assert all(v == 0.0 for v in deltas.values())
-        assert sample.candidates[0].sbleu - xbleu == 0.0
+        assert sample.sbleus[0] - xbleu == 0.0
 
     def test_pair_in_every_candidate_sums_to_zero(self, rng):
         # A pair occurring exactly once per candidate picks up the full
@@ -171,8 +160,9 @@ class TestErrorTerms:
         cands = []
         for i in range(4):
             extra = corpus.PhrasePair(("g",), (f"x{i}",))
-            cands.append(_entry(("e", f"x{i}"), [float(i), 0.0], [shared, extra], float(rng.uniform(0, 1))))
+            cands.append(_entry(("e", f"x{i}"), [float(i), 0.0], [shared, extra]))
         sample = corpus.TrainingSample(0, ("f", "g"), ("e", "x0"), cands)
+        sample.sbleus = rng.uniform(0, 1, size=4)
         vocab = corpus.build_vocabulary([sample])
         params = model.init_params(len(vocab), 3, 2, seed=3)
         deltas = {}
@@ -188,9 +178,9 @@ class TestErrorTerms:
             objective.error_terms(sample, params, lam, vocab, deltas)
             for pair, delta in deltas.items():
                 expected = 0.0
-                for entry, prob in zip(sample.candidates, probs):
+                for entry, prob, sbleu in zip(sample.candidates, probs, sample.sbleus):
                     count = sum(1 for p in entry.derivation if p == pair)
-                    expected += (entry.sbleu - xbleu) * prob * lam[-1] * count
+                    expected += (sbleu - xbleu) * prob * lam[-1] * count
                 assert delta == pytest.approx(expected, abs=1e-12)
 
     def test_centered_expectation_invariant(self, rng):
@@ -198,8 +188,7 @@ class TestErrorTerms:
         for sample in samples:
             xbleu = objective.error_terms(sample, params, lam, vocab, {})
             probs = objective.candidate_probs(sample, params, lam, vocab)
-            sbleus = np.array([e.sbleu for e in sample.candidates])
-            centered = math.fsum(probs * (sbleus - xbleu))
+            centered = math.fsum(probs * (sample.sbleus - xbleu))
             assert abs(centered) <= 1e-12
 
     def test_adds_into_prefilled_dict(self, rng):
@@ -305,8 +294,8 @@ class TestFullGradient:
         for sample in samples:
             probs = objective.candidate_probs(sample, params, lam, vocab)
             xbleu = objective.expected_bleu(sample, params, lam, vocab)
-            for entry, prob in zip(sample.candidates, probs):
-                weight = -(entry.sbleu - xbleu) * prob * lam[-1] / n
+            for entry, prob, sbleu in zip(sample.candidates, probs, sample.sbleus):
+                weight = -(sbleu - xbleu) * prob * lam[-1] / n
                 for pair in entry.derivation:
                     naive += weight * pair_gradient(pair.source, pair.target, params, vocab)
         np.testing.assert_allclose(grad, naive, atol=1e-12)

@@ -113,7 +113,7 @@ def _picks(sample, params, vocab, lam):
         for e in sample.candidates
     ]
     bases = [float(lam[:-1] @ e.features) for e in sample.candidates]
-    sbleus = [e.sbleu for e in sample.candidates]
+    sbleus = [bleu.sentence_bleu(sample.reference, e.tokens) for e in sample.candidates]
     return int(np.argmax(totals)), int(np.argmax(bases)), int(np.argmax(sbleus)), int(np.argmin(sbleus))
 
 
@@ -142,21 +142,3 @@ class TestRerankBleu:
         monkeypatch.setattr(bleu, "bleu_stats", refuse)
         assert vars(rerank.rerank(samples, params, lam, vocab)) == vars(reranked)
         assert np.array_equal(trainer.tune_lambda(samples, params, vocab, lam), tuned)
-
-    def test_missing_statistics_are_refused(self, rng):
-        samples, vocab, params = _setup(rng, n_samples=4)
-        samples[2].candidates[-1].stats = None
-        lam = random_lambda(rng)
-        with pytest.raises(ValueError, match="candidate is missing its cached BLEU statistics"):
-            rerank.rerank(samples, params, lam, vocab)
-        with pytest.raises(ValueError, match="candidate is missing its cached BLEU statistics"):
-            trainer.tune_lambda(samples, params, vocab, lam)
-
-    def test_missing_sentence_bleu_is_refused(self, rng):
-        samples, vocab, params = _setup(rng, n_samples=4)
-        samples[2].candidates[-1].sbleu = None
-        lam = random_lambda(rng)
-        with pytest.raises(ValueError, match="candidate is missing its cached sentence BLEU"):
-            rerank.rerank(samples, params, lam, vocab)
-        with pytest.raises(ValueError, match="candidate is missing its cached sentence BLEU"):
-            objective.expected_bleu(samples[2], params, lam, vocab)

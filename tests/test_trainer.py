@@ -292,7 +292,6 @@ def _narrow_optimum_set():
         for text, feats in candidates:
             tokens = tuple(text.split())
             entries.append(corpus.NBestEntry(tokens, np.array(feats), [corpus.PhrasePair(("src",), tokens)]))
-        corpus.label_candidates(entries, reference)  # labelled as load_nbest labels
         return corpus.TrainingSample(sid, ("src",), reference, entries)
 
     samples = [
