@@ -65,7 +65,7 @@ def build_parser():
     )
     sub.add_argument("--word-level", action="store_true", help="aggregate word-word similarities")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1, help="ignored: training runs single-threaded")
+    sub.add_argument("--threads", type=int, default=1, help="ignored: training runs in one thread, BLAS aside")
     sub.add_argument("--lambda-feature", type=float, default=1.0, help="similarity feature weight during training")
     sub.add_argument("--weight-decay", type=float, default=0.0)
     sub.add_argument("--checkpoint-dir")
@@ -82,7 +82,7 @@ def build_parser():
     sub.add_argument("--vocab", required=True, help="vocabulary file written at training time")
     sub.add_argument("--weights", required=True, help="weight file (M+1 lines)")
     sub.add_argument("--output", help="write selections here instead of stdout")
-    sub.add_argument("--threads", type=int, default=1, help="ignored: reranking runs single-threaded")
+    sub.add_argument("--threads", type=int, default=1, help="ignored: reranking runs in one thread, BLAS aside")
     _add_config_flag(sub)
     subs["rerank"] = sub
 

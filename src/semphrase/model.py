@@ -11,12 +11,12 @@ mean-of-max aggregation of single-token similarities.
 Parameters are immutable during a forward/gradient pass; the trainer swaps in
 fresh arrays between optimizer iterations.
 
-``objective.full_gradient``, ``objective.corpus_xbleu``,
-``trainer.tune_lambda`` and ``rerank.rerank`` each work on
-``with_projection_table(params)``, so each phrase is encoded and projected
-once per call: the table keeps its word vector and forward trace for that one
-call.  A caller's own params carry no table, so direct ``similarity`` calls
-encode and project afresh.
+``objective.full_gradient``, ``objective.corpus_xbleu``, ``trainer.tune_lambda``
+and ``rerank.rerank`` each work on ``with_projection_table(params)``, so each
+phrase is encoded and projected once per call: for that call the table keeps
+each phrase's word vector and forward trace, whose y1 and y2 rows
+``objective.backprop`` stacks.  A caller's own params carry no table, so
+direct ``similarity`` calls encode and project afresh.
 """
 
 from __future__ import annotations

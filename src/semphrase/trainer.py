@@ -12,9 +12,9 @@ with the exact line search of minimum error rate training (Och 2003): each
 weight moves to the best interval of (-``SPAN``, ``SPAN``) between the points
 where a sentence's selection changes, if that gains more than ``MIN_GAIN``.
 
-Training is bitwise reproducible for a fixed seed and configuration: every
-pass runs single-threaded in sample order, and checkpoints are written
-atomically by ``model.save_model``.
+Training is bitwise reproducible for a fixed seed, configuration, numpy/BLAS
+build and BLAS thread count: every pass runs in sample order, and checkpoints
+are written atomically by ``model.save_model``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bleu, model, objective
-from .corpus import Vocabulary, atomic_writer, build_vocabulary
+from .corpus import Vocabulary, atomic_writer, build_vocabulary, collect_phrase_pairs
 from .model import ModelParams
 
 HISTORY = 10  # curvature pairs kept by L-BFGS
@@ -191,7 +191,7 @@ class TrainConfig:
     seed: int = 0
     lambda_feature: float = 1.0  # weight of the similarity feature during training
     weight_decay: float = 0.0
-    threads: int = 1  # accepted and ignored: every pass is single-threaded
+    threads: int = 1  # accepted and ignored: every pass runs in one thread, BLAS aside
     checkpoint_dir: str | None = None
     checkpoint_interval: int = 0  # 0 disables checkpoints; a positive one needs checkpoint_dir
     init_model: str | None = None  # warm-start W1 from this model file
@@ -315,10 +315,11 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
 
     template = params
     x = model.pack_params(params)
+    pairs = collect_phrase_pairs(samples)
 
     def loss_fn(vec: np.ndarray):
         p = model.unpack_params(template, vec)
-        loss, g = objective.full_gradient(samples, p, lam, vocab)
+        loss, g = objective.full_gradient(samples, p, lam, vocab, pairs)
         if config.weight_decay != 0.0:
             loss = loss + 0.5 * config.weight_decay * float(vec @ vec)
             g = g + config.weight_decay * vec

@@ -45,11 +45,15 @@ def make_random_corpus(
 def pair_gradient(f_tokens, e_tokens, params, vocab):
     """The pair's similarity gradient in a fresh dense ``pack_params`` vector.
 
-    The naive references build one per occurrence, so they share no
-    accumulator with the two-phase ``full_gradient`` they are checked against.
+    A fresh output-gradient dict from ``sim_gradient``, carried back by
+    ``backprop``.  The naive references build one per occurrence, so they
+    share no accumulator with the two-phase ``full_gradient`` they are
+    checked against, and backpropagate each occurrence on its own.
     """
+    out_grads = {}
+    objective.sim_gradient(f_tokens, e_tokens, params, vocab, out_grads, 1.0)
     grad = np.zeros(params.size)
-    objective.sim_gradient(f_tokens, e_tokens, params, vocab, grad, 1.0)
+    objective.backprop(out_grads, params, vocab, grad)
     return grad
 
 

@@ -173,9 +173,9 @@ def test_criterion_3_two_phase_gradient_separability(monkeypatch):
         calls = []
         real = objective.sim_gradient
 
-        def counting(f_tokens, e_tokens, p, v, grad, coeff):
+        def counting(f_tokens, e_tokens, p, v, out_grads, coeff):
             calls.append((f_tokens, e_tokens))
-            return real(f_tokens, e_tokens, p, v, grad, coeff)
+            return real(f_tokens, e_tokens, p, v, out_grads, coeff)
 
         monkeypatch.setattr(objective, "sim_gradient", counting)
         _, two_phase = objective.full_gradient(samples, params, lam, vocab)

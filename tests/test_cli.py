@@ -236,6 +236,38 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert messages_1 == messages_2
 
 
+def test_training_is_reproducible_with_threaded_blas(tmp_path):
+    """Two ``train`` runs with OpenBLAS on two threads write the same model bytes and log.
+
+    With k1 = k2 = 100 over the corpus's few hundred distinct phrases, the
+    backward pass's matrix products are large enough for OpenBLAS to split
+    them across its threads.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    data = tmp_path / "data"
+    assert run(["synthgen", "--out-dir", str(data), "--concepts", "40", "--phrases-per-concept", "5",
+                "--sentences", "80", "--seed", "6"]) == 0
+
+    def train(tag):
+        model_path, log = tmp_path / f"model-{tag}.bin", tmp_path / f"train-{tag}.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "semphrase.cli", "train", "--nbest", str(data / "nbest.txt"),
+             "--refs", str(data / "refs.txt"), "--weights", str(data / "lambda.txt"),
+             "--out-model", str(model_path), "--log", str(log), "--iters", "4", "--k1", "100", "--k2", "100",
+             "--seed", "2", "--no-timing"],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return model_path.read_bytes(), log.read_bytes()
+
+    first, second = train("a"), train("b")
+    assert len(first[1].splitlines()) > 2  # header, the starting point and at least one step
+    assert first == second
+
+
 class TestCliCommands:
     def test_eval_identical_files_prints_one(self, tmp_path, capsys):
         refs = tmp_path / "refs.txt"

@@ -254,19 +254,75 @@ class TestSimGradient:
     @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
     @pytest.mark.parametrize("word_level", [False, True])
     def test_adds_scaled_gradient_into_prefilled_buffer(self, rng, arch, sim_mode, word_level):
+        """``sim_gradient`` adds into a prefilled dict, ``backprop`` into a prefilled vector."""
         tokens = tuple(f"t{i}" for i in range(6))
         vocab = corpus.Vocabulary.from_tokens((corpus.UNK_TOKEN,) + tokens)
         params = model.init_params(
             len(vocab), 4, 3, arch=arch, sim_mode=sim_mode, word_level=word_level, seed=7
         )
         f, e = ("t0", "t1", "t2"), ("t3", "t4")
-        fresh = pair_gradient(f, e, params, vocab)
-        assert np.any(fresh != 0.0)
-        start = rng.uniform(-1.0, 1.0, size=params.size)
+        fresh = {}
+        assert objective.sim_gradient(f, e, params, vocab, fresh, 1.0) is None
+        assert fresh and all(np.any(g != 0.0) for g in fresh.values())
+        width = next(iter(fresh.values())).size
+        start = {key: rng.uniform(-1.0, 1.0, size=width) for key in [*fresh, ("t5",)]}
+        out_grads = {key: g.copy() for key, g in start.items()}
         coeff = -0.37
-        grad = start.copy()
-        assert objective.sim_gradient(f, e, params, vocab, grad, coeff) is None
-        np.testing.assert_allclose(grad, start + coeff * fresh, rtol=0.0, atol=1e-15)
+        objective.sim_gradient(f, e, params, vocab, out_grads, coeff)
+        assert list(out_grads) == list(start)
+        assert np.array_equal(out_grads[("t5",)], start[("t5",)])
+        for key, g in fresh.items():
+            np.testing.assert_allclose(out_grads[key], start[key] + coeff * g, rtol=0.0, atol=1e-15)
+
+        backward = np.zeros(params.size)
+        objective.backprop(fresh, params, vocab, backward)
+        assert np.any(backward != 0.0)
+        prefilled = rng.uniform(-1.0, 1.0, size=params.size)
+        grad = prefilled.copy()
+        assert objective.backprop(fresh, params, vocab, grad) is None
+        np.testing.assert_allclose(grad, prefilled + backward, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    def test_zero_norm_cosine_pair_passes_no_gradient(self, arch):
+        vocab = corpus.Vocabulary.from_tokens((corpus.UNK_TOKEN, "a", "b", "c"))
+        params = model.init_params(len(vocab), 4, 3, arch=arch, sim_mode=model.SIM_COSINE, seed=8)
+        params.w1[vocab.token_id("b")] = 0.0  # ("b",) projects to the zero vector
+        width = params.k2 if arch == model.ARCH_NONLINEAR else params.k1
+        out_grads = {("a",): np.full(width, 0.5)}
+        objective.sim_gradient(("a",), ("b",), params, vocab, out_grads, 1.0)
+        assert list(out_grads) == [("a",)] and np.all(out_grads[("a",)] == 0.5)
+
+        zero, live = corpus.PhrasePair(("a",), ("b",)), corpus.PhrasePair(("a",), ("c",))
+        sample = corpus.TrainingSample(
+            0, ("a",), ("c",), [_entry(("b",), [0.1, 0.2], [zero]), _entry(("c",), [0.3, -0.1], [live])]
+        )
+        lam = np.array([0.5, -0.2, 1.0])
+        deltas = {}
+        objective.error_terms(sample, params, lam, vocab, deltas)
+        assert deltas[zero] != 0.0
+        _, grad = objective.full_gradient([sample], params, lam, vocab)
+        expected = -deltas[live] * pair_gradient(live.source, live.target, params, vocab)
+        np.testing.assert_allclose(grad, expected, rtol=0.0, atol=1e-15)
+        d_w1, _ = model.param_views(params, grad)
+        assert np.all(d_w1[vocab.token_id("b")] == 0.0) and np.any(d_w1[vocab.token_id("c")] != 0.0)
+
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    @pytest.mark.parametrize("e, first", [(("b", "c"), "b"), (("c", "b"), "c")], ids=["bc", "cb"])
+    def test_word_level_tie_goes_to_first_index(self, arch, e, first):
+        vocab = corpus.Vocabulary.from_tokens((corpus.UNK_TOKEN, "a", "b", "c"))
+        params = model.init_params(len(vocab), 4, 3, arch=arch, sim_mode=model.SIM_DOT, word_level=True, seed=9)
+        params.w1[vocab.token_id("c")] = params.w1[vocab.token_id("b")]  # b and c tie as a's best match
+        sims = model.token_similarity_matrix(("a",), e, params, vocab)
+        assert sims[0, 0] == sims[0, 1]
+        out_grads = {}
+        objective.sim_gradient(("a",), e, params, vocab, out_grads, 1.0)
+        u = model.project(model.encode(("a",), vocab), params).output
+        second = "c" if first == "b" else "b"
+        # a's best match is the first of the tied tokens (weight 0.5); each
+        # target token's best match is a (weight 0.25 each)
+        assert list(out_grads) == [("a",), (first,), (second,)]
+        np.testing.assert_allclose(out_grads[(first,)], 0.75 * u, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(out_grads[(second,)], 0.25 * u, rtol=0.0, atol=1e-15)
 
 
 class TestFullGradient:
@@ -285,8 +341,13 @@ class TestFullGradient:
         samples, vocab, params, lam = _toy_setup(rng, n_samples=3, max_candidates=4)
         assert objective.gradient_check(samples, params, lam, vocab) <= 1e-5
 
-    def test_two_phase_equals_naive_per_occurrence(self, rng):
-        samples, vocab, params, lam = _toy_setup(rng, n_samples=4, max_candidates=4)
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
+    @pytest.mark.parametrize("word_level", [False, True])
+    def test_two_phase_equals_naive_per_occurrence(self, rng, arch, sim_mode, word_level):
+        samples, vocab, params, lam = _toy_setup(
+            rng, arch=arch, sim_mode=sim_mode, word_level=word_level, n_samples=4, max_candidates=4
+        )
         _, grad = objective.full_gradient(samples, params, lam, vocab)
 
         naive = np.zeros(params.size)
@@ -298,6 +359,7 @@ class TestFullGradient:
                 weight = -(sbleu - xbleu) * prob * lam[-1] / n
                 for pair in entry.derivation:
                     naive += weight * pair_gradient(pair.source, pair.target, params, vocab)
+        assert np.any(naive != 0.0)
         np.testing.assert_allclose(grad, naive, atol=1e-12)
 
     def test_phase_two_visits_each_unique_pair_once(self, rng, monkeypatch):
@@ -305,9 +367,9 @@ class TestFullGradient:
         calls = []
         real = objective.sim_gradient
 
-        def counting(f_tokens, e_tokens, p, v, grad, coeff):
+        def counting(f_tokens, e_tokens, p, v, out_grads, coeff):
             calls.append((f_tokens, e_tokens))
-            return real(f_tokens, e_tokens, p, v, grad, coeff)
+            return real(f_tokens, e_tokens, p, v, out_grads, coeff)
 
         monkeypatch.setattr(objective, "sim_gradient", counting)
         objective.full_gradient(samples, params, lam, vocab)
@@ -323,6 +385,13 @@ class TestFullGradient:
         loss2, grad2 = objective.full_gradient(samples, params, lam, vocab)
         assert loss1 == loss2
         assert np.array_equal(grad1, grad2)
+
+    def test_given_pairs_change_nothing(self, rng):
+        samples, vocab, params, lam = _toy_setup(rng, n_samples=5, max_candidates=4)
+        loss, grad = objective.full_gradient(samples, params, lam, vocab)
+        given = objective.full_gradient(samples, params, lam, vocab, corpus.collect_phrase_pairs(samples))
+        assert loss == given[0]
+        assert np.array_equal(grad, given[1])
 
     def test_loss_is_negative_mean_xbleu(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=5)

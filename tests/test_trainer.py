@@ -147,6 +147,22 @@ class TestTrain:
         assert np.array_equal(r1.params.w1, r2.params.w1)
         assert [r.loss for r in r1.log.rows] == [r.loss for r in r2.log.rows]
 
+    def test_collects_the_phrase_pairs_once(self, monkeypatch):
+        samples, lam = synth.generate(_small_spec(sentences=10))
+        samples = corpus.dedupe_candidates(samples)
+        calls = []
+        real = corpus.collect_phrase_pairs
+
+        def counting(s):
+            calls.append(len(s))
+            return real(s)
+
+        for module in (trainer, objective):
+            monkeypatch.setattr(module, "collect_phrase_pairs", counting)
+        result = trainer.train(samples, _small_config(max_iterations=5), lam)
+        assert result.state.n_evals > 1
+        assert calls == [len(samples)]
+
     def test_weight_decay_changes_the_loss_surface(self):
         samples, lam = synth.generate(_small_spec(sentences=10))
         samples = corpus.dedupe_candidates(samples)
