@@ -14,9 +14,10 @@ fresh arrays between optimizer iterations.
 ``objective.full_gradient``, ``objective.corpus_xbleu``, ``trainer.tune_lambda``
 and ``rerank.rerank`` each work on ``with_projection_table(params)``, so each
 phrase is encoded and projected once per call: for that call the table keeps
-each phrase's word vector and forward trace, whose y1 and y2 rows
-``objective.backprop`` stacks.  A caller's own params carry no table, so
-direct ``similarity`` calls encode and project afresh.
+each phrase's word vector and forward trace.  ``objective.pair_similarities``
+stacks the outputs of the compiled corpus's distinct phrases from it, one row
+each, and ``objective.backprop`` their y1 and y2 rows.  A caller's own params
+carry no table, so direct ``similarity`` calls encode and project afresh.
 """
 
 from __future__ import annotations

@@ -16,8 +16,14 @@ phrase, and ``backprop`` then runs the backward pass once for all phrases
 (as DSSM, Huang et al. 2013, batches its towers).  So phase 2 costs O(k) per
 unique pair plus one backward pass per distinct phrase.
 
-Training, tuning and reranking share one log-linear score: ``feature_matrix``
-builds a sample's candidates x (M+1) matrix H and the totals are ``H @ lam``.
+Training, tuning and reranking share one log-linear score over one compiled
+corpus: ``compile_corpus`` turns the samples into arrays once per call,
+``pair_similarities`` scores every unique pair in one row-wise pass, and
+``feature_matrix`` builds the corpus's candidates x (M+1) matrix H, whose
+similarity column is one gather and ``bincount`` over the derivation
+occurrences; the totals are ``H @ lam``, sample s owning rows
+``offsets[s]:offsets[s + 1]``.  ``candidate_feature`` is the per-candidate
+reference for that column.
 
 Results are plain arrays: ``candidate_probs`` gives a sample's softmax
 probabilities, and ``full_gradient`` one flat float64 vector in the
@@ -26,89 +32,164 @@ optimizer works on and the layout ``backprop`` adds into.
 
 Each phrase is encoded and projected once per ``full_gradient`` or
 ``corpus_xbleu`` call: the table of ``model.with_projection_table(params)``
-lives for that call, and both phases and ``backprop`` read it.  ``backprop``'s
-matrix products go through BLAS, so the gradient's bits are fixed for a given
-numpy/BLAS build and BLAS thread count.  Each candidate's sentence BLEU is the
-sample's ``sbleus`` array, computed when the sample was built.
+lives for that call, ``pair_similarities`` stacks its outputs, and phase 2
+and ``backprop`` read it.  The row-wise products take one BLAS dot per pair,
+as ``model.similarity`` does, and ``backprop``'s matrix products go through
+BLAS, so the gradient's bits are fixed for a given numpy/BLAS build and BLAS
+thread count.  Each candidate's sentence BLEU is the sample's ``sbleus``
+array, computed when the sample was built.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 
 from . import model
-from .corpus import PhrasePair, TrainingSample, Vocabulary, collect_phrase_pairs
+from .corpus import TrainingSample, Vocabulary
 from .model import ModelParams
 
+SIM_BLOCK = 256  # pair rows gathered per block of row-wise products, bounding their memory
 
-def pair_similarities(samples, params: ModelParams, vocab: Vocabulary, pairs=None) -> dict[PhrasePair, float]:
-    """Similarity of every unique phrase pair in the corpus, first-occurrence order.
 
-    ``pairs``, the corpus's ``collect_phrase_pairs``, is collected here if not given.
+@dataclass(frozen=True, eq=False)
+class CompiledCorpus:
+    """A corpus as arrays, built once per ``train``, ``tune_lambda`` or ``rerank`` call.
+
+    ``pairs`` are the unique phrase pairs in order of first occurrence (the
+    ``corpus.collect_phrase_pairs`` order) and ``phrases`` the distinct
+    phrases among them; pair p joins the phrases of rows ``pair_rows[p]``
+    (source, target).  Derivation occurrence o is pair ``occ_pair[o]`` in
+    candidate ``occ_cand[o]``.  Candidates are numbered across the corpus:
+    sample s owns rows ``offsets[s]:offsets[s + 1]`` of ``features``, the
+    stacked baseline features.
     """
-    pairs = collect_phrase_pairs(samples) if pairs is None else pairs
-    return {pair: model.similarity(pair.source, pair.target, params, vocab) for pair in pairs}
+
+    pairs: tuple
+    phrases: tuple
+    pair_rows: np.ndarray  # (P, 2)
+    occ_pair: np.ndarray  # (O,)
+    occ_cand: np.ndarray  # (O,)
+    offsets: np.ndarray  # (S + 1,)
+    features: np.ndarray  # (C, M)
 
 
-def candidate_feature(entry, params: ModelParams, vocab: Vocabulary, sims=None) -> float:
+def compile_corpus(samples) -> CompiledCorpus:
+    """The arrays of ``samples`` in one corpus-wide pass; refuses a sample with no candidates."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("corpus is empty")
+    for sample in samples:
+        if not sample.candidates:
+            raise ValueError(f"sample {sample.sample_id} has no candidates")
+    entries = [entry for sample in samples for entry in sample.candidates]
+    derivations = [entry.derivation for entry in entries]
+    lengths = np.fromiter(map(len, derivations), dtype=np.intp, count=len(entries))
+    pair_id = defaultdict(count().__next__)  # numbers each pair at its first occurrence
+    occurrences = chain.from_iterable(derivations)
+    occ_pair = np.fromiter(map(pair_id.__getitem__, occurrences), dtype=np.intp, count=int(lengths.sum()))
+    phrase_id = defaultdict(count().__next__)
+    pair_rows = [(phrase_id[p.source], phrase_id[p.target]) for p in pair_id]
+    try:
+        features = np.array([entry.features for entry in entries], dtype=np.float64)
+    except ValueError:
+        raise ValueError("candidates differ in their number of baseline features") from None
+    return CompiledCorpus(
+        tuple(pair_id),
+        tuple(phrase_id),
+        np.array(pair_rows, dtype=np.intp).reshape(-1, 2),
+        occ_pair,
+        np.repeat(np.arange(len(entries)), lengths),
+        np.cumsum([0] + [len(sample.candidates) for sample in samples]),
+        features,
+    )
+
+
+def pair_similarities(compiled: CompiledCorpus, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
+    """The (P,) similarities of ``compiled.pairs``.
+
+    Each distinct phrase's output is stacked once from the projection table;
+    each pair's score is the dot product of its two rows (over the row norms
+    for cosine, 0 if either is zero), ``SIM_BLOCK`` pairs at a time.  Word-level
+    mode scores each pair with ``model.similarity``.
+    """
+    if params.word_level or not compiled.pairs:
+        return np.array([model.similarity(p.source, p.target, params, vocab) for p in compiled.pairs], dtype=float)
+    outputs = np.array([model.projection(phrase, params, vocab)[1].output for phrase in compiled.phrases])
+    sims = np.empty(len(compiled.pairs))
+    for start in range(0, sims.size, SIM_BLOCK):
+        rows = compiled.pair_rows[start : start + SIM_BLOCK]
+        # (1 x k) @ (k x 1) per pair: one BLAS dot each, as ``model.similarity`` takes it
+        products = np.matmul(outputs[rows[:, :1]], outputs[rows[:, 1:]].transpose(0, 2, 1))
+        sims[start : start + SIM_BLOCK] = products[:, 0, 0]
+    if params.sim_mode == model.SIM_COSINE:
+        norms = np.sqrt(np.matmul(outputs[:, None, :], outputs[:, :, None])[:, 0, 0])
+        scale = norms[compiled.pair_rows[:, 0]] * norms[compiled.pair_rows[:, 1]]
+        sims = np.divide(sims, scale, out=np.zeros_like(sims), where=scale > 0.0)
+    return sims
+
+
+def candidate_feature(entry, params: ModelParams, vocab: Vocabulary) -> float:
     """Phrase-similarity feature of a candidate: sum over its derivation pairs.
 
-    ``sims`` is an optional precomputed pair-similarity cache.
+    The per-candidate reference for ``feature_matrix``'s last column.
     """
-    if sims is None:
-        return math.fsum(model.similarity(p.source, p.target, params, vocab) for p in entry.derivation)
-    return math.fsum(sims[p] for p in entry.derivation)
+    return math.fsum(model.similarity(p.source, p.target, params, vocab) for p in entry.derivation)
 
 
-def feature_matrix(
-    sample: TrainingSample, params: ModelParams, vocab: Vocabulary, sims, n_weights: int
-) -> np.ndarray:
-    """The sample's candidates x (M+1) matrix H; its log-linear totals are ``H @ lam``.
+def feature_matrix(compiled: CompiledCorpus, sims: np.ndarray, n_weights: int) -> np.ndarray:
+    """The corpus's candidates x (M+1) matrix H; its log-linear totals are ``H @ lam``.
 
-    Columns are the M baseline features, then the phrase-similarity feature
-    read from ``sims``, the corpus's ``pair_similarities`` cache.
+    Columns are the M baseline features, then the phrase-similarity feature:
+    the sum of ``sims``, the ``pair_similarities`` array, over each
+    candidate's derivation occurrences.
     """
-    h = np.empty((len(sample.candidates), n_weights))
-    for i, entry in enumerate(sample.candidates):
-        if entry.features.size != n_weights - 1:
-            raise ValueError(f"candidate has {entry.features.size} baseline features, weights expect {n_weights - 1}")
-        h[i, :-1] = entry.features
-        h[i, -1] = candidate_feature(entry, params, vocab, sims)
+    n_cands, m = compiled.features.shape
+    if m != n_weights - 1:
+        raise ValueError(f"candidates have {m} baseline features, weights expect {n_weights - 1}")
+    h = np.empty((n_cands, n_weights))
+    h[:, :-1] = compiled.features
+    h[:, -1] = np.bincount(compiled.occ_cand, weights=sims[compiled.occ_pair], minlength=n_cands)
     return h
 
 
 def candidate_probs(
-    sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, sims=None
+    sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, totals=None
 ) -> np.ndarray:
-    """Softmax probabilities of one N-best list's candidates under the totals ``H @ lam``."""
+    """Softmax probabilities of one N-best list's candidates under the totals ``H @ lam``.
+
+    ``totals``, the sample's rows of ``H @ lam``, are computed here if not given.
+    """
     lam = np.asarray(lam, dtype=np.float64)
-    if sims is None:
-        sims = pair_similarities([sample], params, vocab)
-    totals = feature_matrix(sample, params, vocab, sims, lam.size) @ lam
+    if totals is None:
+        compiled = compile_corpus([sample])
+        totals = feature_matrix(compiled, pair_similarities(compiled, params, vocab), lam.size) @ lam
     exps = np.exp(totals - totals.max())
     return exps / math.fsum(exps.tolist())
 
 
 def expected_bleu(
-    sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, sims=None
+    sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, totals=None
 ) -> float:
-    """Probability-weighted mean sentence BLEU of one N-best list."""
-    probs = candidate_probs(sample, params, lam, vocab, sims)
+    """Probability-weighted mean sentence BLEU of one N-best list; ``totals`` as for ``candidate_probs``."""
+    probs = candidate_probs(sample, params, lam, vocab, totals)
     return math.fsum((probs * sample.sbleus).tolist())
 
 
 def error_terms(
-    sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, deltas, sims=None
+    sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, deltas, totals=None
 ) -> float:
     """Add how the sample's expected BLEU moves with each phrase pair's similarity into ``deltas``.
 
     Each occurrence of a pair in a candidate's derivation adds the feature
     weight times prob * (sbleu - xbleu) to ``deltas[pair]``.  Returns
-    ``xbleu``, the sample's expected BLEU.
+    ``xbleu``, the sample's expected BLEU; ``totals`` as for ``candidate_probs``.
     """
-    probs = candidate_probs(sample, params, lam, vocab, sims)
+    probs = candidate_probs(sample, params, lam, vocab, totals)
     xbleu = math.fsum((probs * sample.sbleus).tolist())
     terms = float(lam[-1]) * (probs * (sample.sbleus - xbleu))
     for entry, term in zip(sample.candidates, terms.tolist()):
@@ -182,22 +263,27 @@ def backprop(out_grads, params: ModelParams, vocab: Vocabulary, grad: np.ndarray
 
 
 def full_gradient(
-    samples, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, pairs=None
+    samples, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, compiled: CompiledCorpus | None = None
 ) -> tuple[float, np.ndarray]:
     """Corpus loss (negative mean expected BLEU) and its gradient in ``pack_params`` layout.
 
     Phase 1 adds every sample's error terms into one dict in sample order;
     phase 2 adds ``sim_gradient`` of each unique pair into one dict, which
-    ``backprop`` carries into one vector.  ``pairs`` is as for ``pair_similarities``.
-    The result matches the naive per-occurrence summation to floating-point accuracy.
+    ``backprop`` carries into one vector.  ``compiled``, the samples'
+    ``compile_corpus``, is built here if not given.  The result matches the
+    naive per-occurrence summation to floating-point accuracy.
     """
     samples = list(samples)
-    if not samples:
-        raise ValueError("corpus is empty")
+    compiled = compile_corpus(samples) if compiled is None else compiled
+    lam = np.asarray(lam, dtype=np.float64)
     params = model.with_projection_table(params)
-    sims = pair_similarities(samples, params, vocab, pairs)
-    total_delta = dict.fromkeys(sims, 0.0)
-    xbleus = [error_terms(sample, params, lam, vocab, total_delta, sims) for sample in samples]
+    totals = feature_matrix(compiled, pair_similarities(compiled, params, vocab), lam.size) @ lam
+    total_delta = dict.fromkeys(compiled.pairs, 0.0)
+    bounds = compiled.offsets.tolist()
+    xbleus = [
+        error_terms(sample, params, lam, vocab, total_delta, totals[a:b])
+        for sample, a, b in zip(samples, bounds, bounds[1:])
+    ]
     n = len(samples)
     out_grads = {}
     for pair, delta in total_delta.items():
@@ -210,11 +296,13 @@ def full_gradient(
 def corpus_xbleu(samples, params: ModelParams, lam: np.ndarray, vocab: Vocabulary) -> float:
     """Mean expected BLEU over the corpus (the negated training loss)."""
     samples = list(samples)
-    if not samples:
-        raise ValueError("corpus is empty")
+    compiled = compile_corpus(samples)
+    lam = np.asarray(lam, dtype=np.float64)
     params = model.with_projection_table(params)
-    sims = pair_similarities(samples, params, vocab)
-    return math.fsum(expected_bleu(s, params, lam, vocab, sims) for s in samples) / len(samples)
+    totals = feature_matrix(compiled, pair_similarities(compiled, params, vocab), lam.size) @ lam
+    bounds = compiled.offsets.tolist()
+    xbleus = [expected_bleu(s, params, lam, vocab, totals[a:b]) for s, a, b in zip(samples, bounds, bounds[1:])]
+    return math.fsum(xbleus) / len(samples)
 
 
 def finite_difference(fn, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -236,11 +324,13 @@ def gradient_check(
 ) -> float:
     """Max relative error between the analytic corpus gradient and central differences."""
     x0 = model.pack_params(params)
+    samples = list(samples)
+    compiled = compile_corpus(samples)
 
     def loss_at(vec: np.ndarray) -> float:
-        return full_gradient(samples, model.unpack_params(params, vec), lam, vocab)[0]
+        return full_gradient(samples, model.unpack_params(params, vec), lam, vocab, compiled)[0]
 
-    analytic = full_gradient(samples, params, lam, vocab)[1]
+    analytic = full_gradient(samples, params, lam, vocab, compiled)[1]
     numeric = finite_difference(loss_at, x0, step)
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
     return float(rel.max())

@@ -1,9 +1,10 @@
 """N-best list reranking with the learned phrase-similarity feature.
 
-Each candidate's score is the log-linear total ``H @ lam`` over the rows of
-``objective.feature_matrix``: the baseline features, then the similarity
-feature (the sum of phrase-pair similarities over the candidate's
-derivation), the same score that tuning optimizes.  The highest-scoring
+Each candidate's score is the log-linear total ``H @ lam`` over its row of
+``objective.feature_matrix``, built once for the compiled corpus: the
+baseline features, then the similarity feature (the sum of phrase-pair
+similarities over the candidate's derivation), the same score that tuning
+optimizes.  The highest-scoring
 candidate wins, ties going to the lowest candidate index.  Alongside the
 reranked corpus BLEU the result reports the baseline selection (similarity
 feature switched off) and the oracle best/worst selections by each sample's
@@ -46,18 +47,18 @@ def rerank(samples, params: ModelParams, lam, vocab: Vocabulary) -> RerankResult
     if not samples:
         raise ValueError("nothing to rerank")
     lam = np.asarray(lam, dtype=np.float64)
-    params = model.with_projection_table(params)
-    sims = objective.pair_similarities(samples, params, vocab)
+    compiled = objective.compile_corpus(samples)
+    sims = objective.pair_similarities(compiled, model.with_projection_table(params), vocab)
+    h = objective.feature_matrix(compiled, sims, lam.size)
+    totals, bases = h @ lam, h[:, :-1] @ lam[:-1]
+    bounds = compiled.offsets.tolist()
 
     selections = []
     picked_rows = []  # per sample: the statistics rows of its four picks
-    for sample in samples:
-        h = objective.feature_matrix(sample, params, vocab, sims, lam.size)
-        totals = h @ lam
-        idx = int(np.argmax(totals))  # first maximum wins ties
-        selections.append(Selection(sample.sample_id, idx, float(totals[idx]), float(h[idx, -1])))
-        base_idx = int(np.argmax(h[:, :-1] @ lam[:-1]))
-        picks = (idx, base_idx, int(np.argmax(sample.sbleus)), int(np.argmin(sample.sbleus)))
+    for sample, a, b in zip(samples, bounds, bounds[1:]):
+        idx = a + int(np.argmax(totals[a:b]))  # first maximum wins ties
+        selections.append(Selection(sample.sample_id, idx - a, float(totals[idx]), float(h[idx, -1])))
+        picks = (idx - a, int(np.argmax(bases[a:b])), int(np.argmax(sample.sbleus)), int(np.argmin(sample.sbleus)))
         picked_rows.append(sample.stats[list(picks)])
 
     reranked, baseline, best, worst = bleu.corpus_bleu_rows(np.sum(picked_rows, axis=0)).tolist()

@@ -11,6 +11,9 @@ on dev-set corpus BLEU of the ``H @ lam`` argmax that reranking selects by,
 with the exact line search of minimum error rate training (Och 2003): each
 weight moves to the best interval of (-``SPAN``, ``SPAN``) between the points
 where a sentence's selection changes, if that gains more than ``MIN_GAIN``.
+``train`` and ``tune_lambda`` each compile their corpus once
+(``objective.compile_corpus``): training passes it to every evaluation, and
+tuning reads each dev sentence's rows of one ``objective.feature_matrix``.
 
 Training is bitwise reproducible for a fixed seed, configuration, numpy/BLAS
 build and BLAS thread count: every pass runs in sample order, and checkpoints
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bleu, model, objective
-from .corpus import Vocabulary, atomic_writer, build_vocabulary, collect_phrase_pairs
+from .corpus import Vocabulary, atomic_writer, build_vocabulary
 from .model import ModelParams
 
 HISTORY = 10  # curvature pairs kept by L-BFGS
@@ -315,11 +318,11 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
 
     template = params
     x = model.pack_params(params)
-    pairs = collect_phrase_pairs(samples)
+    compiled = objective.compile_corpus(samples)
 
     def loss_fn(vec: np.ndarray):
         p = model.unpack_params(template, vec)
-        loss, g = objective.full_gradient(samples, p, lam, vocab, pairs)
+        loss, g = objective.full_gradient(samples, p, lam, vocab, compiled)
         if config.weight_decay != 0.0:
             loss = loss + 0.5 * config.weight_decay * float(vec @ vec)
             g = g + config.weight_decay * vec
@@ -427,9 +430,11 @@ def tune_lambda(
     if not dev_samples:
         raise ValueError("no dev samples")
     lam = np.asarray(lam_init, dtype=np.float64).copy()
-    params = model.with_projection_table(params)
-    sims = objective.pair_similarities(dev_samples, params, vocab)
-    feature_rows = [objective.feature_matrix(s, params, vocab, sims, lam.size) for s in dev_samples]
+    compiled = objective.compile_corpus(dev_samples)
+    sims = objective.pair_similarities(compiled, model.with_projection_table(params), vocab)
+    h = objective.feature_matrix(compiled, sims, lam.size)
+    bounds = compiled.offsets.tolist()
+    feature_rows = [h[a:b] for a, b in zip(bounds, bounds[1:])]
     stats = [s.stats for s in dev_samples]
     chosen = sum(st[np.argmax(h @ lam)] for h, st in zip(feature_rows, stats))  # ties: lowest index
     best = float(bleu.corpus_bleu_rows(chosen)[0])

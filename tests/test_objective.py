@@ -37,12 +37,78 @@ def _uniform_sample(n_cand, sbleus=None):
 class TestFeatureMatrix:
     def test_total_decomposition(self, rng):
         samples, vocab, params, lam = _toy_setup(rng)
-        sample = samples[0]
-        sims = objective.pair_similarities([sample], params, vocab)
-        totals = objective.feature_matrix(sample, params, vocab, sims, lam.size) @ lam
-        for entry, total in zip(sample.candidates, totals):
+        compiled = objective.compile_corpus(samples)
+        sims = objective.pair_similarities(compiled, params, vocab)
+        totals = objective.feature_matrix(compiled, sims, lam.size) @ lam
+        entries = [entry for sample in samples for entry in sample.candidates]
+        for entry, total in zip(entries, totals, strict=True):
             expected = lam[:-1] @ entry.features + lam[-1] * objective.candidate_feature(entry, params, vocab)
             assert total == pytest.approx(expected, abs=1e-12)
+
+
+def _with_edge_cases(samples):
+    """``samples`` plus one N-best list that repeats a pair inside a derivation and uses the phrase ("z",)."""
+    twice = corpus.PhrasePair(("t0", "t1"), ("t2",))
+    zero = corpus.PhrasePair(("z",), ("t3",))
+    other = corpus.PhrasePair(("t4",), ("z",))
+    candidates = [
+        _entry(("t2", "t2"), [0.3, -0.1], [twice, twice]),
+        _entry(("t3", "z"), [0.1, 0.4], [zero, other]),
+        _entry(("t2", "t3", "t2"), [-0.2, 0.2], [twice, zero, twice]),
+    ]
+    return [*samples, corpus.TrainingSample(99, ("t0", "t1", "z"), ("t2", "t3"), candidates)]
+
+
+class TestCompiledCorpus:
+    def test_arrays_reproduce_the_samples(self, rng):
+        samples = _with_edge_cases(make_random_corpus(rng, n_samples=6, max_candidates=5))
+        compiled = objective.compile_corpus(samples)
+        unique = corpus.collect_phrase_pairs(samples)
+        assert list(compiled.pairs) == list(unique)
+        assert len(set(compiled.phrases)) == len(compiled.phrases)
+        assert [(compiled.phrases[f], compiled.phrases[e]) for f, e in compiled.pair_rows.tolist()] == list(unique)
+        entries = [entry for sample in samples for entry in sample.candidates]
+        assert compiled.offsets.tolist() == np.cumsum([0] + [len(s.candidates) for s in samples]).tolist()
+        rebuilt = [[] for _ in entries]
+        for pair, cand in zip(compiled.occ_pair.tolist(), compiled.occ_cand.tolist(), strict=True):
+            rebuilt[cand].append(compiled.pairs[pair])
+        assert rebuilt == [entry.derivation for entry in entries]
+        assert np.array_equal(compiled.features, np.array([entry.features for entry in entries]))
+
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
+    @pytest.mark.parametrize("word_level", [False, True])
+    def test_feature_column_matches_candidate_feature(self, rng, monkeypatch, arch, sim_mode, word_level):
+        monkeypatch.setattr(objective, "SIM_BLOCK", 3)  # several blocks, the last one partial
+        samples = _with_edge_cases(make_random_corpus(rng, n_samples=6, max_candidates=4))
+        vocab = corpus.build_vocabulary(samples)
+        params = model.init_params(len(vocab), 4, 3, arch=arch, sim_mode=sim_mode, word_level=word_level, seed=10)
+        params.w1[vocab.token_id("z")] = 0.0  # ("z",) projects to the zero vector
+        compiled = objective.compile_corpus(samples)
+        assert len(compiled.pairs) > 2 * objective.SIM_BLOCK
+        sims = objective.pair_similarities(compiled, params, vocab)
+        for pair, sim in zip(compiled.pairs, sims.tolist(), strict=True):
+            assert sim == pytest.approx(model.similarity(pair.source, pair.target, params, vocab), rel=0.0, abs=1e-15)
+        if sim_mode == model.SIM_COSINE and not word_level:
+            assert sims[compiled.pairs.index(corpus.PhrasePair(("z",), ("t3",)))] == 0.0
+        column = objective.feature_matrix(compiled, sims, 3)[:, -1]
+        entries = [entry for sample in samples for entry in sample.candidates]
+        reference = [objective.candidate_feature(entry, params, vocab) for entry in entries]
+        np.testing.assert_allclose(column, reference, rtol=0.0, atol=1e-12)
+        assert np.any(column != 0.0)
+
+    @pytest.mark.parametrize("entry_point", ["full_gradient", "corpus_xbleu", "rerank", "tune_lambda"])
+    def test_sample_without_candidates_is_refused_by_id(self, rng, entry_point):
+        samples, vocab, params, lam = _toy_setup(rng, n_samples=3)
+        samples.insert(1, corpus.TrainingSample(7, ("t0",), ("t1",), []))
+        run = {
+            "full_gradient": lambda: objective.full_gradient(samples, params, lam, vocab),
+            "corpus_xbleu": lambda: objective.corpus_xbleu(samples, params, lam, vocab),
+            "rerank": lambda: rerank.rerank(samples, params, lam, vocab),
+            "tune_lambda": lambda: trainer.tune_lambda(samples, params, vocab, lam),
+        }[entry_point]
+        with pytest.raises(ValueError, match=r"^sample 7 has no candidates$"):
+            run()
 
 
 class TestCandidateFeature:
@@ -99,8 +165,9 @@ class TestCandidateProbs:
         samples, vocab, params, lam = _toy_setup(rng)
         for sample in samples:
             probs = objective.candidate_probs(sample, params, lam, vocab)
-            sims = objective.pair_similarities([sample], params, vocab)
-            totals = objective.feature_matrix(sample, params, vocab, sims, lam.size) @ lam
+            compiled = objective.compile_corpus([sample])
+            sims = objective.pair_similarities(compiled, params, vocab)
+            totals = objective.feature_matrix(compiled, sims, lam.size) @ lam
             direct = np.exp(totals) / np.exp(totals).sum()
             np.testing.assert_allclose(probs, direct, atol=1e-12)
             assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
@@ -389,7 +456,7 @@ class TestFullGradient:
     def test_given_pairs_change_nothing(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=5, max_candidates=4)
         loss, grad = objective.full_gradient(samples, params, lam, vocab)
-        given = objective.full_gradient(samples, params, lam, vocab, corpus.collect_phrase_pairs(samples))
+        given = objective.full_gradient(samples, params, lam, vocab, objective.compile_corpus(samples))
         assert loss == given[0]
         assert np.array_equal(grad, given[1])
 

@@ -130,6 +130,28 @@ class TestRerankBleu:
                 pairs = [(s.reference, s.candidates[p[k]].tokens) for s, p in zip(samples, picks)]
                 assert value == bleu.corpus_bleu(pairs)
 
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
+    @pytest.mark.parametrize("word_level", [False, True])
+    def test_selections_match_picks_with_exact_ties(self, rng, arch, sim_mode, word_level):
+        samples = make_random_corpus(rng, n_samples=8, max_candidates=5)
+        # Similarity is symmetric, so [ a # b ] and [ b # a ] tie exactly; the first of them must win.
+        ab, ba = corpus.PhrasePair(("t0",), ("t1", "t2")), corpus.PhrasePair(("t1", "t2"), ("t0",))
+        twice = corpus.PhrasePair(("t3",), ("t3",))
+        candidates = [
+            corpus.NBestEntry(("t0",), np.array([-50.0, 0.0]), [ba]),
+            corpus.NBestEntry(("t1", "t2", "t3", "t3"), np.array([0.5, 0.25]), [ab, twice, twice]),
+            corpus.NBestEntry(("t0", "t3", "t3"), np.array([0.5, 0.25]), [ba, twice, twice]),
+        ]
+        for position in (0, 4, len(samples)):
+            samples.insert(position, corpus.TrainingSample(100 + position, ("t0", "t3"), ("t1", "t2"), candidates))
+        vocab = corpus.build_vocabulary(samples)
+        params = model.init_params(len(vocab), 4, 3, arch=arch, sim_mode=sim_mode, word_level=word_level, seed=22)
+        lam = np.array([1.0, 0.5, 0.8])
+        result = rerank.rerank(samples, params, lam, vocab)
+        assert [sel.index for sel in result.selections] == [_picks(s, params, vocab, lam)[0] for s in samples]
+        assert [sel.index for sel in result.selections if sel.sample_id >= 100] == [1, 1, 1]
+
     def test_rerank_and_tune_lambda_make_no_stats_call(self, rng, monkeypatch):
         samples, vocab, params = _setup(rng, n_samples=8, max_candidates=3)
         lam = random_lambda(rng)

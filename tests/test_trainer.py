@@ -148,20 +148,25 @@ class TestTrain:
         assert [r.loss for r in r1.log.rows] == [r.loss for r in r2.log.rows]
 
     def test_collects_the_phrase_pairs_once(self, monkeypatch):
+        """One compile, which numbers the phrase pairs, per ``train`` call, however many evaluations."""
         samples, lam = synth.generate(_small_spec(sentences=10))
         samples = corpus.dedupe_candidates(samples)
-        calls = []
-        real = corpus.collect_phrase_pairs
+        calls, compiles = [], []
+        real_collect, real_compile = corpus.collect_phrase_pairs, objective.compile_corpus
 
         def counting(s):
             calls.append(len(s))
-            return real(s)
+            return real_collect(s)
 
-        for module in (trainer, objective):
-            monkeypatch.setattr(module, "collect_phrase_pairs", counting)
+        def compiling(s):
+            compiles.append(len(s))
+            return real_compile(s)
+
+        monkeypatch.setattr(corpus, "collect_phrase_pairs", counting)
+        monkeypatch.setattr(objective, "compile_corpus", compiling)
         result = trainer.train(samples, _small_config(max_iterations=5), lam)
         assert result.state.n_evals > 1
-        assert calls == [len(samples)]
+        assert compiles == [len(samples)] and calls == []
 
     def test_weight_decay_changes_the_loss_surface(self):
         samples, lam = synth.generate(_small_spec(sentences=10))
@@ -335,20 +340,26 @@ class TestTuneLambda:
         assert np.array_equal(tuned, lam0)
 
     def test_similarity_once_per_unique_dev_pair(self, rng, monkeypatch):
+        """One ``pair_similarities`` array per call, one entry per unique dev pair, each its pair's similarity."""
         samples, vocab, params = _dev_set_for_tuning(rng)
         calls = []
-        real = model.similarity
+        real = objective.pair_similarities
 
-        def counting(f_tokens, e_tokens, p, v):
-            calls.append((f_tokens, e_tokens))
-            return real(f_tokens, e_tokens, p, v)
+        def recording(compiled, p, v):
+            sims = real(compiled, p, v)
+            calls.append((compiled.pairs, sims))
+            return sims
 
-        monkeypatch.setattr(model, "similarity", counting)
+        monkeypatch.setattr(objective, "pair_similarities", recording)
         trainer.tune_lambda(samples, params, vocab, np.array([0.3, 1.0]))
+        assert len(calls) == 1
+        pairs, sims = calls[0]
         unique = corpus.collect_phrase_pairs(samples)
-        assert len(calls) == len(unique)
-        assert len(set(calls)) == len(calls)
-        assert len(calls) < sum(unique.values())
+        assert list(pairs) == list(unique)
+        assert sims.shape == (len(unique),)
+        assert len(unique) < sum(unique.values())
+        for pair, sim in zip(pairs, sims.tolist()):
+            assert sim == pytest.approx(model.similarity(pair.source, pair.target, params, vocab), rel=0.0, abs=1e-15)
 
     def test_lands_in_interval_narrower_than_grid_step(self):
         samples, vocab, params = _narrow_optimum_set()
