@@ -16,18 +16,17 @@ The statistics of one (reference, candidate) pair are one row of
 candidate's n-gram totals for n = 1..4, the candidate length and the
 reference length.  Corpus BLEU reads the column sums of such rows.
 
-The n-grams of every order are counted in one pass over a sentence.  The
-reference is folded and counted once per run of calls that share it.  Only
-building a ``corpus.TrainingSample`` walks candidates against a reference:
-the sample keeps each candidate's row and the sentence BLEU of that row, and
-training, tuning and reranking read the kept arrays.
+``stats_rows`` is the one n-gram counter: it labels every candidate of a
+whole corpus in one array pass, folding each distinct token once.
+``bleu_stats``, ``sentence_bleu`` and ``corpus_bleu`` call it.  Only
+building ``corpus.TrainingSample`` objects walks candidates against their
+references: each sample keeps its candidates' rows and the sentence BLEU of
+each row, and training, tuning and reranking read the kept arrays.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -38,35 +37,73 @@ MAX_ORDER = 4
 SMOOTHING_TAG = "add-one-orders-2-plus"
 
 
-def _fold(tokens) -> list[str]:
-    return [t.lower() for t in tokens]
+def stats_rows(references, candidate_lists) -> np.ndarray:
+    """The ``bleu_stats`` rows of every candidate of every sample, in one array pass.
 
+    ``references[s]`` is sample s's reference and ``candidate_lists[s]`` the
+    token sequences of its candidates.  The result is a (C, 10) int64 array,
+    one row per candidate in sample order, candidates in list order.
 
-def _ngram_counts(tokens: list[str]) -> Counter:
-    """The n-gram tuples of every order 1..MAX_ORDER, counted in one C-level pass."""
-    shifted = [tokens[k:] for k in range(MAX_ORDER)]
-    return Counter(chain.from_iterable(zip(*shifted[:n]) for n in range(1, MAX_ORDER + 1)))
-
-
-@lru_cache(maxsize=1)
-def _reference_counts(reference: tuple) -> tuple[Counter, int]:
-    """The n-gram counts and length of a reference; callers must not mutate the counts."""
-    ref = _fold(reference)
-    if not ref:
+    Each distinct token is folded once and given an id.  For each order n,
+    every n-gram that does not span two sentences gets the id of its
+    (sample, n-gram) pair, numbered densely so that the next order's codes
+    fit int64.  The references' counts of these ids clip each candidate's.
+    """
+    references = [tuple(r) for r in references]
+    candidates = [tuple(c) for cands in candidate_lists for c in cands]
+    per_sample = np.array([len(cands) for cands in candidate_lists], dtype=np.int64)
+    if len(per_sample) != len(references):
+        raise ValueError(f"{len(references)} references for {len(per_sample)} candidate lists")
+    if not all(references):
         raise ValueError("reference must be non-empty")
-    return _ngram_counts(ref), len(ref)
+    n_refs, n_cands = len(references), len(candidates)
+    sentences = references + candidates
+    lens = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    sample_of = np.repeat(np.arange(n_refs), per_sample)
+
+    folded: dict[str, int] = {}
+    distinct_tokens = dict.fromkeys(chain.from_iterable(sentences))
+    token_id = {t: folded.setdefault(t.lower(), len(folded)) for t in distinct_tokens}
+    ids = np.fromiter(map(token_id.__getitem__, chain.from_iterable(sentences)), np.int64, int(lens.sum()))
+    # Each position's sentence and the end of that sentence.  The references
+    # come first, so candidate positions start at ``ref_tokens``.
+    sentence = np.repeat(np.arange(len(sentences)), lens)
+    ends = np.cumsum(lens)
+    ref_tokens = int(lens[:n_refs].sum())
+
+    rows = np.zeros((n_cands, 2 * MAX_ORDER + 2), dtype=np.int64)
+    pos = np.arange(len(ids))
+    grams = np.concatenate([np.arange(n_refs), sample_of])[sentence]  # order 0: each position's sample
+    for n in range(1, MAX_ORDER + 1):
+        keep = pos + n <= ends[sentence[pos]]
+        pos = pos[keep]
+        grams = grams[keep] * len(folded) + ids[pos + n - 1]
+        distinct, grams = np.unique(grams, return_inverse=True)
+        n_grams = len(distinct)
+        split = np.searchsorted(pos, ref_tokens)
+        in_references = np.bincount(grams[:split], minlength=n_grams)
+        rows[:, n - 1] = _clipped_matches(sentence[pos[split:]] - n_refs, grams[split:], in_references, n_cands)
+        rows[:, MAX_ORDER + n - 1] = np.maximum(lens[n_refs:] - (n - 1), 0)
+    rows[:, -2] = lens[n_refs:]
+    rows[:, -1] = lens[sample_of]
+    return rows
+
+
+def _clipped_matches(cand, grams, in_references, n_cands) -> np.ndarray:
+    """Each candidate's n-gram count clipped by its reference's, summed over its n-grams.
+
+    Position i of a candidate holds n-gram id ``grams[i]`` and belongs to
+    candidate ``cand[i]``; the references hold id g ``in_references[g]`` times.
+    """
+    width = len(in_references)
+    keys, counts = np.unique(cand * width + grams, return_counts=True)
+    cand, gram = np.divmod(keys, width)
+    return np.bincount(cand, weights=np.minimum(counts, in_references[gram]), minlength=n_cands)
 
 
 def bleu_stats(reference, candidate) -> tuple[int, ...]:
     """The statistics row of one sentence pair: matches, totals, candidate and reference length."""
-    ref_counts, ref_len = _reference_counts(tuple(reference))
-    cand = _fold(candidate)
-    cand_counts = _ngram_counts(cand)
-    matches = [0] * MAX_ORDER
-    for g in cand_counts.keys() & ref_counts.keys():
-        matches[len(g) - 1] += min(cand_counts[g], ref_counts[g])
-    totals = [max(len(cand) - k, 0) for k in range(MAX_ORDER)]
-    return (*matches, *totals, len(cand), ref_len)
+    return tuple(stats_rows([reference], [[candidate]])[0].tolist())
 
 
 def _brevity_penalty(candidate_len: int, reference_len: int) -> float:
@@ -126,4 +163,5 @@ def corpus_bleu_from_stats(rows) -> float:
 
 def corpus_bleu(pairs) -> float:
     """Corpus BLEU over (reference, candidate) token-sequence pairs."""
-    return corpus_bleu_from_stats(bleu_stats(ref, cand) for ref, cand in pairs)
+    pairs = list(pairs)
+    return corpus_bleu_from_stats(stats_rows([ref for ref, _ in pairs], [[cand] for _, cand in pairs]))

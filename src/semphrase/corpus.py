@@ -15,11 +15,14 @@ File formats (UTF-8, fields separated by ``|||``):
 Tokens are lowercased at load time, and loaded corpora are immutable by
 convention.  A phrase pair is a tuple value: ``PhrasePair(s, t)`` hashes and
 compares as the plain tuple ``(s, t)``, so every per-pair dict keys on it in C.
-A ``TrainingSample`` labels its candidates when it is built: ``stats`` holds
-the (n, 10) ``bleu.bleu_stats`` rows of its n candidates against the
-reference and ``sbleus`` the sentence BLEU of each row.  Training reads
-``sbleus``, tuning reads ``stats`` and reranking reads both.  Every file the
-package writes goes through ``atomic_writer``.
+A ``TrainingSample`` is labelled when it is built: ``stats`` holds the
+(n, 10) ``bleu.bleu_stats`` rows of its n candidates against the reference
+and ``sbleus`` the sentence BLEU of each row.  ``load_nbest`` and
+``label_samples`` label a whole corpus with one ``bleu.stats_rows`` call and
+hand each sample its slice of the rows; a sample built directly labels
+itself as a corpus of one.  Training reads ``sbleus``, tuning reads
+``stats`` and reranking reads both.  Every file the package writes goes
+through ``atomic_writer``.
 """
 
 from __future__ import annotations
@@ -105,20 +108,39 @@ class TrainingSample:
     """A source sentence, its reference, and the candidate list for it, labelled once when built.
 
     ``stats`` is the (n, 10) int64 array of the candidates' ``bleu.bleu_stats``
-    rows against ``reference``, and ``sbleus`` the (n,) sentence BLEU of each row.
+    rows against ``reference``, and ``sbleus`` the (n,) sentence BLEU of each
+    row.  ``stats`` may be given when the rows are already known (as
+    ``label_samples`` and ``dedupe_candidates`` do); otherwise the sample
+    labels itself with ``bleu.stats_rows``.
     """
 
     sample_id: int
     source: tuple[str, ...]
     reference: tuple[str, ...]
     candidates: list[NBestEntry]
-    stats: np.ndarray = field(init=False)
+    stats: np.ndarray | None = None
     sbleus: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rows = [bleu.bleu_stats(self.reference, entry.tokens) for entry in self.candidates]
-        self.stats = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * bleu.MAX_ORDER + 2)
+        if self.stats is None:
+            self.stats = bleu.stats_rows([self.reference], [[entry.tokens for entry in self.candidates]])
+        if self.stats.shape != (len(self.candidates), 2 * bleu.MAX_ORDER + 2):
+            raise ValueError(f"stats of shape {self.stats.shape} for {len(self.candidates)} candidates")
+        rows = self.stats.tolist()
         self.sbleus = np.array([bleu.sentence_bleu_from_stats(row) for row in rows], dtype=np.float64)
+
+
+def label_samples(parts) -> list[TrainingSample]:
+    """``TrainingSample(*part)`` of each (sample_id, source, reference, candidates) part.
+
+    The whole corpus is labelled with one ``bleu.stats_rows`` call, and each
+    sample keeps its slice of the rows.
+    """
+    parts = list(parts)
+    candidate_lists = [[entry.tokens for entry in candidates] for *_, candidates in parts]
+    rows = bleu.stats_rows([reference for _, _, reference, _ in parts], candidate_lists)
+    ends = np.cumsum([len(candidates) for candidates in candidate_lists], dtype=np.int64)
+    return [TrainingSample(*part, block) for part, block in zip(parts, np.split(rows, ends[:-1]))]
 
 
 @contextmanager
@@ -263,37 +285,31 @@ def parse_nbest(path) -> dict[int, list[NBestEntry]]:
             by_id.setdefault(sent_id, []).append(entry)
     if not by_id:
         raise CorpusError("N-best file is empty", path)
-    return {sent_id: _first_occurrences(entries) for sent_id, entries in by_id.items()}
+    return {sent_id: [entries[i] for i in _first_occurrences(entries)] for sent_id, entries in by_id.items()}
 
 
-def _first_occurrences(entries) -> list[NBestEntry]:
-    """The entries with exact duplicate (tokens, derivation) candidates collapsed to the first."""
-    seen = set()
-    kept = []
-    for entry in entries:
-        key = (entry.tokens, tuple(entry.derivation))
-        if key not in seen:
-            seen.add(key)
-            kept.append(entry)
-    return kept
+def _first_occurrences(entries) -> list[int]:
+    """Indices of the entries left when exact duplicate (tokens, derivation) candidates collapse to the first."""
+    first = {}
+    for i, entry in enumerate(entries):
+        first.setdefault((entry.tokens, tuple(entry.derivation)), i)
+    return list(first.values())
 
 
 def load_nbest(path, references) -> list[TrainingSample]:
     """Load an N-best file, pairing candidates with ``load_references`` output.
 
-    Every sentence id must have both a reference and candidates.
+    Every sentence id must have both a reference and candidates.  The whole
+    file is labelled with one ``bleu.stats_rows`` call.
     """
     by_id = parse_nbest(path)
     unmatched = sorted(set(references) - set(by_id))
     if unmatched:
         raise CorpusError(f"reference ids {unmatched[:5]} have no candidates", path)
-    samples = []
-    for sent_id, entries in by_id.items():
+    for sent_id in by_id:
         if sent_id not in references:
             raise CorpusError(f"sentence id {sent_id} missing from reference file", path)
-        source, reference = references[sent_id]
-        samples.append(TrainingSample(sent_id, source, reference, entries))
-    return samples
+    return label_samples((sent_id, *references[sent_id], entries) for sent_id, entries in by_id.items())
 
 
 def load_samples(nbest_path, refs_path) -> list[TrainingSample]:
@@ -324,12 +340,16 @@ def save_references(samples, path) -> None:
 def dedupe_candidates(samples) -> list[TrainingSample]:
     """Collapse exact duplicate (tokens, derivation) candidates, keeping the first.
 
-    Mirrors what ``load_nbest`` does, for corpora built in memory.
+    Mirrors what ``load_nbest`` does, for corpora built in memory.  The kept
+    candidates keep their rows of ``stats``; nothing is labelled again.
     """
-    return [
-        TrainingSample(s.sample_id, s.source, s.reference, _first_occurrences(s.candidates))
-        for s in samples
-    ]
+    deduped = []
+    for s in samples:
+        kept = _first_occurrences(s.candidates)
+        deduped.append(
+            TrainingSample(s.sample_id, s.source, s.reference, [s.candidates[i] for i in kept], s.stats[kept])
+        )
+    return deduped
 
 
 def build_vocabulary(samples) -> Vocabulary:

@@ -26,6 +26,7 @@ from .corpus import (
     NBestEntry,
     PhrasePair,
     TrainingSample,
+    label_samples,
     save_lambda,
     save_nbest,
     save_references,
@@ -80,7 +81,7 @@ def target_phrase(concept: int, synonym: int) -> tuple[str, ...]:
 def generate(spec: SynthSpec) -> tuple[list[TrainingSample], np.ndarray]:
     """Build the samples in memory; returns (samples, default weight vector)."""
     rng = np.random.default_rng(spec.seed)
-    samples = []
+    parts = []
     for i in range(spec.sentences):
         concepts = rng.integers(0, spec.concepts, size=spec.phrases_per_sentence)
         src_syn = rng.integers(0, spec.phrases_per_concept, size=spec.phrases_per_sentence)
@@ -108,8 +109,8 @@ def generate(spec: SynthSpec) -> tuple[list[TrainingSample], np.ndarray]:
             signal = -corrupted / spec.phrases_per_sentence + rng.normal(0.0, spec.feature_noise)
             features = np.array([signal, rng.normal(0.0, 1.0)], dtype=np.float64)
             candidates.append(NBestEntry(tokens, features, derivation))
-        samples.append(TrainingSample(i, source, reference, candidates))
-    return samples, np.array(DEFAULT_LAMBDA, dtype=np.float64)
+        parts.append((i, source, reference, candidates))
+    return label_samples(parts), np.array(DEFAULT_LAMBDA, dtype=np.float64)
 
 
 def synthgen(spec: SynthSpec, out_dir) -> tuple[str, str, str]:

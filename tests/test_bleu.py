@@ -175,14 +175,14 @@ class TestReferenceReuse:
     def test_interleaved_references_give_fresh_rows(self, rng):
         tokens = ["a", "b", "c"]
         ref_a, ref_b = ("a", "b", "a", "c", "b"), ("c", "c", "a")
+        refs = (ref_a, ref_a, ref_b, ref_a)
         cands = [_random_sentence(rng, tokens, 0, 9) for _ in range(4)]
-        reused = [bleu.bleu_stats(r, c) for r, c in zip((ref_a, ref_a, ref_b, ref_a), cands)]
-        fresh = []
-        for r, c in zip((ref_a, ref_a, ref_b, ref_a), cands):
-            bleu._reference_counts.cache_clear()
-            fresh.append(bleu.bleu_stats(r, c))
-        assert reused == fresh
-        assert reused == [ref_bleu_stats(r, c) for r, c in zip((ref_a, ref_a, ref_b, ref_a), cands)]
+        reused = [bleu.bleu_stats(r, c) for r, c in zip(refs, cands)]
+        assert reused == [ref_bleu_stats(r, c) for r, c in zip(refs, cands)]
+        batched = bleu.stats_rows(refs, [[c] for c in cands])
+        assert [tuple(row) for row in batched.tolist()] == reused
+        grouped = bleu.stats_rows((ref_a, ref_b, ref_a), [cands[:2], [cands[2]], [cands[3]]])
+        assert [tuple(row) for row in grouped.tolist()] == reused
 
     def test_mutated_list_reference_gives_the_new_answer(self):
         ref = ["a", "b", "c"]
@@ -194,8 +194,99 @@ class TestReferenceReuse:
 
     def test_empty_reference_always_raises(self):
         for _ in range(2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^reference must be non-empty$"):
                 bleu.bleu_stats([], ["a"])
         assert bleu.bleu_stats(["a"], ["a"]) == ref_bleu_stats(["a"], ["a"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^reference must be non-empty$"):
             bleu.bleu_stats((), ["a"])
+        with pytest.raises(ValueError, match="^reference must be non-empty$"):
+            bleu.stats_rows([("a",), (), ("b",)], [[("a",)], [], [("b",)]])
+        with pytest.raises(ValueError, match="^reference must be non-empty$"):
+            bleu.sentence_bleu([], [])
+
+
+def _oracle_rows(references, candidate_lists):
+    return [ref_bleu_stats(r, c) for r, cands in zip(references, candidate_lists) for c in cands]
+
+
+def _boundary_corpus(rng):
+    """Samples whose sentences, laid end to end, form reference n-grams across their boundaries."""
+    words = ["a", "A", "b", "B", "c", "ΟΔΟΣ", "οδος", "Οδος", "é", "É"]
+    references = [("x", "a", "b", "c", "d"), ("q", "a")]
+    candidate_lists = [
+        # "q a" ends the last reference and "b ..." opens the first candidate: "a b" spans them.
+        [("b", "c", "w"), ("y", "a"), ("b", "c", "z"), ("y", "x"), ("a", "b", "c", "d"), ()],
+        [("a",)],
+    ]
+    for _ in range(12):
+        references.append(_random_sentence(rng, words, 1, 11))
+        candidate_lists.append([_random_sentence(rng, words, 0, 14) for _ in range(int(rng.integers(0, 7)))])
+    references.append(references[3])  # two samples with the same reference text
+    candidate_lists.append([_random_sentence(rng, words, 0, 14) for _ in range(5)])
+    candidate_lists[4] = [_random_sentence(rng, words, 1, 14)]  # a sample with one candidate
+    candidate_lists[5] = []  # a sample with none
+    return references, candidate_lists
+
+
+class TestStatsRows:
+    def test_rows_equal_oracle_across_sentence_boundaries(self, rng):
+        references, candidate_lists = _boundary_corpus(rng)
+        rows = bleu.stats_rows(references, candidate_lists)
+        assert rows.dtype == np.int64 and rows.shape == (sum(map(len, candidate_lists)), 10)
+        assert [tuple(row) for row in rows.tolist()] == _oracle_rows(references, candidate_lists)
+        lengths = {len(c) for cands in candidate_lists for c in cands}
+        assert {0, 1, 2, 3, 13} <= lengths
+        # Spanning n-grams would have matched: "a b" and "a b c" across candidates 1 and 2.
+        assert rows[1, 1] == 0 and rows[2, :3].tolist() == [2, 1, 0]
+
+    def test_rows_do_not_depend_on_sample_order(self, rng):
+        references, candidate_lists = _boundary_corpus(rng)
+        rows = bleu.stats_rows(references, candidate_lists)
+        ends = np.cumsum([len(cands) for cands in candidate_lists])
+        blocks = np.split(rows, ends[:-1])
+        for _ in range(5):
+            order = rng.permutation(len(references))
+            shuffled = bleu.stats_rows([references[i] for i in order], [candidate_lists[i] for i in order])
+            got = np.split(shuffled, np.cumsum([len(candidate_lists[i]) for i in order])[:-1])
+            for i, block in zip(order, got):
+                assert np.array_equal(block, blocks[i])
+
+    def test_no_floating_point_error_on_degenerate_candidates(self):
+        references = [("a", "b", "c", "d", "e"), ("x",), ("x", "y")]
+        candidate_lists = [
+            [("p", "q", "r", "s", "t"), ("p",), ("p", "q"), ("a", "z", "q"), ("a",), ()],
+            [("y",), ("x", "x", "x")],
+            [(), ("y", "x")],
+        ]
+        with np.errstate(all="raise"):
+            rows = bleu.stats_rows(references, candidate_lists)
+            scores = [bleu.sentence_bleu_from_stats(row) for row in rows.tolist()]
+        assert [tuple(row) for row in rows.tolist()] == _oracle_rows(references, candidate_lists)
+        pairs = [(r, c) for r, cands in zip(references, candidate_lists) for c in cands]
+        assert scores == pytest.approx([ref_sentence_bleu(r, c) if c else 0.0 for r, c in pairs], abs=1e-12)
+        assert scores[0] == scores[1] == scores[2] == scores[5] == 0.0
+
+    def test_empty_and_mismatched_inputs(self):
+        assert bleu.stats_rows([], []).shape == (0, 10)
+        assert bleu.stats_rows([("a",)], [[]]).shape == (0, 10)
+        with pytest.raises(ValueError):
+            bleu.stats_rows([("a",), ("b",)], [[("a",)]])
+
+    def test_corpus_bleu_counts_in_one_call(self, rng, monkeypatch):
+        tokens = [f"w{i}" for i in range(6)]
+        pairs = [(_random_sentence(rng, tokens, 4, 9), _random_sentence(rng, tokens, 0, 9)) for _ in range(9)]
+        want = bleu.corpus_bleu_from_stats([ref_bleu_stats(r, c) for r, c in pairs])
+        calls = []
+        stats_rows = bleu.stats_rows
+
+        def counted(references, candidate_lists):
+            calls.append(len(references))
+            return stats_rows(references, candidate_lists)
+
+        def refuse(reference, candidate):
+            raise AssertionError("corpus BLEU counted one pair at a time")
+
+        monkeypatch.setattr(bleu, "stats_rows", counted)
+        monkeypatch.setattr(bleu, "bleu_stats", refuse)
+        assert bleu.corpus_bleu(iter(pairs)) == want
+        assert calls == [len(pairs)]

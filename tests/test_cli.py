@@ -398,6 +398,22 @@ class TestCliCommands:
         assert all(" ||| " in line for line in lines)
         assert run(["eval", "--hyp", str(out), "--refs", str(data / "refs.txt")]) == 0
 
+    @pytest.mark.parametrize("command", ["rerank", "tune-lambda"])
+    def test_candidates_without_overlap_are_scored(self, small_run, tmp_path, capsys, command):
+        # rerank and tune-lambda load under np.errstate(over="raise", invalid="raise"): labelling
+        # candidates with no unigram match, or shorter than the highest n-gram order, must not trip it.
+        root, data, model_path = small_run
+        nbest = tmp_path / "nbest.txt"
+        nbest.write_text(
+            (data / "nbest.txt").read_text()
+            + "0 ||| zz ||| 0.5 -0.5 ||| [ f0w0 # zz ]\n"
+            + "1 ||| zz yy xx ||| 0.5 0.5 ||| [ f0w0 # zz yy xx ]\n"
+        )
+        out = tmp_path / "out.txt"
+        assert run(_command_argv(command, _files(small_run, nbest=nbest), out)) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.exists()
+
     def test_tune_lambda_writes_weights(self, small_run, tmp_path, capsys):
         root, data, model_path = small_run
         out = tmp_path / "tuned.txt"

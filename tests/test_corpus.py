@@ -142,20 +142,64 @@ def _assert_labelled_as_the_oracle(samples):
             assert abs(sample.sbleus[i] - ref_sentence_bleu(sample.reference, entry.tokens)) <= 1e-12
 
 
+@pytest.fixture
+def stats_rows_calls(monkeypatch):
+    """Candidate counts of each ``bleu.stats_rows`` call; ``bleu.bleu_stats`` refuses to run."""
+    calls = []
+    stats_rows = bleu.stats_rows
+
+    def counted(references, candidate_lists):
+        rows = stats_rows(references, candidate_lists)
+        calls.append(len(rows))
+        return rows
+
+    def refuse(reference, candidate):
+        raise AssertionError("a candidate labelled on its own")
+
+    monkeypatch.setattr(bleu, "stats_rows", counted)
+    monkeypatch.setattr(bleu, "bleu_stats", refuse)
+    return calls
+
+
 class TestLabels:
     def test_loaded_candidates_carry_the_oracle_rows(self, tmp_path):
         refs, nbest, _ = synth.synthgen(synth.SynthSpec(sentences=20, candidates=6, seed=3), tmp_path)
         _assert_labelled_as_the_oracle(corpus.load_samples(nbest, refs))
 
+    def test_each_file_is_labelled_in_one_call(self, tmp_path, stats_rows_calls):
+        refs, nbest, _ = synth.synthgen(synth.SynthSpec(sentences=20, candidates=6, seed=3), tmp_path)
+        stats_rows_calls.clear()
+        references = corpus.load_references(refs)
+        loaded = [corpus.load_nbest(nbest, references) for _ in range(2)]
+        n = sum(len(s.candidates) for s in loaded[0])
+        assert stats_rows_calls == [n, n]
+        stats_rows_calls.clear()
+        samples, _ = synth.generate(synth.SynthSpec(sentences=20, candidates=6, seed=3))
+        assert stats_rows_calls == [sum(len(s.candidates) for s in samples)]
+
     def test_generated_candidates_carry_the_oracle_rows(self):
         samples, _ = synth.generate(synth.SynthSpec(sentences=20, candidates=6, noise=0.6, seed=5))
         _assert_labelled_as_the_oracle(samples)
 
-    def test_deduplicated_candidates_carry_the_oracle_rows(self):
+    def test_deduplicated_candidates_carry_the_oracle_rows(self, monkeypatch):
         samples, _ = synth.generate(synth.SynthSpec(sentences=20, candidates=6, noise=0.2, seed=6))
-        deduped = corpus.dedupe_candidates(samples)
+        with monkeypatch.context() as patch:
+            patch.setattr(bleu, "stats_rows", lambda references, candidate_lists: pytest.fail("relabelled"))
+            deduped = corpus.dedupe_candidates(samples)
         assert sum(len(s.candidates) for s in deduped) < sum(len(s.candidates) for s in samples)
         _assert_labelled_as_the_oracle(deduped)
+
+    def test_sample_built_directly_labels_itself(self, stats_rows_calls):
+        entries = [corpus.NBestEntry(tokens, np.zeros(1), [corpus.PhrasePair(("f",), tokens)])
+                   for tokens in (("The", "house"), ("a", "house"), ("xyz",))]
+        sample = corpus.TrainingSample(0, ("das", "haus"), ("the", "House"), entries)
+        assert stats_rows_calls == [3]
+        reference = sample.reference
+        assert [tuple(row) for row in sample.stats.tolist()] == [ref_bleu_stats(reference, e.tokens) for e in entries]
+        oracle = [ref_sentence_bleu(reference, e.tokens) for e in entries]
+        assert sample.sbleus.tolist() == pytest.approx(oracle, abs=1e-12)
+        with pytest.raises(ValueError, match="stats of shape"):
+            corpus.TrainingSample(0, ("das", "haus"), ("the", "house"), entries, sample.stats[:2])
 
     def test_sample_without_candidates_has_empty_labels(self):
         sample = corpus.TrainingSample(0, ("a",), ("a",), [])
