@@ -284,10 +284,7 @@ def _read_hypotheses(path) -> dict[int, tuple[str, ...]]:
             parts = [p.strip() for p in raw.split(corpus.FIELD_SEP)]
             if len(parts) < 2:
                 raise corpus.CorpusError(f"expected at least 2 '{corpus.FIELD_SEP}' fields", path, lineno)
-            try:
-                sent_id = int(parts[0])
-            except ValueError:
-                raise corpus.CorpusError(f"bad sentence id {parts[0]!r}", path, lineno) from None
+            sent_id = corpus.parse_sentence_id(parts[0], path, lineno)
             if sent_id in out:
                 raise corpus.CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
             out[sent_id] = tuple(parts[-1].lower().split())

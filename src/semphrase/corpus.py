@@ -15,6 +15,10 @@ File formats (UTF-8, fields separated by ``|||``):
 Tokens are lowercased at load time, and loaded corpora are immutable by
 convention.  A phrase pair is a tuple value: ``PhrasePair(s, t)`` hashes and
 compares as the plain tuple ``(s, t)``, so every per-pair dict keys on it in C.
+``parse_nbest`` parses each distinct derivation segment once per file and
+shares one object per distinct pair and per distinct phrase across every
+candidate of the file, so a per-pair dict hit is an identity check.
+Sentence ids are ASCII decimal digits (``parse_sentence_id``).
 A ``TrainingSample`` is labelled when it is built: ``stats`` holds the
 (n, 10) ``bleu.bleu_stats`` rows of its n candidates against the reference
 and ``sbleus`` the sentence BLEU of each row.  ``load_nbest`` and
@@ -211,6 +215,56 @@ def _parse_derivation(text: str, path, line) -> list[PhrasePair]:
     return pairs
 
 
+def _shared(pair: PhrasePair, shared: dict) -> PhrasePair:
+    """The one object ``shared`` keeps for ``pair``, whose phrases are likewise the kept ones.
+
+    Phrases (tuples of strings) and pairs (tuples of two phrases) never compare
+    equal, so one dict holds both.
+    """
+    source = shared.setdefault(pair.source, pair.source)
+    target = shared.setdefault(pair.target, pair.target)
+    pair = PhrasePair(source, target)
+    return shared.setdefault(pair, pair)
+
+
+def _derivation(text: str, segments: dict, shared: dict, path, line) -> list[PhrasePair]:
+    """``_parse_derivation(text)``, parsing each distinct segment once per file.
+
+    The text between the outer ``[`` and ``]`` splits on ``"] ["``; each piece
+    not yet in ``segments`` is parsed once as ``[piece]``.  ``segments`` maps a
+    piece to its shared pair, or to None when ``[piece]`` alone is not exactly
+    one pair.  A line with such a piece, or not bracketed at both ends, is
+    parsed whole by ``_parse_derivation``, so it is accepted or refused exactly
+    as the strict parser does.  A piece that parses alone begins and ends with
+    whitespace, so the pieces of a line taken here tokenize to the line's
+    tokens block by block and give the strict parser's pairs.
+    """
+    if text.startswith("[") and text.endswith("]"):
+        pieces = text[1:-1].split("] [")
+        for piece in pieces:
+            if piece not in segments:
+                try:
+                    pairs = _parse_derivation(f"[{piece}]", path, line)
+                except CorpusError:
+                    pairs = []
+                segments[piece] = _shared(pairs[0], shared) if len(pairs) == 1 else None
+        derivation = [segments[piece] for piece in pieces]
+        if all(derivation):
+            return derivation
+    return [_shared(pair, shared) for pair in _parse_derivation(text, path, line)]
+
+
+def parse_sentence_id(text: str, path, line) -> int:
+    """The sentence id field ``text``: one or more ASCII decimal digits.
+
+    ``int`` alone would also take ``1_0``, a sign, or non-ASCII digits, so such
+    an id could silently join another sentence's list.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise CorpusError(f"bad sentence id {text!r}", path, line)
+    return int(text)
+
+
 def format_derivation(derivation) -> str:
     return " ".join(f"[ {' '.join(p.source)} # {' '.join(p.target)} ]" for p in derivation)
 
@@ -226,10 +280,7 @@ def load_references(path) -> dict[int, tuple[tuple[str, ...], tuple[str, ...]]]:
             parts = [p.strip() for p in raw.split(FIELD_SEP)]
             if len(parts) != 3:
                 raise CorpusError(f"expected 3 '{FIELD_SEP}' fields, got {len(parts)}", path, lineno)
-            try:
-                sent_id = int(parts[0])
-            except ValueError:
-                raise CorpusError(f"bad sentence id {parts[0]!r}", path, lineno) from None
+            sent_id = parse_sentence_id(parts[0], path, lineno)
             if sent_id in refs:
                 raise CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
             source = _fold(parts[1].split())
@@ -249,10 +300,14 @@ def parse_nbest(path) -> dict[int, list[NBestEntry]]:
     Every derivation is validated against its candidate tokens, the feature
     count must be consistent across the file, and exact duplicate
     (tokens, derivation) candidates within a sentence collapse to their first
-    occurrence.
+    occurrence.  Each distinct derivation segment is parsed once per file, and
+    every occurrence of a pair in the file is one shared ``PhrasePair``, as is
+    every occurrence of a phrase; nothing is kept from one call to the next.
     """
     by_id: dict[int, list[NBestEntry]] = {}
     n_features: int | None = None
+    segments: dict[str, PhrasePair | None] = {}
+    shared: dict[tuple, tuple] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -261,26 +316,24 @@ def parse_nbest(path) -> dict[int, list[NBestEntry]]:
             parts = [p.strip() for p in raw.split(FIELD_SEP)]
             if len(parts) != 4:
                 raise CorpusError(f"expected 4 '{FIELD_SEP}' fields, got {len(parts)}", path, lineno)
-            try:
-                sent_id = int(parts[0])
-            except ValueError:
-                raise CorpusError(f"bad sentence id {parts[0]!r}", path, lineno) from None
+            sent_id = parse_sentence_id(parts[0], path, lineno)
             tokens = _fold(parts[1].split())
             if not tokens:
                 raise CorpusError("empty candidate", path, lineno)
             try:
-                feats = np.array([float(v) for v in parts[2].split()], dtype=np.float64)
+                values = [float(v) for v in parts[2].split()]
             except ValueError:
                 raise CorpusError(f"bad feature value in {parts[2]!r}", path, lineno) from None
-            if feats.size == 0 or not np.all(np.isfinite(feats)):
+            if not values or not all(map(math.isfinite, values)):
                 raise CorpusError("features must be a non-empty list of finite reals", path, lineno)
             if n_features is None:
-                n_features = feats.size
-            elif feats.size != n_features:
+                n_features = len(values)
+            elif len(values) != n_features:
                 raise CorpusError(
-                    f"inconsistent feature count: expected {n_features}, got {feats.size}", path, lineno
+                    f"inconsistent feature count: expected {n_features}, got {len(values)}", path, lineno
                 )
-            entry = NBestEntry(tokens, feats, _parse_derivation(parts[3], path, lineno))
+            derivation = _derivation(parts[3], segments, shared, path, lineno)
+            entry = NBestEntry(tokens, np.array(values, dtype=np.float64), derivation)
             _check_derivation(entry, path, lineno)
             by_id.setdefault(sent_id, []).append(entry)
     if not by_id:

@@ -597,8 +597,8 @@ _FUZZ_USES = {
     "vocab": ["rerank", "tune-lambda", "export-embeddings"],
     "hyp": ["eval"],
 }
-_FUZZ_CORRUPTIONS = ["truncate", "flip", "drop_sep", "nan", "non_utf8", "header", "huge"]
-_MODEL_ONLY = ("header", "huge")
+_FUZZ_CORRUPTIONS = ["truncate", "flip", "drop_sep", "nan", "non_utf8", "header", "huge", "bracket"]
+_ONLY_FOR = {"header": "model", "huge": "model", "bracket": "nbest"}
 _HEADER_VALUES = [0, -1, 10**6, 2.5, "x", None, True, [], {}]
 
 
@@ -635,6 +635,13 @@ def _corrupt(data: bytes, how: str, rng) -> bytes:
         lines[0] = json.dumps(header).encode() + b"\n"
     elif how == "huge":  # model files only: every weight finite but near the float64 maximum
         return lines[0] + np.full((len(data) - len(lines[0])) // 8, 1.7e308).tobytes()
+    elif how == "bracket":  # N-best files only: one '[', ']' or '#' of a derivation deleted or doubled
+        line = lines[pick].rstrip(b"\n")
+        cut = line.rindex(b"|||") + len(b"|||")
+        toks = line[cut:].split(b" ")
+        j = rng.choice([j for j, tok in enumerate(toks) if tok in (b"[", b"]", b"#")])
+        toks[j : j + 1] = [] if rng.integers(0, 2) else [toks[j], toks[j]]
+        lines[pick] = line[:cut] + b" ".join(toks) + b"\n"
     return b"".join(lines)
 
 
@@ -642,7 +649,7 @@ def _fuzz_cases():
     cases = []
     for kind, commands in _FUZZ_USES.items():
         for how in _FUZZ_CORRUPTIONS:
-            if how in _MODEL_ONLY and kind != "model":
+            if _ONLY_FOR.get(how, kind) != kind:
                 continue
             cases += [(kind, how, command) for command in commands]
     return cases
@@ -697,7 +704,23 @@ def test_fuzzed_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys):
             code = run(argv)
         except Exception as exc:  # any escape is the failure under test
             code = f"raised {exc!r}"
-        capsys.readouterr()
+        if "Traceback" in capsys.readouterr().err:
+            code = f"traceback after exit {code}"
         outcomes.append((kind, how, command, code))
     assert [o for o in outcomes if o[3] not in (0, 3, 4)] == []
     assert any(o[3] == 4 for o in outcomes) and any(o[3] == 0 for o in outcomes)
+    # the seeded bracket edits (a dropped ']' or '#', a doubled ']') reach the whole-line parser, which refuses them
+    assert [o for o in outcomes if o[1] == "bracket" and o[3] != 4] == []
+
+
+@pytest.mark.parametrize("sent_id", ["1_0", "٣"])
+@pytest.mark.parametrize("kind", ["nbest", "refs", "hyp"])
+def test_sentence_id_that_is_not_ascii_digits_exits_4(fuzz_inputs, tmp_path, capsys, kind, sent_id):
+    """Every reader of sentence ids refuses one that ``int`` alone would take."""
+    lines = fuzz_inputs[kind].read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = sent_id + " " + lines[0][lines[0].index("|||"):]
+    bad = tmp_path / fuzz_inputs[kind].name
+    bad.write_text("".join(lines), encoding="utf-8")
+    command = "train" if kind == "nbest" else "eval"
+    assert run(_command_argv(command, {**fuzz_inputs, kind: bad}, tmp_path / "out")) == 4
+    assert f"{bad}:1: bad sentence id {sent_id!r}" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Corpus parsing, persistence round trips, vocabulary, and phrase-pair counting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,126 @@ class TestLoading:
         samples = corpus.load_samples(_write(tmp_path, "n", nbest), _write(tmp_path, "r", refs))
         assert samples[0].candidates[0].tokens == ("the", "house")
         assert samples[0].candidates[0].derivation[0].source == ("das", "haus")
+
+
+# Mixed case, Greek capitals with a final sigma, and segments repeated across lines.
+FUZZ_BASE = [
+    "0 ||| the House is small ||| 0.5 -1 ||| [ das Haus # the House ] [ ist klein # is small ]",
+    "0 ||| a house is small ||| 0.25 -2 ||| [ das # a ] [ Haus # house ] [ ist klein # is small ]",
+    "1 ||| η ΟΔΟΣ ||| 1 2 ||| [ die Straße # η ΟΔΟΣ ]",
+    "1 ||| the οδος ||| 1 3 ||| [ die # the ] [ Straße # ΟΔΟΣ ]",
+    "0 ||| the house is small ||| 0 0 ||| [ das Haus # the House ] [ ist # is ] [ klein # small ]",
+]
+
+
+def _mutate_derivation(derivation: str, rng) -> str:
+    """One seeded edit of a derivation field, of the kinds a hand-edited file shows."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:  # a bracket glued to its neighbour: "b]", "[c" or "]["
+        old = [" ]", "[ ", "] ["][int(rng.integers(0, 3))]
+        spots = [i for i in range(len(derivation)) if derivation.startswith(old, i)]
+        if spots:
+            i = spots[int(rng.integers(0, len(spots)))]
+            return derivation[:i] + old.replace(" ", "") + derivation[i + len(old):]
+        return derivation
+    spaces = [i for i, c in enumerate(derivation) if c == " "]
+    if kind == 1:  # doubled spaces and tabs
+        i = spaces[int(rng.integers(0, len(spaces)))]
+        return derivation[:i] + ["  ", "\t", " \t "][int(rng.integers(0, 3))] + derivation[i + 1:]
+    if kind == 2:  # a stray "#", "[" or "]" inside a phrase
+        i = spaces[int(rng.integers(0, len(spaces)))]
+        return derivation[:i] + " " + "#[]"[int(rng.integers(0, 3))] + derivation[i:]
+    tokens = derivation.split(" ")
+    if kind == 3:  # an empty phrase: the tokens between "[" and "#", or "#" and "]", removed
+        marks = [j for j, t in enumerate(tokens) if t in ("[", "#")]
+        j = marks[int(rng.integers(0, len(marks)))]
+        end = j + 1
+        while end < len(tokens) and tokens[end] not in ("#", "]"):
+            end += 1
+        return " ".join(tokens[: j + 1] + tokens[end:])
+    words = [j for j, t in enumerate(tokens) if t not in ("[", "#", "]")]  # kind 4: another case
+    j = words[int(rng.integers(0, len(words)))]
+    tokens[j] = [str.upper, str.lower, str.swapcase, str.title, lambda t: "ΟΔΟΣ"][int(rng.integers(0, 5))](tokens[j])
+    return " ".join(tokens)
+
+
+def _parse_outcome(path):
+    """What ``parse_nbest`` makes of ``path``: its entries, or its error message and line."""
+    try:
+        parsed = corpus.parse_nbest(path)
+    except corpus.CorpusError as exc:
+        return str(exc), exc.line
+    return {sent_id: [(e.tokens, e.features.tolist(), e.derivation) for e in entries]
+            for sent_id, entries in parsed.items()}
+
+
+def _strict_derivation(text, segments, shared, path, line):
+    return corpus._parse_derivation(text, path, line)
+
+
+class TestSharedSegments:
+    def test_fuzzed_derivations_parse_as_the_strict_parser(self, tmp_path, monkeypatch):
+        """Seeded edits of derivation fields: the same entries as parsing every line strictly, or the same error."""
+        refused = accepted = 0
+        for trial in range(400):
+            rng = np.random.default_rng([20261019, trial])
+            lines = FUZZ_BASE * 2
+            sent_id, tokens, feats, derivation = lines[int(rng.integers(0, len(lines)))].split(" ||| ")
+            for _ in range(int(rng.integers(1, 4))):
+                derivation = _mutate_derivation(derivation, rng)
+            mutated = " ||| ".join([sent_id, tokens, feats, derivation])
+            # once or twice, so a second copy meets the segments the first one left
+            for _ in range(int(rng.integers(1, 3))):
+                lines.insert(int(rng.integers(0, len(lines) + 1)), mutated)
+            path = tmp_path / f"{trial}.nbest"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            got = _parse_outcome(path)
+            with monkeypatch.context() as m:
+                m.setattr(corpus, "_derivation", _strict_derivation)
+                want = _parse_outcome(path)
+            assert got == want, (trial, mutated)
+            refused += isinstance(got, tuple)
+            accepted += isinstance(got, dict)
+        assert refused > 100 and accepted > 50
+
+    def test_equal_pairs_and_phrases_are_one_object(self, tmp_path):
+        text = (
+            "0 ||| the house ||| 1 ||| [ das haus # the house ]\n"
+            "0 ||| the House ||| 2 ||| [ das  Haus # the\thouse ]\n"
+            "1 ||| a house a house ||| 3 ||| [ ein # a ] [ haus # house ] [ ein # a ] [ haus # house ]\n"
+            "1 ||| house ||| 4 ||| [ das haus # house ]\n"
+            "1 ||| the house a ||| 5 ||| [ das haus # the house ]\t[ ein # a ]\n"  # parsed whole
+        )
+        parsed = corpus.parse_nbest(_write(tmp_path, "nbest", text))
+        pairs = [pair for entries in parsed.values() for entry in entries for pair in entry.derivation]
+        phrases = [phrase for pair in pairs for phrase in pair]
+        assert len(set(pairs)) == 4 < len(pairs)
+        assert len({id(pair) for pair in pairs}) == len(set(pairs))
+        assert len({id(phrase) for phrase in phrases}) == len(set(phrases)) == 6
+
+    def test_nothing_is_kept_from_one_file_to_the_next(self, tmp_path):
+        def module_state():
+            return {name: len(value) for name, value in vars(corpus).items()
+                    if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
+        path = _write(tmp_path, "nbest", NBEST_SMALL)
+        before = module_state()
+        first, second = corpus.parse_nbest(path), corpus.parse_nbest(path)
+        assert module_state() == before
+        for a, b in zip(first[0], second[0]):
+            assert a.derivation == b.derivation
+            assert all(p is not q and p.source is not q.source for p, q in zip(a.derivation, b.derivation))
+
+
+class TestSentenceIds:
+    @pytest.mark.parametrize("text", ["0", "7", "0012", "123456789"])
+    def test_ascii_digits_are_read(self, text):
+        assert corpus.parse_sentence_id(text, "f", 1) == int(text)
+
+    @pytest.mark.parametrize("text", ["1_0", "-1", "+1", "1.0", "", "٣", "１", "1e3", "0x1"])
+    def test_anything_else_is_refused(self, text):
+        with pytest.raises(corpus.CorpusError, match=rf"^f:3: bad sentence id {re.escape(repr(text))}$"):
+            corpus.parse_sentence_id(text, "f", 3)
 
 
 def _assert_labelled_as_the_oracle(samples):
