@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -168,7 +169,8 @@ def _peek_config_path(argv) -> str | None:
 
 
 def _apply_config(sub, config: dict[str, str]) -> None:
-    actions = {a.dest: a for a in sub._actions}
+    """Make ``config``'s values the defaults of ``sub``'s flags; a switch takes 1/0, true/false, yes/no or on/off."""
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, value in config.items():
         dest = key.replace("-", "_")
@@ -176,7 +178,10 @@ def _apply_config(sub, config: dict[str, str]) -> None:
             raise ValueError(f"unknown config key {key!r}")
         action = actions[dest]
         if isinstance(action.default, bool) or isinstance(action.const, bool):
-            defaults[dest] = value.lower() in ("1", "true", "yes", "on")
+            word = value.lower()
+            if word not in ("1", "0", "true", "false", "yes", "no", "on", "off"):
+                raise ValueError(f"config key {key!r} has value {value!r}, not 1/0, true/false, yes/no or on/off")
+            defaults[dest] = word in ("1", "true", "yes", "on")
         else:
             defaults[dest] = value  # argparse converts string defaults via the flag's type
         action.required = False
@@ -287,7 +292,7 @@ def _read_hypotheses(path) -> dict[int, tuple[str, ...]]:
             sent_id = corpus.parse_sentence_id(parts[0], path, lineno)
             if sent_id in out:
                 raise corpus.CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
-            out[sent_id] = tuple(parts[-1].lower().split())
+            out[sent_id] = corpus.fold(parts[-1].split())
     if not out:
         raise corpus.CorpusError("file is empty", path)
     return out
@@ -361,13 +366,9 @@ def _cmd_tune_lambda(args) -> int:
 
 def _cmd_export_embeddings(args) -> int:
     params, vocab = _load_model_and_vocabulary(args)
-    by_id = corpus.parse_nbest(args.nbest)
-    phrases: dict[tuple[str, ...], None] = {}
-    for entries in by_id.values():
-        for entry in entries:
-            for pair in entry.derivation:
-                phrases.setdefault(pair.source)
-                phrases.setdefault(pair.target)
+    entries = chain.from_iterable(corpus.parse_nbest(args.nbest).values())
+    # the ``objective.CompiledCorpus.phrases`` order: first occurrence, source before target
+    phrases = dict.fromkeys(phrase for entry in entries for pair in entry.derivation for phrase in pair)
     lines = []
     for tokens in phrases:
         out = model.project(model.encode(tokens, vocab), params).output

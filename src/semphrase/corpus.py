@@ -170,7 +170,8 @@ def atomic_writer(path, binary: bool = False):
         raise
 
 
-def _fold(tokens) -> tuple[str, ...]:
+def fold(tokens) -> tuple[str, ...]:
+    """``str.lower`` of each token, the one case fold; ``bleu.stats_rows``, below this module, lowers alike."""
     return tuple(t.lower() for t in tokens)
 
 
@@ -209,7 +210,7 @@ def _parse_derivation(text: str, path, line) -> list[PhrasePair]:
         pos += 1
         if not src or not tgt:
             raise CorpusError("derivation segment has an empty phrase", path, line)
-        pairs.append(PhrasePair(_fold(src), _fold(tgt)))
+        pairs.append(PhrasePair(fold(src), fold(tgt)))
     if not pairs:
         raise CorpusError("candidate has an empty derivation", path, line)
     return pairs
@@ -283,8 +284,8 @@ def load_references(path) -> dict[int, tuple[tuple[str, ...], tuple[str, ...]]]:
             sent_id = parse_sentence_id(parts[0], path, lineno)
             if sent_id in refs:
                 raise CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
-            source = _fold(parts[1].split())
-            reference = _fold(parts[2].split())
+            source = fold(parts[1].split())
+            reference = fold(parts[2].split())
             if not reference:
                 raise CorpusError("empty reference", path, lineno)
             refs[sent_id] = (source, reference)
@@ -317,7 +318,7 @@ def parse_nbest(path) -> dict[int, list[NBestEntry]]:
             if len(parts) != 4:
                 raise CorpusError(f"expected 4 '{FIELD_SEP}' fields, got {len(parts)}", path, lineno)
             sent_id = parse_sentence_id(parts[0], path, lineno)
-            tokens = _fold(parts[1].split())
+            tokens = fold(parts[1].split())
             if not tokens:
                 raise CorpusError("empty candidate", path, lineno)
             try:
@@ -478,10 +479,13 @@ def load_vocabulary(path) -> Vocabulary:
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             token = raw.rstrip("\n")
+            if not token:
+                continue
             if token in first_line:
                 raise CorpusError(f"token {token!r} repeats line {first_line[token]}", path, lineno)
-            if token:
-                first_line[token] = lineno
+            if token.split() != [token]:
+                raise CorpusError(f"token {token!r} holds whitespace, which no corpus token does", path, lineno)
+            first_line[token] = lineno
     tokens = list(first_line)
     if not tokens:
         raise CorpusError("vocabulary file is empty", path)

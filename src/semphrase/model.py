@@ -6,17 +6,21 @@ a two-layer tanh network (``arch="nonlinear"``, matrices W1 and W2, no bias
 terms) or by a single linear map (``arch="linear"``, W1 only).  The
 translation score of a phrase pair is the dot product or the cosine of the
 two projected vectors; ``word_level=True`` switches to a symmetric
-mean-of-max aggregation of single-token similarities.
+mean-of-max aggregation of single-token similarities.  ``row_similarities``
+is the one similarity rule, zero-norm cosine included: ``similarity``,
+``token_similarity_matrix`` and ``objective.pair_similarities`` all score
+their rows with it, so a pair gets the same bits from each.
 
 Parameters are immutable during a forward/gradient pass; the trainer swaps in
 fresh arrays between optimizer iterations.
 
-``objective.full_gradient``, ``objective.corpus_xbleu``, ``trainer.tune_lambda``
-and ``rerank.rerank`` each work on ``with_projection_table(params)``, so each
-phrase is encoded and projected once per call: for that call the table keeps
-each phrase's word vector and forward trace.  ``objective.pair_similarities``
-stacks the outputs of the compiled corpus's distinct phrases from it, one row
-each, and ``objective.backprop`` their y1 and y2 rows.  A caller's own params
+``objective.full_gradient`` (and so ``objective.corpus_xbleu``),
+``trainer.tune_lambda`` and ``rerank.rerank`` each work on
+``with_projection_table(params)``, so each phrase is encoded and projected
+once per call: for that call the table keeps each phrase's word vector and
+forward trace.  ``objective.pair_similarities`` stacks the outputs of the
+compiled corpus's distinct phrases from it, one row each, and
+``objective.backprop`` their y1 and y2 rows.  A caller's own params
 carry no table, so direct ``similarity`` calls encode and project afresh.
 """
 
@@ -217,49 +221,36 @@ def projection(tokens, params: ModelParams, vocab: Vocabulary) -> tuple[WordVect
     return hit
 
 
-def output_similarity(u: np.ndarray, v: np.ndarray, sim_mode: str) -> float:
-    """Similarity between two projected vectors; cosine of a zero vector is 0."""
+def row_similarities(u: np.ndarray, v: np.ndarray, sim_mode: str) -> np.ndarray:
+    """Similarity of each row of ``u`` with the same row of ``v``, one BLAS dot per row.
+
+    Dot, or cosine: the dot over the two row norms, 0 if either norm is zero.
+    """
+    dots = np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
     if sim_mode == SIM_DOT:
-        return float(u @ v)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
-
-
-def phrase_similarity(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> float:
-    uf = projection(f_tokens, params, vocab)[1].output
-    ue = projection(e_tokens, params, vocab)[1].output
-    return output_similarity(uf, ue, params.sim_mode)
+        return dots
+    scale = np.sqrt(row_similarities(u, u, SIM_DOT)) * np.sqrt(row_similarities(v, v, SIM_DOT))
+    return np.divide(dots, scale, out=np.zeros_like(dots), where=scale > 0.0)
 
 
 def token_similarity_matrix(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
     """|f| x |e| matrix of single-token similarities."""
-    f_out = [projection((t,), params, vocab)[1].output for t in f_tokens]
-    e_out = [projection((t,), params, vocab)[1].output for t in e_tokens]
-    sims = np.empty((len(f_tokens), len(e_tokens)))
-    for i, u in enumerate(f_out):
-        for j, v in enumerate(e_out):
-            sims[i, j] = output_similarity(u, v, params.sim_mode)
-    return sims
-
-
-def word_level_similarity(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> float:
-    """Symmetric mean-of-max over single-token similarities.
-
-    0.5 * mean over source tokens of the best-matching target token, plus
-    0.5 * mean over target tokens of the best-matching source token.
-    """
-    sims = token_similarity_matrix(f_tokens, e_tokens, params, vocab)
-    return 0.5 * float(np.mean(sims.max(axis=1))) + 0.5 * float(np.mean(sims.max(axis=0)))
+    f_out = np.array([projection((t,), params, vocab)[1].output for t in f_tokens])
+    e_out = np.array([projection((t,), params, vocab)[1].output for t in e_tokens])
+    grid = row_similarities(np.repeat(f_out, len(e_out), axis=0), np.tile(e_out, (len(f_out), 1)), params.sim_mode)
+    return grid.reshape(len(f_out), len(e_out))
 
 
 def similarity(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> float:
-    """Translation score of a source/target phrase pair under the model."""
+    """Translation score of a source/target phrase pair: ``row_similarities`` of their projections.
+
+    Word-level: half the mean over source tokens of the best target token's score, plus the converse half.
+    """
     if params.word_level:
-        return word_level_similarity(f_tokens, e_tokens, params, vocab)
-    return phrase_similarity(f_tokens, e_tokens, params, vocab)
+        sims = token_similarity_matrix(f_tokens, e_tokens, params, vocab)
+        return 0.5 * float(np.mean(sims.max(axis=1))) + 0.5 * float(np.mean(sims.max(axis=0)))
+    u, v = (projection(tokens, params, vocab)[1].output for tokens in (f_tokens, e_tokens))
+    return float(row_similarities(u[None], v[None], params.sim_mode)[0])
 
 
 def pack_params(params: ModelParams) -> np.ndarray:
@@ -394,9 +385,14 @@ def read_model(path) -> tuple[ModelParams, dict | None]:
     flat = np.frombuffer(payload, dtype=np.float64)
     w1 = flat[: d * k1].reshape(d, k1).copy()
     w2 = flat[d * k1 : n_model].reshape(k1, k2).copy() if arch == ARCH_NONLINEAR else None
-    params = ModelParams(w1, w2, arch, header["sim_mode"], header["word_level"])
+    try:
+        params = ModelParams(w1, w2, arch, header["sim_mode"], header["word_level"])
+    except ValueError as exc:
+        raise ModelIOError(f"{path}: {exc}") from None
     if trainer is None:
         return params, None
+    if not np.all(np.isfinite(flat[n_model:])):
+        raise ModelIOError(f"{path}: optimizer history must be finite")
     history = [flat[(1 + i) * n_model : (2 + i) * n_model].copy() for i in range(2 * hist)]
     return params, {
         "iteration": trainer["iteration"],

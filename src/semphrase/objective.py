@@ -30,14 +30,16 @@ probabilities, and ``full_gradient`` one flat float64 vector in the
 ``model.pack_params`` layout (W1 then W2, row-major), the vector the
 optimizer works on and the layout ``backprop`` adds into.
 
-Each phrase is encoded and projected once per ``full_gradient`` or
-``corpus_xbleu`` call: the table of ``model.with_projection_table(params)``
-lives for that call, ``pair_similarities`` stacks its outputs, and phase 2
-and ``backprop`` read it.  The row-wise products take one BLAS dot per pair,
-as ``model.similarity`` does, and ``backprop``'s matrix products go through
-BLAS, so the gradient's bits are fixed for a given numpy/BLAS build and BLAS
-thread count.  Each candidate's sentence BLEU is the sample's ``sbleus``
-array, computed when the sample was built.
+Each phrase is encoded and projected once per ``full_gradient`` call: the
+table of ``model.with_projection_table(params)`` lives for that call,
+``pair_similarities`` stacks its outputs, and phase 2 and ``backprop`` read
+it.  ``pair_similarities`` scores the stacked rows with
+``model.row_similarities``, the rule ``model.similarity`` applies to one
+pair, one BLAS dot per pair; ``backprop``'s matrix products go through BLAS,
+so the gradient's bits are fixed for a given numpy/BLAS build and BLAS
+thread count.  ``corpus_xbleu`` is the negated ``full_gradient`` loss.
+Each candidate's sentence BLEU is the sample's ``sbleus`` array, computed
+when the sample was built.
 """
 
 from __future__ import annotations
@@ -112,24 +114,17 @@ def compile_corpus(samples) -> CompiledCorpus:
 def pair_similarities(compiled: CompiledCorpus, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
     """The (P,) similarities of ``compiled.pairs``.
 
-    Each distinct phrase's output is stacked once from the projection table;
-    each pair's score is the dot product of its two rows (over the row norms
-    for cosine, 0 if either is zero), ``SIM_BLOCK`` pairs at a time.  Word-level
-    mode scores each pair with ``model.similarity``.
+    Each distinct phrase's output is stacked once from the projection table,
+    and ``model.row_similarities`` scores the pairs' rows ``SIM_BLOCK`` pairs
+    at a time.  Word-level mode scores each pair with ``model.similarity``.
     """
     if params.word_level or not compiled.pairs:
         return np.array([model.similarity(p.source, p.target, params, vocab) for p in compiled.pairs], dtype=float)
     outputs = np.array([model.projection(phrase, params, vocab)[1].output for phrase in compiled.phrases])
     sims = np.empty(len(compiled.pairs))
     for start in range(0, sims.size, SIM_BLOCK):
-        rows = compiled.pair_rows[start : start + SIM_BLOCK]
-        # (1 x k) @ (k x 1) per pair: one BLAS dot each, as ``model.similarity`` takes it
-        products = np.matmul(outputs[rows[:, :1]], outputs[rows[:, 1:]].transpose(0, 2, 1))
-        sims[start : start + SIM_BLOCK] = products[:, 0, 0]
-    if params.sim_mode == model.SIM_COSINE:
-        norms = np.sqrt(np.matmul(outputs[:, None, :], outputs[:, :, None])[:, 0, 0])
-        scale = norms[compiled.pair_rows[:, 0]] * norms[compiled.pair_rows[:, 1]]
-        sims = np.divide(sims, scale, out=np.zeros_like(sims), where=scale > 0.0)
+        f, e = compiled.pair_rows[start : start + SIM_BLOCK].T
+        sims[start : start + SIM_BLOCK] = model.row_similarities(outputs[f], outputs[e], params.sim_mode)
     return sims
 
 
@@ -294,15 +289,8 @@ def full_gradient(
 
 
 def corpus_xbleu(samples, params: ModelParams, lam: np.ndarray, vocab: Vocabulary) -> float:
-    """Mean expected BLEU over the corpus (the negated training loss)."""
-    samples = list(samples)
-    compiled = compile_corpus(samples)
-    lam = np.asarray(lam, dtype=np.float64)
-    params = model.with_projection_table(params)
-    totals = feature_matrix(compiled, pair_similarities(compiled, params, vocab), lam.size) @ lam
-    bounds = compiled.offsets.tolist()
-    xbleus = [expected_bleu(s, params, lam, vocab, totals[a:b]) for s, a, b in zip(samples, bounds, bounds[1:])]
-    return math.fsum(xbleus) / len(samples)
+    """Mean expected BLEU over the corpus: the negated ``full_gradient`` loss."""
+    return -full_gradient(samples, params, lam, vocab)[0]
 
 
 def finite_difference(fn, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -273,7 +273,7 @@ def _initial_params(config: TrainConfig, vocab: Vocabulary) -> ModelParams:
         pre = model.load_model(config.init_model)
         if pre.w1.shape != (len(vocab), config.k1):
             raise ValueError(
-                f"initial model W1 has shape {pre.w1.shape}, "
+                f"{config.init_model}: initial model W1 has shape {pre.w1.shape}, "
                 f"expected {(len(vocab), config.k1)}"
             )
         w1_init = pre.w1

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semphrase import cli, corpus, model, synth, trainer
+from semphrase import cli, corpus, model, objective, synth, trainer
 
 
 def run(argv):
@@ -445,15 +445,16 @@ class TestCliCommands:
             ]
         )
         assert code == 0
+        params = model.load_model(model_path)
+        vocab = corpus.load_vocabulary(root / "model.bin.vocab")
+        # the compiled corpus's phrase order: first occurrence, source before target
+        phrases = objective.compile_corpus(corpus.load_samples(data / "nbest.txt", data / "refs.txt")).phrases
         lines = out.read_text().splitlines()
-        assert lines
-        phrases = set()
-        for line in lines:
-            phrase, values = line.split("\t")
-            phrases.add(phrase)
-            assert len(values.split()) == 8  # k2 of the trained model
-            [float(v) for v in values.split()]
-        assert len(phrases) == len(lines)
+        assert [line.split("\t")[0] for line in lines] == [" ".join(phrase) for phrase in phrases]
+        for phrase, line in zip(phrases, lines):
+            output = model.project(model.encode(phrase, vocab), params).output
+            assert output.size == 8  # k2 of the trained model
+            assert line.split("\t")[1] == " ".join(repr(float(v)) for v in output)
 
     @pytest.mark.parametrize("header", [b"[1]", b'{"format": "semphrase-model", "version": 1}'])
     @pytest.mark.parametrize("command", ["rerank", "tune-lambda", "export-embeddings"])
@@ -533,6 +534,67 @@ class TestCliCommands:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["the ", "house\tbig", " ", "a\u00a0b"])
+    def test_vocabulary_token_with_whitespace_names_its_line(self, small_run, tmp_path, capsys, line):
+        root, data, model_path = small_run
+        tokens = (root / "model.bin.vocab").read_text().splitlines()
+        vocab = tmp_path / "space.vocab"
+        vocab.write_text("\n".join(tokens[:2] + ["", line] + tokens[3:]) + "\n")  # line 4, as many tokens
+        out = tmp_path / "out.txt"
+        argv = ["rerank", "--model", str(model_path), "--vocab", str(vocab), "--nbest", str(data / "nbest.txt"),
+                "--refs", str(data / "refs.txt"), "--weights", str(data / "lambda.txt"), "--output", str(out)]
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert f"{vocab}:4: token {line!r} holds whitespace, which no corpus token does" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rerank", "tune-lambda", "export-embeddings", "train --init-model",
+                                         "train --resume"])
+    def test_model_with_a_nan_weight_is_refused_by_name(self, small_run, tmp_path, capsys, command):
+        root, data, model_path = small_run
+        source = model_path
+        if command == "train --resume":
+            assert run(["train", "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
+                        "--weights", str(data / "lambda.txt"), "--out-model", str(tmp_path / "a.bin"),
+                        "--iters", "1", "--k1", "8", "--k2", "8", "--checkpoint-dir", str(tmp_path / "ck"),
+                        "--checkpoint-interval", "1"]) == 0
+            capsys.readouterr()
+            source = tmp_path / "ck" / "checkpoint-0001.mdl"
+        header, payload = source.read_bytes().split(b"\n", 1)
+        bad = tmp_path / "nan.bin"
+        bad.write_bytes(header + b"\n" + np.float64("nan").tobytes() + payload[8:])  # W1[0, 0]
+        out = tmp_path / "out.txt"
+        corpus_flags = ["--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
+                        "--weights", str(data / "lambda.txt")]
+        scoring = ["--model", str(bad), "--vocab", str(root / "model.bin.vocab")]
+        argv = {
+            "rerank": ["rerank", *scoring, *corpus_flags, "--output", str(out)],
+            "tune-lambda": ["tune-lambda", *scoring, *corpus_flags, "--out", str(out)],
+            "export-embeddings": ["export-embeddings", *scoring, "--nbest", str(data / "nbest.txt"),
+                                  "--out", str(out)],
+            "train --init-model": ["train", *corpus_flags, "--out-model", str(out), "--k1", "8", "--k2", "8",
+                                   "--init-model", str(bad)],
+            "train --resume": ["train", *corpus_flags, "--out-model", str(out), "--k1", "8", "--k2", "8",
+                               "--resume", str(bad)],
+        }[command]
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert f"semphrase: {bad}: parameters must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_init_model_of_another_width_is_refused_by_name(self, small_run, tmp_path, capsys):
+        _, data, model_path = small_run
+        out = tmp_path / "m.bin"
+        argv = ["train", "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
+                "--weights", str(data / "lambda.txt"), "--out-model", str(out), "--k1", "6", "--k2", "8",
+                "--init-model", str(model_path)]
+        assert run(argv) == 4
+        rows = model.load_model(model_path).d
+        assert f"{model_path}: initial model W1 has shape ({rows}, 8), expected ({rows}, 6)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_with_another_shape_exits_4(self, small_run, tmp_path, capsys):
         root, data, _ = small_run
         common = ["train", "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
@@ -586,6 +648,39 @@ class TestCliCommands:
         conf = tmp_path / "bad.conf"
         conf.write_text("banana = 1\n")
         assert run(["synthgen", "--config", str(conf), "--out-dir", str(tmp_path / "x")]) == 4
+
+    @pytest.mark.parametrize("key", ["help", "config"])
+    def test_help_and_config_are_not_config_keys(self, tmp_path, capsys, key):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"{key} = 1\n")
+        assert run(["synthgen", "--config", str(conf), "--out-dir", str(tmp_path / "x")]) == 4
+        assert f"semphrase: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+         ("0", False), ("false", False), ("NO", False), ("Off", False)],
+    )
+    def test_config_switch_takes_each_spelling_in_any_case(self, value, expected):
+        parser, subs = cli.build_parser()
+        cli._apply_config(subs["gradcheck"], {"word-level": value})
+        assert parser.parse_args(["gradcheck"]).word_level is expected
+        assert parser.parse_args(["gradcheck", "--word-level"]).word_level is True
+
+    @pytest.mark.parametrize("key, value", [("word-level", "ture"), ("no-timing", "yes please"), ("word-level", "")])
+    def test_config_switch_with_another_value_exits_4(self, small_run, tmp_path, capsys, key, value):
+        _, data, _ = small_run
+        conf = tmp_path / "train.conf"
+        conf.write_text(f"{key} = {value}\n")
+        out = tmp_path / "m.bin"
+        argv = ["train", "--config", str(conf), "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
+                "--weights", str(data / "lambda.txt"), "--out-model", str(out), "--iters", "1", "--k1", "4",
+                "--k2", "4"]
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert f"semphrase: config key {key!r} has value {value!r}, not 1/0, true/false, yes/no or on/off" in err
+        assert not out.exists()
 
 
 # Which command reads which input file, and under which flag.

@@ -391,6 +391,15 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             corpus.build_vocabulary([])
 
+    def test_load_skips_blank_lines_and_refuses_tokens_with_whitespace(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<unk>\n\nthe\n\nhouse\n")
+        assert corpus.load_vocabulary(path).tokens == ("<unk>", "the", "house")
+        for bad in ("the ", "house\tbig", "\u2003"):
+            path.write_text(f"<unk>\n\n{bad}\n")
+            with pytest.raises(corpus.CorpusError, match="^" + re.escape(f"{path}:3: token {bad!r} holds whitespace")):
+                corpus.load_vocabulary(path)
+
 
 class TestPhrasePairs:
     def test_repeated_pair_in_one_derivation(self):

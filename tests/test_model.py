@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,32 @@ class TestSimilarity:
         assert after != before
 
 
+class TestRowSimilarities:
+    @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
+    def test_block_gives_each_row_its_own_bits(self, rng, sim_mode):
+        u, v = rng.normal(size=(2, 7, 5))
+        u[2] = 0.0  # a zero row: cosine pins it to 0
+        block = model.row_similarities(u, v, sim_mode)
+        assert block.shape == (7,)
+        for i in range(7):
+            assert block[i] == model.row_similarities(u[i : i + 1], v[i : i + 1], sim_mode)[0]
+            expected = u[i] @ v[i]
+            if sim_mode == model.SIM_COSINE and i != 2:
+                expected /= np.linalg.norm(u[i]) * np.linalg.norm(v[i])
+            assert block[i] == pytest.approx(0.0 if i == 2 else expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
+    def test_token_matrix_scores_each_cell_as_a_pair(self, sim_mode):
+        vocab = tiny_vocab("a", "b", "c")
+        params = model.init_params(4, 3, 2, sim_mode=sim_mode, seed=11)
+        f, e = ("a", "c", "a"), ("b", "never-seen")
+        sims = model.token_similarity_matrix(f, e, params, vocab)
+        assert sims.shape == (3, 2)
+        for i, ft in enumerate(f):
+            for j, et in enumerate(e):
+                assert sims[i, j] == model.similarity((ft,), (et,), params, vocab)
+
+
 class TestProjectionTable:
     def test_shares_arrays_and_projects_each_phrase_once(self, monkeypatch):
         vocab = tiny_vocab("a", "b", "c")
@@ -216,6 +243,21 @@ class TestPersistence:
         path.write_bytes(header + b"\n" + payload)
         with pytest.raises(model.ModelIOError, match="payload"):
             model.load_model(path)
+
+    @pytest.mark.parametrize("block", ["w1", "history"])
+    def test_non_finite_payload_is_refused_naming_the_file(self, tmp_path, block):
+        params = model.init_params(4, 3, 2, seed=12)
+        trainer = {"iteration": 1, "s_list": [np.ones(params.size)], "y_list": [np.ones(params.size)],
+                   "loss_window": [0.5]}
+        if block == "w1":
+            params.w1[0, 0] = np.nan
+        else:
+            trainer["y_list"][0][2] = np.inf  # a resumed run would store the pair and step to NaN
+        path = tmp_path / "ck.mdl"
+        model.save_model(params, path, trainer)
+        what = "parameters" if block == "w1" else "optimizer history"
+        with pytest.raises(model.ModelIOError, match="^" + re.escape(f"{path}: {what} must be finite") + "$"):
+            model.read_model(path)
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "junk.bin"
