@@ -3,8 +3,10 @@
 Subcommands: ``train``, ``rerank``, ``eval``, ``gradcheck``, ``synthgen``,
 ``tune-lambda``, ``export-embeddings``.  Every flag can also be supplied
 through ``--config FILE`` holding flat ``key=value`` lines (keys are the long
-flag names); explicit flags win over config values.  All randomness flows
-from the ``--seed`` flag of the respective subcommand.
+flag names); explicit flags win over config values, and a key that repeats is
+refused.  ``--config`` is found by argparse like any other flag, so a unique
+prefix such as ``--conf`` works and the last ``--config`` given wins.  All
+randomness flows from the ``--seed`` flag of the respective subcommand.
 
 Exit codes: 0 success, 2 usage error, 3 missing or unusable file, 4 malformed
 or inconsistent data, 5 failed numerical check.
@@ -29,8 +31,9 @@ EXIT_BAD_DATA = 4
 EXIT_CHECK_FAILED = 5
 
 
-def _add_config_flag(sub):
-    sub.add_argument("--config", help="flat key=value file supplying flag defaults")
+def _add_config_flag(parser):
+    """The one ``--config`` flag, of every subcommand's parser and of ``main``'s pre-parse."""
+    parser.add_argument("--config", help="flat key=value file supplying flag defaults")
 
 
 def _add_corpus_flags(sub, role="training"):
@@ -44,7 +47,6 @@ def build_parser():
         description="Train bilingual phrase embeddings on N-best lists and rerank with them.",
     )
     subparsers = parser.add_subparsers(dest="command", metavar="COMMAND")
-    subs = {}
 
     sub = subparsers.add_parser("train", help="fit the projection matrices on an N-best corpus")
     _add_corpus_flags(sub)
@@ -74,8 +76,6 @@ def build_parser():
     sub.add_argument("--init-model", help="warm-start W1 from this model file")
     sub.add_argument("--resume", help="resume from this checkpoint file")
     sub.add_argument("--no-timing", action="store_true", help="log 0.0 wall seconds (reproducible logs)")
-    _add_config_flag(sub)
-    subs["train"] = sub
 
     sub = subparsers.add_parser("rerank", help="pick the best candidate per sentence")
     _add_corpus_flags(sub, role="test")
@@ -84,14 +84,10 @@ def build_parser():
     sub.add_argument("--weights", required=True, help="weight file (M+1 lines)")
     sub.add_argument("--output", help="write selections here instead of stdout")
     sub.add_argument("--threads", type=int, default=1, help="ignored: reranking runs in one thread, BLAS aside")
-    _add_config_flag(sub)
-    subs["rerank"] = sub
 
     sub = subparsers.add_parser("eval", help="corpus BLEU of a hypothesis file against references")
     sub.add_argument("--hyp", required=True, help="hypothesis file (sent_id ||| ... ||| tokens)")
     sub.add_argument("--refs", required=True, help="reference file")
-    _add_config_flag(sub)
-    subs["eval"] = sub
 
     sub = subparsers.add_parser("gradcheck", help="compare the analytic gradient with finite differences")
     sub.add_argument("--nbest", help="optional N-best file (default: generated toy corpus)")
@@ -106,8 +102,6 @@ def build_parser():
     )
     sub.add_argument("--sim-mode", choices=[model.SIM_DOT, model.SIM_COSINE])
     sub.add_argument("--word-level", action="store_true")
-    _add_config_flag(sub)
-    subs["gradcheck"] = sub
 
     sub = subparsers.add_parser("synthgen", help="generate a synthetic reranking corpus")
     sub.add_argument("--out-dir", required=True)
@@ -119,8 +113,6 @@ def build_parser():
     sub.add_argument("--noise", type=float, default=0.3)
     sub.add_argument("--feature-noise", type=float, default=0.35)
     sub.add_argument("--seed", type=int, default=0)
-    _add_config_flag(sub)
-    subs["synthgen"] = sub
 
     sub = subparsers.add_parser(
         "tune-lambda",
@@ -131,41 +123,34 @@ def build_parser():
     sub.add_argument("--vocab", required=True)
     sub.add_argument("--weights", required=True, help="starting weights (M+1 lines)")
     sub.add_argument("--out", required=True, help="where to write the tuned weights")
-    _add_config_flag(sub)
-    subs["tune-lambda"] = sub
 
     sub = subparsers.add_parser("export-embeddings", help="dump projected phrase vectors as text")
     sub.add_argument("--model", required=True)
     sub.add_argument("--vocab", required=True)
     sub.add_argument("--nbest", required=True, help="N-best file supplying the phrases")
     sub.add_argument("--out", help="output path (default: stdout)")
-    _add_config_flag(sub)
-    subs["export-embeddings"] = sub
 
-    return parser, subs
+    for sub in subparsers.choices.values():
+        _add_config_flag(sub)
+    return parser, subparsers.choices
 
 
 def _load_config_file(path) -> dict[str, str]:
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise corpus.CorpusError("expected key=value", path, lineno)
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    """The ``key=value`` lines of ``path``, skipping ``#`` comments; a key that repeats is refused."""
+    values, first_line = {}, {}
+    for lineno, text in corpus.read_lines(path):
+        if text.startswith("#"):
+            continue
+        key, sep, value = text.partition("=")
+        if not sep:
+            raise corpus.CorpusError("expected key=value", path, lineno)
+        key = key.strip()
+        dest = key.replace("-", "_")
+        if dest in first_line:
+            raise corpus.CorpusError(f"key {key!r} repeats line {first_line[dest]}", path, lineno)
+        first_line[dest] = lineno
+        values[key] = value.strip()
     return values
-
-
-def _peek_config_path(argv) -> str | None:
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
 
 
 def _apply_config(sub, config: dict[str, str]) -> None:
@@ -258,6 +243,15 @@ def _load_model_and_vocabulary(args) -> tuple[model.ModelParams, corpus.Vocabula
     return params, vocab
 
 
+def _write_lines(lines, path) -> None:
+    """Write ``lines`` to ``path`` through ``corpus.atomic_writer``, or to stdout when ``path`` is not given."""
+    if path:
+        with corpus.atomic_writer(path) as fh:
+            fh.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
+
+
 def _cmd_rerank(args) -> int:
     params, vocab = _load_model_and_vocabulary(args)
     samples, lam = _load_corpus_and_weights(args)
@@ -266,11 +260,7 @@ def _cmd_rerank(args) -> int:
     for sample, sel in zip(samples, result.selections):
         tokens = " ".join(sample.candidates[sel.index].tokens)
         lines.append(f"{sel.sample_id} {corpus.FIELD_SEP} {tokens}\n")
-    if args.output:
-        with corpus.atomic_writer(args.output) as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+    _write_lines(lines, args.output)
     print(f"baseline BLEU  {result.baseline_bleu:.4f}", file=sys.stderr)
     print(f"reranked BLEU  {result.reranked_bleu:.4f}", file=sys.stderr)
     print(f"oracle best    {result.oracle_best_bleu:.4f}", file=sys.stderr)
@@ -281,20 +271,10 @@ def _cmd_rerank(args) -> int:
 def _read_hypotheses(path) -> dict[int, tuple[str, ...]]:
     """Take the last |||-field of each line as the token sequence, keyed by its distinct id."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = [p.strip() for p in raw.split(corpus.FIELD_SEP)]
-            if len(parts) < 2:
-                raise corpus.CorpusError(f"expected at least 2 '{corpus.FIELD_SEP}' fields", path, lineno)
-            sent_id = corpus.parse_sentence_id(parts[0], path, lineno)
-            if sent_id in out:
-                raise corpus.CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
-            out[sent_id] = corpus.fold(parts[-1].split())
-    if not out:
-        raise corpus.CorpusError("file is empty", path)
+    for lineno, sent_id, fields in corpus.read_records(path, 2, "file", at_least=True):
+        if sent_id in out:
+            raise corpus.CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
+        out[sent_id] = corpus.fold(fields[-1].split())
     return out
 
 
@@ -374,11 +354,7 @@ def _cmd_export_embeddings(args) -> int:
         out = model.project(model.encode(tokens, vocab), params).output
         values = " ".join(repr(float(v)) for v in out)
         lines.append(f"{' '.join(tokens)}\t{values}\n")
-    if args.out:
-        with corpus.atomic_writer(args.out) as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+    _write_lines(lines, args.out)
     return EXIT_OK
 
 
@@ -402,9 +378,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = build_parser()
     try:
-        config_path = _peek_config_path(argv)
-        if config_path is not None and argv and argv[0] in subs:
-            _apply_config(subs[argv[0]], _load_config_file(config_path))
+        if argv and argv[0] in subs:
+            pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+            _add_config_flag(pre)
+            try:
+                config_path = pre.parse_known_args(argv[1:])[0].config
+            except argparse.ArgumentError:  # ``--config`` without a path: the full parse reports it
+                config_path = None
+            if config_path is not None:
+                _apply_config(subs[argv[0]], _load_config_file(config_path))
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)

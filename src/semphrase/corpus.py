@@ -12,6 +12,10 @@ File formats (UTF-8, fields separated by ``|||``):
 * Weight file: one real per line, M+1 lines (last entry weights the learned
   phrase-similarity feature).
 
+Two readers serve every text input but the vocabulary (whose check sees a
+token's whitespace): ``read_lines`` for the weight and config files, and
+``read_records`` for the ``|||`` files.  Reals are ASCII without ``_``.
+
 Tokens are lowercased at load time, and loaded corpora are immutable by
 convention.  A phrase pair is a tuple value: ``PhrasePair(s, t)`` hashes and
 compares as the plain tuple ``(s, t)``, so every per-pair dict keys on it in C.
@@ -266,6 +270,38 @@ def parse_sentence_id(text: str, path, line) -> int:
     return int(text)
 
 
+def _reals(text: str) -> list[float]:
+    """The reals of ``text``, or ``ValueError``; ``float`` alone would also read ``1_0`` or ``٣``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return [float(v) for v in text.split()]
+
+
+def read_lines(path):
+    """``(line number, stripped text)`` of each non-blank line of the UTF-8 file ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if text:
+                yield lineno, text
+
+
+def read_records(path, n_fields: int, what: str, at_least: bool = False):
+    """``(line number, sentence id, other fields)`` of each line of ``n_fields`` ``|||`` fields.
+
+    More fields are allowed if ``at_least``; a file without records is refused as ``what``.
+    """
+    lineno = 0
+    for lineno, text in read_lines(path):
+        parts = [p.strip() for p in text.split(FIELD_SEP)]
+        if len(parts) != n_fields and not (at_least and len(parts) > n_fields):
+            expected = f"at least {n_fields}" if at_least else n_fields
+            raise CorpusError(f"expected {expected} '{FIELD_SEP}' fields, got {len(parts)}", path, lineno)
+        yield lineno, parse_sentence_id(parts[0], path, lineno), parts[1:]
+    if not lineno:
+        raise CorpusError(f"{what} is empty", path)
+
+
 def format_derivation(derivation) -> str:
     return " ".join(f"[ {' '.join(p.source)} # {' '.join(p.target)} ]" for p in derivation)
 
@@ -273,24 +309,13 @@ def format_derivation(derivation) -> str:
 def load_references(path) -> dict[int, tuple[tuple[str, ...], tuple[str, ...]]]:
     """Parse a reference file into ``{sent_id: (source, reference)}``."""
     refs: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = [p.strip() for p in raw.split(FIELD_SEP)]
-            if len(parts) != 3:
-                raise CorpusError(f"expected 3 '{FIELD_SEP}' fields, got {len(parts)}", path, lineno)
-            sent_id = parse_sentence_id(parts[0], path, lineno)
-            if sent_id in refs:
-                raise CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
-            source = fold(parts[1].split())
-            reference = fold(parts[2].split())
-            if not reference:
-                raise CorpusError("empty reference", path, lineno)
-            refs[sent_id] = (source, reference)
-    if not refs:
-        raise CorpusError("reference file is empty", path)
+    for lineno, sent_id, (source, reference) in read_records(path, 3, "reference file"):
+        if sent_id in refs:
+            raise CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
+        reference = fold(reference.split())
+        if not reference:
+            raise CorpusError("empty reference", path, lineno)
+        refs[sent_id] = (fold(source.split()), reference)
     return refs
 
 
@@ -309,36 +334,26 @@ def parse_nbest(path) -> dict[int, list[NBestEntry]]:
     n_features: int | None = None
     segments: dict[str, PhrasePair | None] = {}
     shared: dict[tuple, tuple] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = [p.strip() for p in raw.split(FIELD_SEP)]
-            if len(parts) != 4:
-                raise CorpusError(f"expected 4 '{FIELD_SEP}' fields, got {len(parts)}", path, lineno)
-            sent_id = parse_sentence_id(parts[0], path, lineno)
-            tokens = fold(parts[1].split())
-            if not tokens:
-                raise CorpusError("empty candidate", path, lineno)
-            try:
-                values = [float(v) for v in parts[2].split()]
-            except ValueError:
-                raise CorpusError(f"bad feature value in {parts[2]!r}", path, lineno) from None
-            if not values or not all(map(math.isfinite, values)):
-                raise CorpusError("features must be a non-empty list of finite reals", path, lineno)
-            if n_features is None:
-                n_features = len(values)
-            elif len(values) != n_features:
-                raise CorpusError(
-                    f"inconsistent feature count: expected {n_features}, got {len(values)}", path, lineno
-                )
-            derivation = _derivation(parts[3], segments, shared, path, lineno)
-            entry = NBestEntry(tokens, np.array(values, dtype=np.float64), derivation)
-            _check_derivation(entry, path, lineno)
-            by_id.setdefault(sent_id, []).append(entry)
-    if not by_id:
-        raise CorpusError("N-best file is empty", path)
+    for lineno, sent_id, (candidate, features, derivation) in read_records(path, 4, "N-best file"):
+        tokens = fold(candidate.split())
+        if not tokens:
+            raise CorpusError("empty candidate", path, lineno)
+        try:
+            values = _reals(features)
+        except ValueError:
+            raise CorpusError(f"bad feature value in {features!r}", path, lineno) from None
+        if not values or not all(map(math.isfinite, values)):
+            raise CorpusError("features must be a non-empty list of finite reals", path, lineno)
+        if n_features is None:
+            n_features = len(values)
+        elif len(values) != n_features:
+            raise CorpusError(
+                f"inconsistent feature count: expected {n_features}, got {len(values)}", path, lineno
+            )
+        derivation = _derivation(derivation, segments, shared, path, lineno)
+        entry = NBestEntry(tokens, np.array(values, dtype=np.float64), derivation)
+        _check_derivation(entry, path, lineno)
+        by_id.setdefault(sent_id, []).append(entry)
     return {sent_id: [entries[i] for i in _first_occurrences(entries)] for sent_id, entries in by_id.items()}
 
 
@@ -445,15 +460,12 @@ def collect_phrase_pairs(samples) -> dict[PhrasePair, int]:
 def load_lambda(path, expected_len: int | None = None) -> np.ndarray:
     """Read a weight vector, one real per line (M baseline weights + 1)."""
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                values.append(float(raw))
-            except ValueError:
-                raise CorpusError(f"bad weight {raw!r}", path, lineno) from None
+    for lineno, text in read_lines(path):
+        try:
+            (value,) = _reals(text)
+        except ValueError:
+            raise CorpusError(f"bad weight {text!r}", path, lineno) from None
+        values.append(value)
     if not values or not all(math.isfinite(v) for v in values):
         raise CorpusError("weight file must contain finite reals", path)
     weights = np.array(values, dtype=np.float64)

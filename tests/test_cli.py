@@ -61,6 +61,17 @@ class TestSynthgen:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize(
+        "second, key", [("sentences = 5", "sentences"), ("sentences=3", "sentences"), ("out_dir = b", "out_dir")]
+    )
+    def test_repeated_config_key_exits_4(self, tmp_path, capsys, second, key):
+        first = "sentences = 3" if key == "sentences" else f"out-dir = {tmp_path / 'a'}"
+        conf = tmp_path / "gen.conf"
+        conf.write_text(f"{first}\n# a comment\n\n{second}\n")
+        assert run(["synthgen", "--config", str(conf), "--out-dir", str(tmp_path / "d")]) == 4
+        assert capsys.readouterr().err == f"semphrase: {conf}:4: key {key!r} repeats line 1\n"
+        assert list(tmp_path.iterdir()) == [conf]
+
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
@@ -188,6 +199,25 @@ class TestRefusedInputs:
         vocab.write_text("\n".join(tokens) + "\n")
         err = self._refused("rerank", _files(small_run, vocab=vocab), tmp_path, capsys)
         assert f"semphrase: {vocab}:1: first token is {tokens[0]!r}, not the reserved '<unk>'" in err
+
+    @pytest.mark.parametrize("text", ["1_0", "٣"])
+    @pytest.mark.parametrize("command", ["train", "rerank", "tune-lambda"])
+    def test_a_weight_only_float_reads_is_refused(self, small_run, tmp_path, capsys, command, text):
+        weights = tmp_path / "weights.txt"
+        weights.write_text(f"{text}\n0.1\n1.0\n", encoding="utf-8")
+        err = self._refused(command, _files(small_run, weights=weights), tmp_path, capsys)
+        assert err == f"semphrase: {weights}:1: bad weight {text!r}\n"
+
+    @pytest.mark.parametrize("text", ["1_0", "٣"])
+    @pytest.mark.parametrize("command", ["train", "rerank", "export-embeddings"])
+    def test_a_feature_only_float_reads_is_refused(self, small_run, tmp_path, capsys, command, text):
+        lines = (small_run[1] / "nbest.txt").read_text().splitlines(keepends=True)
+        sent_id, tokens, features, derivation = lines[1].split(" ||| ")
+        features = f"{text} {features.split(maxsplit=1)[1]}"
+        nbest = tmp_path / "nbest.txt"
+        nbest.write_text("".join([lines[0], " ||| ".join([sent_id, tokens, features, derivation]), *lines[2:]]))
+        err = self._refused(command, _files(small_run, nbest=nbest), tmp_path, capsys)
+        assert err == f"semphrase: {nbest}:2: bad feature value in {features!r}\n"
 
     def test_references_without_candidates_are_refused(self, small_run, tmp_path, capsys):
         refs = tmp_path / "refs.txt"
@@ -643,6 +673,20 @@ class TestCliCommands:
         # explicit flag beats the config value
         assert run(["synthgen", "--config", str(conf), "--sentences", "9"]) == 0
         assert len(refs.read_text().splitlines()) == 9
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--conf", "{a}"], ["--config", "{b}", "--config", "{a}"], ["--config={a}"], ["--conf={b}", "--conf={a}"]],
+        ids=["prefix", "last-wins", "equals", "prefix-last-wins"],
+    )
+    def test_config_file_is_the_one_argparse_records(self, tmp_path, flags):
+        (tmp_path / "a.conf").write_text("sentences = 3\n")
+        (tmp_path / "b.conf").write_text("sentences = 5\n")
+        flags = [flag.format(a=tmp_path / "a.conf", b=tmp_path / "b.conf") for flag in flags]
+        argv = ["synthgen", "--out-dir", str(tmp_path / "gen"), *flags]
+        assert cli.build_parser()[0].parse_args(argv).config == str(tmp_path / "a.conf")
+        assert run(argv) == 0
+        assert len((tmp_path / "gen" / "refs.txt").read_text().splitlines()) == 3
 
     def test_unknown_config_key_exits_4(self, tmp_path):
         conf = tmp_path / "bad.conf"

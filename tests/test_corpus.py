@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from semphrase import bleu, corpus, synth
+from semphrase import bleu, cli, corpus, synth
 
 from bleu_reference import ref_bleu_stats, ref_sentence_bleu
 from conftest import make_random_corpus
@@ -251,6 +251,100 @@ class TestSentenceIds:
     def test_anything_else_is_refused(self, text):
         with pytest.raises(corpus.CorpusError, match=rf"^f:3: bad sentence id {re.escape(repr(text))}$"):
             corpus.parse_sentence_id(text, "f", 3)
+
+
+class TestReals:
+    """Weights and feature values are ASCII reals without ``_``, as ``repr(float)`` writes them."""
+
+    # Each of these is a real to ``float`` alone: 10.0, 3.0, 1.0, 1e10, 1000.5, 3.5.
+    FLOAT_ALONE = ["1_0", "٣", "１", "1e1_0", "1_000.5", "٣.٥"]
+
+    @pytest.mark.parametrize("text", FLOAT_ALONE)
+    def test_weights_that_only_float_reads_are_refused(self, tmp_path, text):
+        path = _write(tmp_path, "lambda", f"{text}\n0.1\n1.0\n")
+        with pytest.raises(corpus.CorpusError, match=rf"^{re.escape(path)}:1: bad weight {re.escape(repr(text))}$"):
+            corpus.load_lambda(path)
+
+    @pytest.mark.parametrize("text", FLOAT_ALONE)
+    def test_features_that_only_float_reads_are_refused(self, tmp_path, text):
+        path = _write(tmp_path, "nbest", NBEST_SMALL + f"0 ||| the ||| 0.5 {text} ||| [ das # the ]\n")
+        message = f"bad feature value in {f'0.5 {text}'!r}"
+        with pytest.raises(corpus.CorpusError, match=rf"^{re.escape(path)}:3: {re.escape(message)}$"):
+            corpus.parse_nbest(path)
+
+    def test_every_form_repr_writes_is_read(self, tmp_path):
+        values = [1e-05, -2.0, 0.5, 1e300, -0.0, 123456.789]
+        path = _write(tmp_path, "lambda", "".join(f"{v!r}\n" for v in values) + "+.5\n3.\n-1E3\n")
+        assert corpus.load_lambda(path).tolist() == values + [0.5, 3.0, -1000.0]
+        nbest = NBEST_SMALL.replace("0.5 -1.0", "1e-05 -1E3", 1)
+        assert corpus.parse_nbest(_write(tmp_path, "nbest", nbest))[0][0].features.tolist() == [1e-05, -1000.0]
+
+
+# Each line-oriented input: its reader, a valid line, a line it refuses with
+# the message, the field count of its records (None for plain lines), and
+# its message for a file without records (None: may be empty).
+_READERS = {
+    "references": (corpus.load_references, "0 ||| das haus ||| the house", "x ||| a ||| b",
+                   "bad sentence id 'x'", "3", "reference file is empty"),
+    "nbest": (corpus.parse_nbest, "0 ||| the house ||| 0.5 -1.0 ||| [ das haus # the house ]",
+              "0 ||| the ||| 0.5 nan ||| [ das # the ]", "features must be a non-empty list of finite reals", "4",
+              "N-best file is empty"),
+    "hypotheses": (cli._read_hypotheses, "0 ||| the house", "00 ||| the house", "duplicate sentence id 0",
+                   "at least 2", "file is empty"),
+    "weights": (corpus.load_lambda, "0.5", "0.5 1.0", "bad weight '0.5 1.0'", None,
+                "weight file must contain finite reals"),
+    "config": (cli._load_config_file, "seed = 3", "seed", "expected key=value", None, None),
+}
+
+
+def _read_as(tmp_path, kind, lines, newline="\n"):
+    """What the reader of ``kind`` makes of ``lines``, and the path it read."""
+    path = tmp_path / kind
+    path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+    return _READERS[kind][0](str(path)), str(path)
+
+
+@pytest.mark.parametrize("kind", list(_READERS))
+class TestReaders:
+    """The one line source and the one record reader, as each input reads through them."""
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path, kind):
+        _, good, bad, message, *_ = _READERS[kind]
+        alone, _ = _read_as(tmp_path, kind, [good])
+        padded, path = _read_as(tmp_path, kind, ["", "   ", "\t", good, "", " \t "])
+        assert repr(padded) == repr(alone)
+        with pytest.raises(corpus.CorpusError) as caught:
+            _read_as(tmp_path, kind, ["", "   ", "\t", good, "", " \t ", bad])
+        assert str(caught.value) == f"{path}:7: {message}"
+
+    def test_crlf_reads_as_lf(self, tmp_path, kind):
+        _, good, bad, message, *_ = _READERS[kind]
+        lines = ["", good, "  "]
+        assert repr(_read_as(tmp_path, kind, lines, "\r\n")[0]) == repr(_read_as(tmp_path, kind, lines)[0])
+        for newline in ("\n", "\r\n"):
+            with pytest.raises(corpus.CorpusError, match=rf":4: {re.escape(message)}$"):
+                _read_as(tmp_path, kind, [*lines, bad], newline)
+
+    def test_blank_file_is_refused_by_name(self, tmp_path, kind):
+        *_, empty = _READERS[kind]
+        for lines in ([], ["", " ", "\t"]):
+            if empty is None:  # a config file may be empty
+                assert _read_as(tmp_path, kind, lines)[0] == {}
+                continue
+            with pytest.raises(corpus.CorpusError) as caught:
+                _read_as(tmp_path, kind, lines)
+            assert str(caught.value) == f"{tmp_path / kind}: {empty}"
+
+
+@pytest.mark.parametrize(
+    "kind, parts", [("references", 2), ("references", 4), ("nbest", 1), ("nbest", 5), ("hypotheses", 1)]
+)
+def test_wrong_field_count_names_the_line(tmp_path, kind, parts):
+    _, good, _, _, n_fields, _ = _READERS[kind]
+    bad = " ||| ".join(["0"] + ["a"] * (parts - 1))
+    with pytest.raises(corpus.CorpusError) as caught:
+        _read_as(tmp_path, kind, [good, "", bad])
+    assert str(caught.value) == f"{tmp_path / kind}:3: expected {n_fields} '|||' fields, got {parts}"
 
 
 def _assert_labelled_as_the_oracle(samples):
