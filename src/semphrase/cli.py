@@ -5,8 +5,10 @@ Subcommands: ``train``, ``rerank``, ``eval``, ``gradcheck``, ``synthgen``,
 through ``--config FILE`` holding flat ``key=value`` lines (keys are the long
 flag names); explicit flags win over config values, and a key that repeats is
 refused.  ``--config`` is found by argparse like any other flag, so a unique
-prefix such as ``--conf`` works and the last ``--config`` given wins.  All
-randomness flows from the ``--seed`` flag of the respective subcommand.
+prefix such as ``--conf`` works, one that is ambiguous in the subcommand
+(``--con`` of ``synthgen``) is a usage error, and the last ``--config`` given
+wins.  All randomness flows from the ``--seed`` flag of the respective
+subcommand.
 
 Exit codes: 0 success, 2 usage error, 3 missing or unusable file, 4 malformed
 or inconsistent data, 5 failed numerical check.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import math
 import sys
 from itertools import chain
@@ -29,11 +32,6 @@ EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_BAD_DATA = 4
 EXIT_CHECK_FAILED = 5
-
-
-def _add_config_flag(parser):
-    """The one ``--config`` flag, of every subcommand's parser and of ``main``'s pre-parse."""
-    parser.add_argument("--config", help="flat key=value file supplying flag defaults")
 
 
 def _add_corpus_flags(sub, role="training"):
@@ -131,8 +129,32 @@ def build_parser():
     sub.add_argument("--out", help="output path (default: stdout)")
 
     for sub in subparsers.choices.values():
-        _add_config_flag(sub)
+        sub.add_argument("--config", help="flat key=value file supplying flag defaults")
     return parser, subparsers.choices
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    """A parser that raises ``argparse.ArgumentError`` where ``ArgumentParser`` prints usage and exits."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _config_path(sub, args) -> str | None:
+    """The ``--config`` file ``sub`` records for ``args``; None if it records none or refuses ``args``.
+
+    A copy of ``sub``'s flags, none of them required, reads ``args``, so an
+    abbreviation resolves, or is ambiguous, exactly as in ``sub``.  A refused
+    command line is left for the full parse to report.
+    """
+    pre = _RaisingParser(add_help=False)
+    for action in sub._actions:
+        if action.dest != "help":
+            pre._add_action(copy.copy(action)).required = False
+    try:
+        return pre.parse_known_args(args)[0].config
+    except argparse.ArgumentError:
+        return None
 
 
 def _load_config_file(path) -> dict[str, str]:
@@ -378,15 +400,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = build_parser()
     try:
-        if argv and argv[0] in subs:
-            pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-            _add_config_flag(pre)
-            try:
-                config_path = pre.parse_known_args(argv[1:])[0].config
-            except argparse.ArgumentError:  # ``--config`` without a path: the full parse reports it
-                config_path = None
-            if config_path is not None:
-                _apply_config(subs[argv[0]], _load_config_file(config_path))
+        if argv and argv[0] in subs and (config_path := _config_path(subs[argv[0]], argv[1:])) is not None:
+            _apply_config(subs[argv[0]], _load_config_file(config_path))
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)

@@ -79,6 +79,13 @@ class CompiledCorpus:
     offsets: np.ndarray  # (S + 1,)
     features: np.ndarray  # (C, M)
 
+    def padded(self, values: np.ndarray, fill) -> np.ndarray:
+        """Per-candidate ``values`` as one (S, longest list) array: row s holds sample s's, then ``fill``."""
+        lengths = np.diff(self.offsets)
+        layout = np.full((lengths.size, lengths.max()), fill, dtype=values.dtype)
+        layout[np.arange(lengths.max()) < lengths[:, None]] = values
+        return layout
+
 
 def compile_corpus(samples) -> CompiledCorpus:
     """The arrays of ``samples`` in one corpus-wide pass; refuses a sample with no candidates."""

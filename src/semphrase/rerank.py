@@ -9,8 +9,9 @@ candidate wins, ties going to the lowest candidate index.  Alongside the
 reranked corpus BLEU the result reports the baseline selection (similarity
 feature switched off) and the oracle best/worst selections by each sample's
 ``sbleus``, which bound what any reranker could achieve on the same lists.
-All four are scored from one (4, 10) array that sums the picked candidates'
-rows of each sample's ``stats``.
+Each of the four picks is one row-wise ``argmax`` or ``argmin`` over the
+corpus's ``CompiledCorpus.padded`` layout, and all four are scored from one
+(4, 10) array that sums the picked candidates' rows of ``stats``.
 """
 
 from __future__ import annotations
@@ -41,25 +42,38 @@ class RerankResult:
     oracle_worst_bleu: float
 
 
+def finite_weights(lam) -> np.ndarray:
+    """``lam`` as a float64 array; a NaN or infinite weight is refused, naming the weights."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if not np.isfinite(lam).all():
+        raise ValueError(f"weights must be finite, got {lam.tolist()}")
+    return lam
+
+
 def rerank(samples, params: ModelParams, lam, vocab: Vocabulary) -> RerankResult:
-    """Select the argmax candidate per sample and score the selections."""
+    """Select the argmax candidate per sample and score the selections; a NaN or infinite weight is refused.
+
+    Padding the layout with -inf (+inf for ``argmin``) keeps every pick a
+    candidate, and the first index wins ties.
+    """
     samples = list(samples)
     if not samples:
         raise ValueError("nothing to rerank")
-    lam = np.asarray(lam, dtype=np.float64)
+    lam = finite_weights(lam)
     compiled = objective.compile_corpus(samples)
     sims = objective.pair_similarities(compiled, model.with_projection_table(params), vocab)
     h = objective.feature_matrix(compiled, sims, lam.size)
     totals, bases = h @ lam, h[:, :-1] @ lam[:-1]
-    bounds = compiled.offsets.tolist()
-
-    selections = []
-    picked_rows = []  # per sample: the statistics rows of its four picks
-    for sample, a, b in zip(samples, bounds, bounds[1:]):
-        idx = a + int(np.argmax(totals[a:b]))  # first maximum wins ties
-        selections.append(Selection(sample.sample_id, idx - a, float(totals[idx]), float(h[idx, -1])))
-        picks = (idx - a, int(np.argmax(bases[a:b])), int(np.argmax(sample.sbleus)), int(np.argmin(sample.sbleus)))
-        picked_rows.append(sample.stats[list(picks)])
-
-    reranked, baseline, best, worst = bleu.corpus_bleu_rows(np.sum(picked_rows, axis=0)).tolist()
+    sbleus = np.concatenate([sample.sbleus for sample in samples])
+    picks = np.stack([
+        np.argmax(compiled.padded(totals, -np.inf), axis=1),
+        np.argmax(compiled.padded(bases, -np.inf), axis=1),
+        np.argmax(compiled.padded(sbleus, -np.inf), axis=1),
+        np.argmin(compiled.padded(sbleus, np.inf), axis=1),
+    ])
+    rows = compiled.offsets[:-1] + picks  # (4, S) candidate rows of the corpus
+    ids = [sample.sample_id for sample in samples]
+    selections = list(map(Selection, ids, picks[0].tolist(), totals[rows[0]].tolist(), h[rows[0], -1].tolist()))
+    stats = np.concatenate([sample.stats for sample in samples])
+    reranked, baseline, best, worst = bleu.corpus_bleu_rows(stats[rows].sum(axis=1)).tolist()
     return RerankResult(selections, reranked, baseline, best, worst)

@@ -13,7 +13,10 @@ weight moves to the best interval of (-``SPAN``, ``SPAN``) between the points
 where a sentence's selection changes, if that gains more than ``MIN_GAIN``.
 ``train`` and ``tune_lambda`` each compile their corpus once
 (``objective.compile_corpus``): training passes it to every evaluation, and
-tuning reads each dev sentence's rows of one ``objective.feature_matrix``.
+tuning lays the totals and the searched column of one
+``objective.feature_matrix`` out as (sentences x longest list) arrays
+(``CompiledCorpus.padded``) and walks every dev sentence's upper envelope in
+lockstep over them, one array step per envelope edge (``_envelopes``).
 
 Training is bitwise reproducible for a fixed seed, configuration, numpy/BLAS
 build and BLAS thread count: every pass runs in sample order, and checkpoints
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bleu, model, objective
+from . import bleu, model, objective, rerank
 from .corpus import Vocabulary, atomic_writer, build_vocabulary
 from .model import ModelParams
 
@@ -390,27 +393,49 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
     return TrainResult(model.unpack_params(template, x), vocab, log, state)
 
 
-def _envelope(a: np.ndarray, b: np.ndarray) -> tuple[list[float], list[int]]:
-    """Upper envelope of the lines ``a + x * b`` over (-SPAN, SPAN).
+def _envelopes(compiled: objective.CompiledCorpus, a: np.ndarray, b: np.ndarray):
+    """Upper envelopes of every sample's lines ``a + x * b`` over (-SPAN, SPAN), walked in lockstep.
 
-    Returns the points where the argmax changes and the argmax on each piece
-    between them (one more piece than points).  Identical lines resolve to the
-    lowest index, as ``np.argmax`` does.
+    ``a`` and ``b`` hold one entry per candidate of ``compiled``.  Returns
+    ``(rows, points, count)``: sample s's argmax changes ``count[s]`` times,
+    at ``points[s, :count[s]]``, and is candidate ``rows[s, k]`` of the
+    sample on piece k (entries past those are unused).  Each step of the
+    walk moves every sample that has not reached SPAN to a strictly steeper
+    line, so it takes fewer steps than the longest list has candidates.
+    Padding is compared, never computed with.  Identical lines resolve to
+    the lowest index, as ``np.argmax`` does.
     """
-    flattest = np.flatnonzero(b == b.min())
-    top = int(flattest[np.argmax(a[flattest])])  # the argmax as x -> -inf
-    x, points, rows = -np.inf, [], [top]
-    while (steeper := np.flatnonzero(b > b[top])).size:
-        cross = (a[top] - a[steeper]) / (b[steeper] - b[top])
-        x = max(x, float(cross.min()))  # rounding must not walk the envelope backwards
-        if x >= SPAN:
-            break
-        tied = steeper[cross <= x]
-        top = int(tied[np.argmax(b[tied])])  # the steepest line leaves last
-        if x > -SPAN:
-            points.append(x)
-        rows[len(points) :] = [top]  # a change at or before -SPAN replaces the first piece
-    return points, rows
+    lines_a = compiled.padded(a, -np.inf)
+    lines_b = compiled.padded(b, -np.inf)  # padding is never steeper, nor the flattest
+    n_samples, longest = lines_b.shape
+    flattest = lines_b == compiled.padded(b, np.inf).min(axis=1, keepdims=True)
+    top = np.argmax(np.where(flattest, lines_a, -np.inf), axis=1)  # the argmax as x -> -inf
+    rows = np.zeros((n_samples, longest), dtype=np.intp)
+    rows[:, 0] = top
+    points = np.empty((n_samples, longest - 1))
+    count = np.zeros(n_samples, dtype=np.intp)
+    x = np.full(n_samples, -np.inf)
+    walking = np.arange(n_samples)
+    while walking.size:
+        b_top = lines_b[walking, top[walking]]
+        steeper = lines_b[walking] > b_top[:, None]
+        left = steeper.any(axis=1)
+        walking, steeper, b_top = walking[left], steeper[left], b_top[left]
+        i, j = np.nonzero(steeper)
+        s = walking[i]
+        cross = np.full(steeper.shape, np.inf)
+        cross[i, j] = (lines_a[s, top[s]] - lines_a[s, j]) / (lines_b[s, j] - b_top[i])
+        at = np.maximum(x[walking], cross.min(axis=1))  # rounding must not walk an envelope backwards
+        left = at < SPAN
+        walking, cross, at = walking[left], cross[left], at[left]
+        # the steepest line leaves last; a line that is not steeper crosses at +inf
+        new = np.argmax(np.where(cross <= at[:, None], lines_b[walking], -np.inf), axis=1)
+        inside = at > -SPAN
+        points[walking[inside], count[walking[inside]]] = at[inside]
+        count[walking] += inside
+        rows[walking, count[walking]] = new  # a change at or before -SPAN replaces the first piece
+        top[walking], x[walking] = new, at
+    return rows, points, count
 
 
 def tune_lambda(
@@ -421,35 +446,35 @@ def tune_lambda(
     Along weight j each sentence's selection changes only where the upper
     envelope of its candidates' lines ``total(x)`` does; summing the BLEU
     statistics of the selections between those points scores every interval
-    of (-SPAN, SPAN).  The midpoint of the best interval (the nearest to the
-    current value on a tie) is kept if it gains more than ``MIN_GAIN``.
-    Sweeps repeat until none improves, so the result never scores below
-    ``lam_init``.
+    of (-SPAN, SPAN).  The envelopes of all dev sentences are walked in
+    lockstep by ``_envelopes``, one array step per envelope edge.  The
+    midpoint of the best interval (the nearest to the current value on a
+    tie) is kept if it gains more than ``MIN_GAIN``.  Sweeps repeat until
+    none improves, so the result never scores below ``lam_init``.  A NaN or
+    infinite weight in ``lam_init`` is refused.
     """
     dev_samples = list(dev_samples)
     if not dev_samples:
         raise ValueError("no dev samples")
-    lam = np.asarray(lam_init, dtype=np.float64).copy()
+    lam = rerank.finite_weights(lam_init).copy()
     compiled = objective.compile_corpus(dev_samples)
     sims = objective.pair_similarities(compiled, model.with_projection_table(params), vocab)
     h = objective.feature_matrix(compiled, sims, lam.size)
-    bounds = compiled.offsets.tolist()
-    feature_rows = [h[a:b] for a, b in zip(bounds, bounds[1:])]
-    stats = [s.stats for s in dev_samples]
-    chosen = sum(st[np.argmax(h @ lam)] for h, st in zip(feature_rows, stats))  # ties: lowest index
-    best = float(bleu.corpus_bleu_rows(chosen)[0])
+    stats = np.concatenate([sample.stats for sample in dev_samples])
+    first = compiled.offsets[:-1]
+    chosen = stats[first + np.argmax(compiled.padded(h @ lam, -np.inf), axis=1)]  # ties: lowest index
+    best = float(bleu.corpus_bleu_rows(chosen.sum(axis=0))[0])
     for _ in range(max_sweeps):
         improved = False
         for j in range(lam.size):
-            start, points, deltas = 0, [], []
-            for h, st in zip(feature_rows, stats):
-                xs, rows = _envelope(h @ lam - lam[j] * h[:, j], h[:, j])
-                start = start + st[rows[0]]
-                points += xs
-                deltas += [st[new] - st[old] for old, new in zip(rows, rows[1:])]
-            order = np.argsort(points, kind="stable")  # keeps each sentence's changes in order
-            xs = np.asarray(points)[order]
-            sums = start + np.cumsum(np.reshape(deltas, (-1, start.size))[order], axis=0)
+            rows, points, count = _envelopes(compiled, h @ lam - lam[j] * h[:, j], h[:, j])
+            rows += first[:, None]  # candidate rows of the corpus
+            made = np.arange(points.shape[1]) < count[:, None]  # the changes, sample-major
+            start = stats[rows[:, 0]].sum(axis=0)
+            deltas = stats[rows[:, 1:][made]] - stats[rows[:, :-1][made]]
+            order = np.argsort(points[made], kind="stable")  # keeps each sentence's changes in order
+            xs = points[made][order]
+            sums = start + np.cumsum(deltas[order], axis=0)
             last = np.diff(xs, append=np.inf) != 0  # the selections after all changes at a point
             edges = np.concatenate(([-SPAN], xs[last], [SPAN]))
             scores = bleu.corpus_bleu_rows(np.vstack([start, sums[last]]))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semphrase import corpus, objective
+from semphrase import corpus, model, objective, synth
 
 
 def _random_phrase(rng, tokens, max_len=2):
@@ -40,6 +40,23 @@ def make_random_corpus(
             candidates.append(corpus.NBestEntry(cand_tokens, feats, derivation))
         samples.append(corpus.TrainingSample(sid, source, reference, candidates))
     return corpus.dedupe_candidates(samples)
+
+
+def make_tied_corpus(rng, zero_model=False):
+    """Synthetic sentences cut to 1 to 12 candidates, with small integer features so that lines repeat and tie."""
+    spec = synth.SynthSpec(sentences=int(rng.integers(1, 25)), candidates=12, seed=int(rng.integers(0, 1000)))
+    samples = []
+    for sample in corpus.dedupe_candidates(synth.generate(spec)[0]):
+        n = int(rng.integers(1, len(sample.candidates) + 1))
+        for entry in sample.candidates[:n]:
+            entry.features = rng.integers(-5, 6, size=entry.features.size).astype(np.float64)
+        samples.append(corpus.TrainingSample(
+            sample.sample_id, sample.source, sample.reference, sample.candidates[:n], stats=sample.stats[:n]
+        ))
+    vocab = corpus.build_vocabulary(samples)
+    if zero_model:  # every similarity 0: the similarity weight's lines are all parallel
+        return samples, vocab, model.ModelParams(np.zeros((len(vocab), 3)), np.zeros((3, 2)))
+    return samples, vocab, model.init_params(len(vocab), 4, 3, seed=int(rng.integers(0, 100)))
 
 
 def pair_gradient(f_tokens, e_tokens, params, vocab):

@@ -444,6 +444,24 @@ class TestCliCommands:
         assert "Traceback" not in capsys.readouterr().err
         assert out.exists()
 
+    @pytest.mark.parametrize("command", ["rerank", "tune-lambda"])
+    def test_ragged_lists_are_scored(self, small_run, tmp_path, capsys, command):
+        # Lists of 1 to 12 candidates are padded to one array; the padding must not enter the arithmetic
+        # that np.errstate(over="raise", invalid="raise") checks, nor warn (the suite makes warnings errors).
+        data = tmp_path / "data"
+        assert run(["synthgen", "--out-dir", str(data), "--sentences", "24", "--candidates", "12", "--seed", "5"]) == 0
+        by_id = {}
+        for line in (data / "nbest.txt").read_text().splitlines(keepends=True):
+            by_id.setdefault(int(line.split("|||")[0]), []).append(line)
+        nbest = tmp_path / "ragged.txt"
+        nbest.write_text("".join(line for sid, lines in by_id.items() for line in lines[: 1 + sid % 12]))
+        lengths = {len(s.candidates) for s in corpus.load_samples(nbest, data / "refs.txt")}
+        assert min(lengths) == 1 and max(lengths) > 8 and len(lengths) > 8
+        out = tmp_path / "out.txt"
+        assert run(_command_argv(command, _files(small_run, nbest=nbest, refs=data / "refs.txt"), out)) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.exists()
+
     def test_tune_lambda_writes_weights(self, small_run, tmp_path, capsys):
         root, data, model_path = small_run
         out = tmp_path / "tuned.txt"
@@ -687,6 +705,21 @@ class TestCliCommands:
         assert cli.build_parser()[0].parse_args(argv).config == str(tmp_path / "a.conf")
         assert run(argv) == 0
         assert len((tmp_path / "gen" / "refs.txt").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_config_prefix_ambiguous_in_the_subcommand_is_a_usage_error(self, tmp_path, capsys, exists):
+        conf = tmp_path / "x.ini"
+        if exists:
+            conf.write_text("sentences = 3\n")
+        assert run(["synthgen", "--out-dir", str(tmp_path / "d"), "--con", str(conf)]) == 2
+        assert "ambiguous option: --con could match --concepts, --config" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_config_prefix_supplies_a_required_flag(self, tmp_path):
+        conf = tmp_path / "gen.conf"
+        conf.write_text(f"out-dir = {tmp_path / 'gen'}\nsentences = 4\n")
+        assert run(["synthgen", "--conf", str(conf)]) == 0
+        assert len((tmp_path / "gen" / "refs.txt").read_text().splitlines()) == 4
 
     def test_unknown_config_key_exits_4(self, tmp_path):
         conf = tmp_path / "bad.conf"

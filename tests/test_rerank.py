@@ -5,7 +5,7 @@ import pytest
 
 from semphrase import bleu, corpus, model, objective, rerank, synth, trainer
 
-from conftest import make_random_corpus, random_lambda
+from conftest import make_random_corpus, make_tied_corpus, random_lambda
 
 
 def _setup(rng, **kw):
@@ -117,6 +117,26 @@ def _picks(sample, params, vocab, lam):
     return int(np.argmax(totals)), int(np.argmax(bases)), int(np.argmax(sbleus)), int(np.argmin(sbleus))
 
 
+def _per_sample_rerank(samples, bounds, h, lam):
+    """Selections and the four BLEUs with one ``argmax``/``argmin`` per sample: the oracle of the padded picks.
+
+    Sample s owns rows ``bounds[s]:bounds[s + 1]`` of the corpus's feature matrix ``h``.
+    """
+    totals, bases = h @ lam, h[:, :-1] @ lam[:-1]
+    selections, picked_rows = [], []
+    for sample, a, b in zip(samples, bounds, bounds[1:]):
+        idx = a + int(np.argmax(totals[a:b]))
+        selections.append(rerank.Selection(sample.sample_id, idx - a, float(totals[idx]), float(h[idx, -1])))
+        picks = (idx - a, int(np.argmax(bases[a:b])), int(np.argmax(sample.sbleus)), int(np.argmin(sample.sbleus)))
+        picked_rows.append(sample.stats[list(picks)])
+    return selections, bleu.corpus_bleu_rows(np.sum(picked_rows, axis=0)).tolist()
+
+
+def _tied(values, pick):
+    """Whether ``pick`` (``np.max`` or ``np.min``) of ``values`` is reached more than once."""
+    return int(np.count_nonzero(values == pick(values)) > 1)
+
+
 class TestRerankBleu:
     def test_four_values_equal_corpus_bleu_of_each_selection(self, rng):
         for _ in range(20):
@@ -151,6 +171,35 @@ class TestRerankBleu:
         result = rerank.rerank(samples, params, lam, vocab)
         assert [sel.index for sel in result.selections] == [_picks(s, params, vocab, lam)[0] for s in samples]
         assert [sel.index for sel in result.selections if sel.sample_id >= 100] == [1, 1, 1]
+
+    @pytest.mark.parametrize("zero_model", [False, True])
+    def test_padded_picks_match_a_per_sample_loop(self, zero_model):
+        rng = np.random.default_rng(11 + zero_model)
+        ties = np.zeros(4, dtype=int)
+        for _ in range(30):
+            samples, vocab, params = make_tied_corpus(rng, zero_model)
+            lam = rng.integers(-2, 3, size=samples[0].candidates[0].features.size + 1).astype(np.float64)
+            result = rerank.rerank(samples, params, lam, vocab)
+            compiled = objective.compile_corpus(samples)
+            sims = objective.pair_similarities(compiled, model.with_projection_table(params), vocab)
+            h = objective.feature_matrix(compiled, sims, lam.size)
+            bounds = compiled.offsets.tolist()
+            selections, bleus = _per_sample_rerank(samples, bounds, h, lam)
+            fields = [(s.sample_id, s.index, s.total.hex(), s.feature.hex()) for s in result.selections]
+            assert fields == [(s.sample_id, s.index, s.total.hex(), s.feature.hex()) for s in selections]
+            assert all(type(s.index) is int and type(s.total) is float for s in result.selections)
+            got = [result.reranked_bleu, result.baseline_bleu, result.oracle_best_bleu, result.oracle_worst_bleu]
+            assert [v.hex() for v in got] == [v.hex() for v in bleus]
+            for sample, a, b in zip(samples, bounds, bounds[1:]):
+                ties += [_tied(h[a:b] @ lam, np.max), _tied(h[a:b, :-1] @ lam[:-1], np.max),
+                         _tied(sample.sbleus, np.max), _tied(sample.sbleus, np.min)]
+        assert ties.min() > 5  # every pick met ties
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_weight_that_is_not_finite_is_refused(self, rng, bad):
+        samples, vocab, params = _setup(rng, n_samples=4)
+        with pytest.raises(ValueError, match=rf"weights must be finite, got \[0\.5, {bad}, 1\.0\]"):
+            rerank.rerank(samples, params, np.array([0.5, bad, 1.0]), vocab)
 
     def test_rerank_and_tune_lambda_make_no_stats_call(self, rng, monkeypatch):
         samples, vocab, params = _setup(rng, n_samples=8, max_candidates=3)

@@ -7,7 +7,7 @@ import pytest
 
 from semphrase import bleu, corpus, model, objective, rerank, synth, trainer
 
-from conftest import make_random_corpus, random_lambda
+from conftest import make_random_corpus, make_tied_corpus, random_lambda
 
 
 def quadratic(target):
@@ -329,6 +329,104 @@ def _narrow_optimum_set():
     return samples, vocab, params
 
 
+def _envelope(a, b):
+    """Upper envelope of the lines ``a + x * b`` over (-SPAN, SPAN), one sentence at a time: the oracle of ``_envelopes``.
+
+    Returns the points where the argmax changes and the argmax on each piece
+    between them (one more piece than points).  Identical lines resolve to the
+    lowest index, as ``np.argmax`` does.
+    """
+    flattest = np.flatnonzero(b == b.min())
+    top = int(flattest[np.argmax(a[flattest])])  # the argmax as x -> -inf
+    x, points, rows = -np.inf, [], [top]
+    while (steeper := np.flatnonzero(b > b[top])).size:
+        cross = (a[top] - a[steeper]) / (b[steeper] - b[top])
+        x = max(x, float(cross.min()))  # rounding must not walk the envelope backwards
+        if x >= trainer.SPAN:
+            break
+        tied = steeper[cross <= x]
+        top = int(tied[np.argmax(b[tied])])  # the steepest line leaves last
+        if x > -trainer.SPAN:
+            points.append(x)
+        rows[len(points) :] = [top]  # a change at or before -SPAN replaces the first piece
+    return points, rows
+
+
+def _tune_lambda_per_sentence(dev_samples, params, vocab, lam_init, max_sweeps=20):
+    """``trainer.tune_lambda`` with one ``_envelope`` call per dev sentence per weight: the oracle of the lockstep walk."""
+    lam = np.asarray(lam_init, dtype=np.float64).copy()
+    compiled = objective.compile_corpus(dev_samples)
+    sims = objective.pair_similarities(compiled, model.with_projection_table(params), vocab)
+    h = objective.feature_matrix(compiled, sims, lam.size)
+    bounds = compiled.offsets.tolist()
+    feature_rows = [h[a:b] for a, b in zip(bounds, bounds[1:])]
+    stats = [s.stats for s in dev_samples]
+    chosen = sum(st[np.argmax(h @ lam)] for h, st in zip(feature_rows, stats))
+    best = float(bleu.corpus_bleu_rows(chosen)[0])
+    for _ in range(max_sweeps):
+        improved = False
+        for j in range(lam.size):
+            start, points, deltas = 0, [], []
+            for h, st in zip(feature_rows, stats):
+                xs, rows = _envelope(h @ lam - lam[j] * h[:, j], h[:, j])
+                start = start + st[rows[0]]
+                points += xs
+                deltas += [st[new] - st[old] for old, new in zip(rows, rows[1:])]
+            order = np.argsort(points, kind="stable")
+            xs = np.asarray(points)[order]
+            sums = start + np.cumsum(np.reshape(deltas, (-1, start.size))[order], axis=0)
+            last = np.diff(xs, append=np.inf) != 0
+            edges = np.concatenate(([-trainer.SPAN], xs[last], [trainer.SPAN]))
+            scores = bleu.corpus_bleu_rows(np.vstack([start, sums[last]]))
+            ties = np.flatnonzero(scores == scores.max())
+            k = ties[np.argmin(np.abs(np.clip(lam[j], edges[ties], edges[ties + 1]) - lam[j]))]
+            if scores[k] > best + trainer.MIN_GAIN:
+                lam[j] = 0.5 * (edges[k] + edges[k + 1])
+                best = float(scores[k])
+                improved = True
+        if not improved:
+            break
+    return lam
+
+
+def _layout(lengths):
+    """A ``CompiledCorpus`` that only lays out candidates: sample s has ``lengths[s]`` of them."""
+    offsets = np.cumsum([0, *lengths])
+    empty = np.empty(0, dtype=np.intp)
+    return objective.CompiledCorpus((), (), empty.reshape(0, 2), empty, empty, offsets, np.empty((offsets[-1], 0)))
+
+
+def _ragged_lines(rng, n_samples):
+    """Lines ``a + x * b`` of 1 to 12 per sample, drawn so that ties are common.
+
+    Small integer grids give duplicate lines, equal slopes and crossings
+    exactly at +-SPAN; some samples are all parallel, some fan out from one
+    point at +-SPAN, some are random reals, and some fan out from a random
+    point, where rounding would walk an envelope backwards.
+    """
+    lengths, a, b = [], [], []
+    for s in range(n_samples):
+        n = int(rng.integers(1, 13))
+        kind = s % 5
+        if kind == 0:
+            la, lb = rng.integers(-10, 11, n), rng.integers(-3, 4, n)
+        elif kind == 1:
+            la, lb = rng.integers(-3, 4, n), np.full(n, rng.integers(-2, 3))
+        elif kind == 2:
+            lb = rng.integers(-3, 4, n)
+            la = rng.integers(-2, 3) - rng.choice([-trainer.SPAN, trainer.SPAN]) * lb
+            la[: n // 3] = rng.integers(-10, 11, n // 3)
+        elif kind == 3:
+            la, lb = rng.normal(0.0, 3.0, n), rng.normal(0.0, 1.0, n)
+        else:  # through one point, so rounding scatters the crossings around it
+            lb = rng.normal(0.0, 1.0, n)
+            la = rng.normal() - rng.uniform(-trainer.SPAN, trainer.SPAN) * lb
+        lengths.append(n)
+        a.append(np.asarray(la, dtype=np.float64))
+        b.append(np.asarray(lb, dtype=np.float64))
+    return lengths, np.concatenate(a), np.concatenate(b)
+
+
 class TestTuneLambda:
     def test_flat_objective_returns_init(self, rng):
         # single candidate per sample: every weight vector selects the same thing
@@ -400,6 +498,40 @@ class TestTuneLambda:
         r2 = rerank.rerank(samples, params, 3.7 * lam, vocab)
         assert [s.index for s in r1.selections] == [s.index for s in r2.selections]
         assert r1.reranked_bleu == r2.reranked_bleu
+
+    def test_lockstep_envelopes_match_the_per_sentence_oracle(self):
+        rng = np.random.default_rng(20261020)
+        at_span = 0
+        for _ in range(60):
+            lengths, a, b = _ragged_lines(rng, int(rng.integers(1, 30)))
+            offsets = np.cumsum([0, *lengths])
+            rows, points, count = trainer._envelopes(_layout(lengths), a, b)
+            for s, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+                want_points, want_rows = _envelope(a[lo:hi], b[lo:hi])
+                assert points[s, : count[s]].tobytes() == np.array(want_points, dtype=np.float64).tobytes()
+                assert rows[s, : count[s] + 1].tolist() == want_rows
+                da, db = np.subtract.outer(a[lo:hi], a[lo:hi]), np.subtract.outer(b[lo:hi], b[lo:hi])
+                at_span += np.any((db != 0) & (np.abs(da) == trainer.SPAN * np.abs(db)))
+        assert at_span > 100  # lines that cross exactly at -SPAN or SPAN were drawn
+
+    @pytest.mark.parametrize("zero_model", [False, True])
+    def test_tuned_weights_match_the_per_sentence_oracle(self, zero_model):
+        rng = np.random.default_rng(7 + zero_model)
+        moved = 0
+        for _ in range(25):
+            samples, vocab, params = make_tied_corpus(rng, zero_model)
+            lam0 = rng.integers(-4, 5, size=samples[0].candidates[0].features.size + 1) / 2.0
+            for sweeps in (1, 20):
+                tuned = trainer.tune_lambda(samples, params, vocab, lam0, max_sweeps=sweeps)
+                assert tuned.tobytes() == _tune_lambda_per_sentence(samples, params, vocab, lam0, sweeps).tobytes()
+                moved += not np.array_equal(tuned, lam0)
+        assert moved > 10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_weight_that_is_not_finite_is_refused(self, rng, bad):
+        samples, vocab, params = _dev_set_for_tuning(rng)
+        with pytest.raises(ValueError, match=rf"weights must be finite, got \[0\.3, {bad}\]"):
+            trainer.tune_lambda(samples, params, vocab, np.array([0.3, bad]))
 
     def test_matches_grid_search_oracle(self, rng):
         samples, vocab, params = _dev_set_for_tuning(rng, n_samples=10)
