@@ -358,9 +358,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_tune_lambda(args) -> int:
     params, vocab = _load_model_and_vocabulary(args)
     samples, lam = _load_corpus_and_weights(args)
-    before = rerank.rerank(samples, params, lam, vocab).reranked_bleu
-    tuned = trainer.tune_lambda(samples, params, vocab, lam)
-    after = rerank.rerank(samples, params, tuned, vocab).reranked_bleu
+    tuned, before, after = trainer.tune(*objective.score(samples, params, vocab, lam.size), lam)
     corpus.save_lambda(tuned, args.out)
     print(f"dev BLEU {before:.4f} -> {after:.4f}")
     return EXIT_OK

@@ -14,14 +14,13 @@ their rows with it, so a pair gets the same bits from each.
 Parameters are immutable during a forward/gradient pass; the trainer swaps in
 fresh arrays between optimizer iterations.
 
-``objective.full_gradient`` (and so ``objective.corpus_xbleu``),
-``trainer.tune_lambda`` and ``rerank.rerank`` each work on
-``with_projection_table(params)``, so each phrase is encoded and projected
-once per call: for that call the table keeps each phrase's word vector and
-forward trace.  ``objective.pair_similarities`` stacks the outputs of the
-compiled corpus's distinct phrases from it, one row each, and
-``objective.backprop`` their y1 and y2 rows.  A caller's own params
-carry no table, so direct ``similarity`` calls encode and project afresh.
+Only ``objective`` builds ``with_projection_table(params)``, once per
+``full_gradient`` or ``score`` call (so once per tuning or reranking call):
+the table keeps each phrase's word vector and forward trace for that call,
+so each phrase is encoded and projected once.  ``objective.pair_similarities``
+stacks its outputs, one row per distinct phrase, and ``objective.backprop``
+its y1 and y2 rows.  A caller's own params carry no table, so direct
+``similarity`` calls encode and project afresh.
 """
 
 from __future__ import annotations

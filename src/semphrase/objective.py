@@ -17,29 +17,29 @@ phrase, and ``backprop`` then runs the backward pass once for all phrases
 unique pair plus one backward pass per distinct phrase.
 
 Training, tuning and reranking share one log-linear score over one compiled
-corpus: ``compile_corpus`` turns the samples into arrays once per call,
+corpus: ``compile_corpus`` turns the samples and their labels into arrays,
 ``pair_similarities`` scores every unique pair in one row-wise pass, and
 ``feature_matrix`` builds the corpus's candidates x (M+1) matrix H, whose
 similarity column is one gather and ``bincount`` over the derivation
 occurrences; the totals are ``H @ lam``, sample s owning rows
-``offsets[s]:offsets[s + 1]``.  ``candidate_feature`` is the per-candidate
-reference for that column.
+``offsets[s]:offsets[s + 1]``.  ``score`` runs the three for a fixed model,
+and ``CompiledCorpus.picks`` is the one rule that picks a candidate per sample.
 
 Results are plain arrays: ``candidate_probs`` gives a sample's softmax
 probabilities, and ``full_gradient`` one flat float64 vector in the
 ``model.pack_params`` layout (W1 then W2, row-major), the vector the
 optimizer works on and the layout ``backprop`` adds into.
 
-Each phrase is encoded and projected once per ``full_gradient`` call: the
-table of ``model.with_projection_table(params)`` lives for that call,
-``pair_similarities`` stacks its outputs, and phase 2 and ``backprop`` read
-it.  ``pair_similarities`` scores the stacked rows with
+Only this module builds ``model.with_projection_table(params)``, once per
+``full_gradient`` or ``score`` call, so each phrase is encoded and projected
+once per call: ``pair_similarities`` stacks the table's outputs, and phase 2
+and ``backprop`` read it.  ``pair_similarities`` scores the stacked rows with
 ``model.row_similarities``, the rule ``model.similarity`` applies to one
 pair, one BLAS dot per pair; ``backprop``'s matrix products go through BLAS,
 so the gradient's bits are fixed for a given numpy/BLAS build and BLAS
 thread count.  ``corpus_xbleu`` is the negated ``full_gradient`` loss.
-Each candidate's sentence BLEU is the sample's ``sbleus`` array, computed
-when the sample was built.
+The labels, each candidate's ``bleu_stats`` row and sentence BLEU, are
+computed when a sample is built and stacked once by ``compile_corpus``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ SIM_BLOCK = 256  # pair rows gathered per block of row-wise products, bounding t
 
 @dataclass(frozen=True, eq=False)
 class CompiledCorpus:
-    """A corpus as arrays, built once per ``train``, ``tune_lambda`` or ``rerank`` call.
+    """A corpus as arrays, built once per ``train`` call and once per ``score``.
 
     ``pairs`` are the unique phrase pairs in order of first occurrence (the
     ``corpus.collect_phrase_pairs`` order) and ``phrases`` the distinct
@@ -68,7 +68,7 @@ class CompiledCorpus:
     (source, target).  Derivation occurrence o is pair ``occ_pair[o]`` in
     candidate ``occ_cand[o]``.  Candidates are numbered across the corpus:
     sample s owns rows ``offsets[s]:offsets[s + 1]`` of ``features``, the
-    stacked baseline features.
+    stacked baseline features, and of the stacked labels ``stats`` and ``sbleus``.
     """
 
     pairs: tuple
@@ -78,6 +78,8 @@ class CompiledCorpus:
     occ_cand: np.ndarray  # (O,)
     offsets: np.ndarray  # (S + 1,)
     features: np.ndarray  # (C, M)
+    stats: np.ndarray  # (C, 10) bleu_stats rows
+    sbleus: np.ndarray  # (C,) sentence BLEU
 
     def padded(self, values: np.ndarray, fill) -> np.ndarray:
         """Per-candidate ``values`` as one (S, longest list) array: row s holds sample s's, then ``fill``."""
@@ -85,6 +87,10 @@ class CompiledCorpus:
         layout = np.full((lengths.size, lengths.max()), fill, dtype=values.dtype)
         layout[np.arange(lengths.max()) < lengths[:, None]] = values
         return layout
+
+    def picks(self, values: np.ndarray) -> np.ndarray:
+        """Each sample's pick of per-candidate ``values``: the index of its first largest one."""
+        return np.argmax(self.padded(values, -np.inf), axis=1)
 
 
 def compile_corpus(samples) -> CompiledCorpus:
@@ -115,6 +121,8 @@ def compile_corpus(samples) -> CompiledCorpus:
         np.repeat(np.arange(len(entries)), lengths),
         np.cumsum([0] + [len(sample.candidates) for sample in samples]),
         features,
+        np.concatenate([sample.stats for sample in samples]),
+        np.concatenate([sample.sbleus for sample in samples]),
     )
 
 
@@ -159,6 +167,13 @@ def feature_matrix(compiled: CompiledCorpus, sims: np.ndarray, n_weights: int) -
     return h
 
 
+def score(samples, params: ModelParams, vocab: Vocabulary, n_weights: int) -> tuple[CompiledCorpus, np.ndarray]:
+    """``compile_corpus(samples)`` and its ``feature_matrix`` H under ``params``, each phrase projected once."""
+    compiled = compile_corpus(samples)
+    sims = pair_similarities(compiled, model.with_projection_table(params), vocab)
+    return compiled, feature_matrix(compiled, sims, n_weights)
+
+
 def candidate_probs(
     sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, totals=None
 ) -> np.ndarray:
@@ -168,8 +183,7 @@ def candidate_probs(
     """
     lam = np.asarray(lam, dtype=np.float64)
     if totals is None:
-        compiled = compile_corpus([sample])
-        totals = feature_matrix(compiled, pair_similarities(compiled, params, vocab), lam.size) @ lam
+        totals = score([sample], params, vocab, lam.size)[1] @ lam
     exps = np.exp(totals - totals.max())
     return exps / math.fsum(exps.tolist())
 

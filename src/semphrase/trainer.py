@@ -11,10 +11,10 @@ on dev-set corpus BLEU of the ``H @ lam`` argmax that reranking selects by,
 with the exact line search of minimum error rate training (Och 2003): each
 weight moves to the best interval of (-``SPAN``, ``SPAN``) between the points
 where a sentence's selection changes, if that gains more than ``MIN_GAIN``.
-``train`` and ``tune_lambda`` each compile their corpus once
-(``objective.compile_corpus``): training passes it to every evaluation, and
-tuning lays the totals and the searched column of one
-``objective.feature_matrix`` out as (sentences x longest list) arrays
+``train`` compiles its corpus once (``objective.compile_corpus``) and passes
+it to every evaluation.  ``tune`` works on a dev corpus that
+``objective.score`` compiled and scored once: it lays the totals and the
+searched column of H out as (sentences x longest list) arrays
 (``CompiledCorpus.padded``) and walks every dev sentence's upper envelope in
 lockstep over them, one array step per envelope edge (``_envelopes``).
 
@@ -217,6 +217,8 @@ class TrainConfig:
             raise ValueError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
         if self.checkpoint_interval > 0 and not self.checkpoint_dir:
             raise ValueError(f"checkpoint_interval {self.checkpoint_interval} needs a checkpoint_dir")
+        if self.resume is not None and self.init_model is not None:
+            raise ValueError("resume and init_model exclude each other: a resumed run starts from its checkpoint")
 
 
 @dataclass(frozen=True)
@@ -441,8 +443,17 @@ def _envelopes(compiled: objective.CompiledCorpus, a: np.ndarray, b: np.ndarray)
 def tune_lambda(
     dev_samples, params: ModelParams, vocab: Vocabulary, lam_init, max_sweeps: int = 20
 ) -> np.ndarray:
+    """The weights ``tune`` returns for the ``objective.score`` of ``dev_samples`` under ``params``."""
+    lam = rerank.finite_weights(lam_init)
+    return tune(*objective.score(dev_samples, params, vocab, lam.size), lam, max_sweeps)[0]
+
+
+def tune(
+    compiled: objective.CompiledCorpus, h: np.ndarray, lam_init, max_sweeps: int = 20
+) -> tuple[np.ndarray, float, float]:
     """Coordinate ascent on dev corpus BLEU of the argmax selection, one exact line search per weight.
 
+    ``compiled`` and ``h`` are a dev corpus scored by ``objective.score``.
     Along weight j each sentence's selection changes only where the upper
     envelope of its candidates' lines ``total(x)`` does; summing the BLEU
     statistics of the selections between those points scores every interval
@@ -451,19 +462,16 @@ def tune_lambda(
     midpoint of the best interval (the nearest to the current value on a
     tie) is kept if it gains more than ``MIN_GAIN``.  Sweeps repeat until
     none improves, so the result never scores below ``lam_init``.  A NaN or
-    infinite weight in ``lam_init`` is refused.
+    infinite weight in ``lam_init`` is refused.  Returns the tuned weights
+    and the dev BLEU ``rerank.rerank`` reports at ``lam_init`` and at them.
     """
-    dev_samples = list(dev_samples)
-    if not dev_samples:
-        raise ValueError("no dev samples")
     lam = rerank.finite_weights(lam_init).copy()
-    compiled = objective.compile_corpus(dev_samples)
-    sims = objective.pair_similarities(compiled, model.with_projection_table(params), vocab)
-    h = objective.feature_matrix(compiled, sims, lam.size)
-    stats = np.concatenate([sample.stats for sample in dev_samples])
-    first = compiled.offsets[:-1]
-    chosen = stats[first + np.argmax(compiled.padded(h @ lam, -np.inf), axis=1)]  # ties: lowest index
-    best = float(bleu.corpus_bleu_rows(chosen.sum(axis=0))[0])
+    stats, first = compiled.stats, compiled.offsets[:-1]
+
+    def picked_bleu() -> float:
+        return float(bleu.corpus_bleu_rows(stats[first + compiled.picks(h @ lam)].sum(axis=0))[0])
+
+    before = best = picked_bleu()
     for _ in range(max_sweeps):
         improved = False
         for j in range(lam.size):
@@ -486,4 +494,4 @@ def tune_lambda(
                 improved = True
         if not improved:
             break
-    return lam
+    return lam, before, picked_bleu()

@@ -1,0 +1,25 @@
+"""The benchmark's own output checks on its real workload specs, once each, untraced.
+
+``perfbench/run.py`` checks every pipeline it times: training runs to its
+iteration cap with a non-increasing loss, tuned weights rerank the test set
+above the baseline weights' selection, and model and selection bytes repeat.
+The perfbench smoke test runs a tiny spec; this runs every set of each real
+spec once, so a change that fails those checks fails here too.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run  # noqa: E402
+
+
+@pytest.mark.parametrize("name", ["small-reuse", "phrase-table", "long-nbest"])
+def test_real_spec_passes_its_output_checks(tmp_path, capsys, name):
+    result = run.run_workload(name, run.CONFIG["workloads"][name], seed=0, seconds=0.0, trace=False, work=tmp_path)
+    out = capsys.readouterr().out
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, out[-3000:]

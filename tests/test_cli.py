@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semphrase import cli, corpus, model, objective, synth, trainer
+from semphrase import cli, corpus, model, objective, rerank, synth, trainer
 
 
 def run(argv):
@@ -480,6 +480,29 @@ class TestCliCommands:
         tuned = corpus.load_lambda(out, expected_len=3)
         assert np.all(np.isfinite(tuned))
 
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_tune_lambda_prints_the_reranked_bleu_before_and_after(self, small_run, tmp_path, capsys, seed):
+        dev = tmp_path / "dev"  # seed 4 is the training corpus, where tuning gains nothing
+        assert run(["synthgen", "--out-dir", str(dev), "--sentences", "25", "--seed", str(seed)]) == 0
+        files, out = _files(small_run, nbest=dev / "nbest.txt", refs=dev / "refs.txt"), tmp_path / "tuned.txt"
+        capsys.readouterr()
+        assert run(_command_argv("tune-lambda", files, out)) == 0
+        samples = corpus.load_samples(files["nbest"], files["refs"])
+        params, vocab = model.load_model(files["model"]), corpus.load_vocabulary(files["vocab"])
+        before = rerank.rerank(samples, params, corpus.load_lambda(files["weights"]), vocab).reranked_bleu
+        after = rerank.rerank(samples, params, corpus.load_lambda(out), vocab).reranked_bleu
+        assert capsys.readouterr().out == f"dev BLEU {before:.4f} -> {after:.4f}\n"
+        assert (after > before) == (seed != 4)
+
+    @pytest.mark.parametrize("command", ["rerank", "tune-lambda"])
+    def test_scores_the_corpus_once(self, small_run, tmp_path, monkeypatch, command):
+        calls = []
+        for name in ("compile_corpus", "pair_similarities"):
+            real = getattr(objective, name)
+            monkeypatch.setattr(objective, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        assert run(_command_argv(command, _files(small_run), tmp_path / "out.txt")) == 0
+        assert sorted(calls) == ["compile_corpus", "pair_similarities"]
+
     def test_export_embeddings_format(self, small_run, tmp_path):
         root, data, model_path = small_run
         out = tmp_path / "emb.txt"
@@ -668,6 +691,8 @@ class TestCliCommands:
             (["--seed", "-1"], "seed must be >= 0, got -1"),
             (["--checkpoint-interval", "2"], "checkpoint_interval 2 needs a checkpoint_dir"),
             (["--checkpoint-dir", "ck", "--checkpoint-interval=-2"], "checkpoint_interval must be >= 0, got -2"),
+            (["--resume", "ck/checkpoint-0002.mdl", "--init-model", "missing.bin"],
+             "resume and init_model exclude each other"),
         ],
     )
     def test_degenerate_training_settings_exit_4(self, small_run, tmp_path, monkeypatch, capsys, flags, message):

@@ -75,6 +75,37 @@ class TestCompiledCorpus:
         assert rebuilt == [entry.derivation for entry in entries]
         assert np.array_equal(compiled.features, np.array([entry.features for entry in entries]))
 
+    def test_labels_are_the_samples_stacked(self, rng):
+        samples = _with_edge_cases(make_random_corpus(rng, n_samples=6, max_candidates=5))
+        compiled = objective.compile_corpus(samples)
+        bounds = compiled.offsets.tolist()
+        for sample, a, b in zip(samples, bounds[:-1], bounds[1:], strict=True):
+            assert compiled.stats[a:b].tobytes() == sample.stats.tobytes()
+            assert compiled.sbleus[a:b].tobytes() == sample.sbleus.tobytes()
+        assert compiled.stats.shape == (bounds[-1], 10) and compiled.stats.dtype == np.int64
+
+    def test_picks_are_each_samples_first_largest_value(self, rng):
+        samples = make_random_corpus(rng, n_samples=12, max_candidates=5)
+        compiled = objective.compile_corpus(samples)
+        values = rng.integers(-2, 3, size=(3, compiled.offsets[-1])).astype(np.float64)  # ties are common
+        values[1] = -np.inf  # every candidate at the padding's value
+        bounds = compiled.offsets.tolist()
+        for row in values:
+            assert compiled.picks(row).tolist() == [int(np.argmax(row[a:b])) for a, b in zip(bounds, bounds[1:])]
+        assert max(np.diff(bounds)) > min(np.diff(bounds))  # the lists are ragged
+
+    @pytest.mark.parametrize("word_level", [False, True])
+    def test_score_is_the_feature_matrix_of_the_compiled_corpus(self, rng, word_level):
+        samples = _with_edge_cases(make_random_corpus(rng, n_samples=6, max_candidates=4))
+        vocab = corpus.build_vocabulary(samples)
+        params = model.init_params(len(vocab), 4, 3, word_level=word_level, seed=10)
+        compiled, h = objective.score(samples, params, vocab, 3)
+        want = objective.compile_corpus(samples)
+        assert compiled.pairs == want.pairs and compiled.offsets.tolist() == want.offsets.tolist()
+        sims = objective.pair_similarities(want, params, vocab)
+        assert h.tobytes() == objective.feature_matrix(want, sims, 3).tobytes()
+        assert params.projections is None
+
     @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
     @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
     @pytest.mark.parametrize("word_level", [False, True])

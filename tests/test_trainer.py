@@ -283,6 +283,10 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="checkpoint has d=.*vocabulary"):
             trainer.train(samples, config, lam, bigger)
 
+    def test_resume_with_init_model_is_refused(self):
+        with pytest.raises(ValueError, match="^resume and init_model exclude each other"):
+            _small_config(resume="ck/checkpoint-0002.mdl", init_model="missing.bin")
+
     def test_plain_model_refuses_checkpoint_load(self, tmp_path):
         samples, lam = synth.generate(_small_spec(sentences=4))
         samples = corpus.dedupe_candidates(samples)
@@ -390,10 +394,13 @@ def _tune_lambda_per_sentence(dev_samples, params, vocab, lam_init, max_sweeps=2
 
 
 def _layout(lengths):
-    """A ``CompiledCorpus`` that only lays out candidates: sample s has ``lengths[s]`` of them."""
+    """A ``CompiledCorpus`` that only lays out candidates: sample s has ``lengths[s]`` of them, unlabelled."""
     offsets = np.cumsum([0, *lengths])
     empty = np.empty(0, dtype=np.intp)
-    return objective.CompiledCorpus((), (), empty.reshape(0, 2), empty, empty, offsets, np.empty((offsets[-1], 0)))
+    n = offsets[-1]
+    return objective.CompiledCorpus(
+        (), (), empty.reshape(0, 2), empty, empty, offsets, np.empty((n, 0)), np.zeros((n, 10), np.int64), np.zeros(n)
+    )
 
 
 def _ragged_lines(rng, n_samples):
@@ -526,6 +533,24 @@ class TestTuneLambda:
                 assert tuned.tobytes() == _tune_lambda_per_sentence(samples, params, vocab, lam0, sweeps).tobytes()
                 moved += not np.array_equal(tuned, lam0)
         assert moved > 10
+
+    @pytest.mark.parametrize("zero_model", [False, True])
+    def test_tune_reports_the_reranked_bleu_before_and_after(self, zero_model):
+        # On some tied sets the interval that tuning scores best is a rounding sliver between two crossing points
+        # that are equal in exact arithmetic, and the BLEU it scores there is not the one its weights rerank to.
+        rng = np.random.default_rng(31 + zero_model)
+        moved = 0
+        for _ in range(20):
+            samples, vocab, params = make_tied_corpus(rng, zero_model)
+            lam0 = rng.integers(-4, 5, size=samples[0].candidates[0].features.size + 1) / 2.0
+            scored = objective.score(samples, params, vocab, lam0.size)
+            for sweeps in (1, 20):
+                tuned, before, after = trainer.tune(*scored, lam0, sweeps)
+                assert tuned.tobytes() == trainer.tune_lambda(samples, params, vocab, lam0, sweeps).tobytes()
+                assert before.hex() == rerank.rerank(samples, params, lam0, vocab).reranked_bleu.hex()
+                assert after.hex() == rerank.rerank(samples, params, tuned, vocab).reranked_bleu.hex()
+                moved += after != before
+        assert moved > 5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_weight_that_is_not_finite_is_refused(self, rng, bad):
