@@ -368,12 +368,9 @@ def _cmd_export_embeddings(args) -> int:
     params, vocab = _load_model_and_vocabulary(args)
     entries = chain.from_iterable(corpus.parse_nbest(args.nbest).values())
     # the ``objective.CompiledCorpus.phrases`` order: first occurrence, source before target
-    phrases = dict.fromkeys(phrase for entry in entries for pair in entry.derivation for phrase in pair)
-    lines = []
-    for tokens in phrases:
-        out = model.project(model.encode(tokens, vocab), params).output
-        values = " ".join(repr(float(v)) for v in out)
-        lines.append(f"{' '.join(tokens)}\t{values}\n")
+    phrases = list(dict.fromkeys(phrase for entry in entries for pair in entry.derivation for phrase in pair))
+    outputs = model.project(model.encode(phrases, vocab), params)[1]
+    lines = [f"{' '.join(tokens)}\t{' '.join(map(repr, out.tolist()))}\n" for tokens, out in zip(phrases, outputs)]
     _write_lines(lines, args.out)
     return EXIT_OK
 

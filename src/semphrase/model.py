@@ -14,19 +14,20 @@ their rows with it, so a pair gets the same bits from each.
 Parameters are immutable during a forward/gradient pass; the trainer swaps in
 fresh arrays between optimizer iterations.
 
-Only ``objective`` builds ``with_projection_table(params)``, once per
-``full_gradient`` or ``score`` call (so once per tuning or reranking call):
-the table keeps each phrase's word vector and forward trace for that call,
-so each phrase is encoded and projected once.  ``objective.pair_similarities``
-stacks its outputs, one row per distinct phrase, and ``objective.backprop``
-its y1 and y2 rows.  A caller's own params carry no table, so direct
-``similarity`` calls encode and project afresh.
+``encode`` turns a batch of phrases into CSR bag rows and ``project`` runs
+them through the network in one pass; a row's bits do not depend on the
+rest of its batch.  Only ``objective`` fills ``ModelParams.projections``, a
+table of each phrase's output row, with one ``project`` call per
+``full_gradient`` or ``score`` call.  ``outputs`` reads the table, or
+projects its phrases in one batch when params carry none, as a caller's
+own params do.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class ModelParams:
     arch: str = ARCH_NONLINEAR
     sim_mode: str = SIM_DOT
     word_level: bool = False
-    # phrase tokens -> (WordVector, ForwardTrace); see ``with_projection_table``
+    # phrase tokens -> output row; see ``outputs``
     projections: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -144,80 +145,54 @@ def init_params(
     return ModelParams(w1, w2, arch, sim_mode, word_level)
 
 
-@dataclass(frozen=True)
-class WordVector:
-    """Sparse bag-of-words counts of a phrase over the joint vocabulary."""
+class Bags(NamedTuple):
+    """Bag-of-words counts of n phrases over the joint vocabulary, as CSR rows.
 
-    indices: np.ndarray  # distinct token indices, ascending
-    counts: np.ndarray  # float counts, same length
-    dim: int
-
-    @property
-    def length(self) -> float:
-        return float(self.counts.sum())
-
-
-def encode(tokens, vocab: Vocabulary) -> WordVector:
-    """Count-valued bag-of-words vector; unknown tokens land in the UNK slot."""
-    if not tokens:
-        raise ValueError("cannot encode an empty phrase")
-    tally: dict[int, int] = {}
-    for tok in tokens:
-        idx = vocab.token_id(tok)
-        tally[idx] = tally.get(idx, 0) + 1
-    indices = np.array(sorted(tally), dtype=np.intp)
-    counts = np.array([tally[i] for i in indices], dtype=np.float64)
-    return WordVector(indices, counts, len(vocab))
-
-
-@dataclass(eq=False)
-class ForwardTrace:
-    """Per-layer sums and activations retained for backpropagation.
-
-    Nonlinear: z1 = W1^T x, y1 = tanh(z1), z2 = W2^T y1, y2 = tanh(z2).
-    Linear: only z1 is populated and is itself the output vector.
+    Row i holds its distinct token ids, ascending, at ``ids[starts[i]:starts[i + 1]]``
+    and their counts at the same places of ``counts``.
     """
 
-    z1: np.ndarray
-    y1: np.ndarray | None
-    z2: np.ndarray | None
-    y2: np.ndarray | None
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.y2 if self.y2 is not None else self.z1
+    ids: np.ndarray
+    counts: np.ndarray  # float
+    starts: np.ndarray  # (n + 1,)
+    dim: int
 
 
-def project(x: WordVector, params: ModelParams) -> ForwardTrace:
-    """Projection of a word vector into the shared semantic space."""
-    if x.dim != params.d:
-        raise ValueError(f"word vector dimension {x.dim} does not match W1 rows {params.d}")
-    z1 = x.counts @ params.w1[x.indices]
+def encode(phrases, vocab: Vocabulary) -> Bags:
+    """The count-valued bags of ``phrases``, one row each; unknown tokens land in the UNK slot."""
+    lengths = np.fromiter(map(len, phrases), dtype=np.intp, count=len(phrases))
+    if not lengths.all():
+        raise ValueError("cannot encode an empty phrase")
+    dim = len(vocab)
+    ids = np.fromiter((vocab.token_id(t) for phrase in phrases for t in phrase), dtype=np.intp, count=lengths.sum())
+    keys, counts = np.unique(np.repeat(np.arange(lengths.size) * dim, lengths) + ids, return_counts=True)
+    rows = keys // dim
+    return Bags(keys - rows * dim, counts.astype(np.float64), np.searchsorted(rows, np.arange(lengths.size + 1)), dim)
+
+
+def project(bags: Bags, params: ModelParams) -> tuple[np.ndarray | None, np.ndarray]:
+    """Each row's hidden layer ``y1`` (None for the linear map) and output, as (n, k) arrays.
+
+    Nonlinear: y1 = tanh(W1^T x), output tanh(W2^T y1); linear: W1^T x.
+    Each row's bits do not depend on the rest of the batch: layer 1 sums
+    the row's gathered W1 rows times its counts, and layer 2 is one
+    vector-matrix product per row.
+    """
+    if bags.dim != params.d:
+        raise ValueError(f"word vector dimension {bags.dim} does not match W1 rows {params.d}")
+    z1 = np.add.reduceat(params.w1[bags.ids] * bags.counts[:, None], bags.starts[:-1], axis=0)
     if params.arch == ARCH_LINEAR:
-        return ForwardTrace(z1, None, None, None)
+        return None, z1
     y1 = np.tanh(z1)
-    z2 = params.w2.T @ y1
-    y2 = np.tanh(z2)
-    return ForwardTrace(z1, y1, z2, y2)
+    return y1, np.tanh(np.matmul(y1[:, None, :], params.w2)[:, 0, :])
 
 
-def with_projection_table(params: ModelParams) -> ModelParams:
-    """Params sharing ``params``' arrays, with an empty projection table."""
-    return replace(params, projections={})
-
-
-def projection(tokens, params: ModelParams, vocab: Vocabulary) -> tuple[WordVector, ForwardTrace]:
-    """A phrase's word vector and forward trace, read through the projection table if any."""
+def outputs(phrases, params: ModelParams, vocab: Vocabulary) -> list[np.ndarray]:
+    """The output rows of ``phrases``: ``params``' projection table's, or one ``project`` call's without a table."""
     table = params.projections
     if table is None:
-        x = encode(tokens, vocab)
-        return x, project(x, params)
-    key = tuple(tokens)
-    hit = table.get(key)
-    if hit is None:
-        x = encode(key, vocab)
-        hit = table[key] = (x, project(x, params))
-    return hit
+        return list(project(encode(phrases, vocab), params)[1])
+    return [table[tuple(phrase)] for phrase in phrases]
 
 
 def row_similarities(u: np.ndarray, v: np.ndarray, sim_mode: str) -> np.ndarray:
@@ -234,8 +209,8 @@ def row_similarities(u: np.ndarray, v: np.ndarray, sim_mode: str) -> np.ndarray:
 
 def token_similarity_matrix(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
     """|f| x |e| matrix of single-token similarities."""
-    f_out = np.array([projection((t,), params, vocab)[1].output for t in f_tokens])
-    e_out = np.array([projection((t,), params, vocab)[1].output for t in e_tokens])
+    out = np.array(outputs([(t,) for t in (*f_tokens, *e_tokens)], params, vocab))
+    f_out, e_out = out[: len(f_tokens)], out[len(f_tokens) :]
     grid = row_similarities(np.repeat(f_out, len(e_out), axis=0), np.tile(e_out, (len(f_out), 1)), params.sim_mode)
     return grid.reshape(len(f_out), len(e_out))
 
@@ -248,7 +223,7 @@ def similarity(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> fl
     if params.word_level:
         sims = token_similarity_matrix(f_tokens, e_tokens, params, vocab)
         return 0.5 * float(np.mean(sims.max(axis=1))) + 0.5 * float(np.mean(sims.max(axis=0)))
-    u, v = (projection(tokens, params, vocab)[1].output for tokens in (f_tokens, e_tokens))
+    u, v = outputs((f_tokens, e_tokens), params, vocab)
     return float(row_similarities(u[None], v[None], params.sim_mode)[0])
 
 

@@ -30,14 +30,16 @@ probabilities, and ``full_gradient`` one flat float64 vector in the
 ``model.pack_params`` layout (W1 then W2, row-major), the vector the
 optimizer works on and the layout ``backprop`` adds into.
 
-Only this module builds ``model.with_projection_table(params)``, once per
-``full_gradient`` or ``score`` call, so each phrase is encoded and projected
-once per call: ``pair_similarities`` stacks the table's outputs, and phase 2
-and ``backprop`` read it.  ``pair_similarities`` scores the stacked rows with
-``model.row_similarities``, the rule ``model.similarity`` applies to one
-pair, one BLAS dot per pair; ``backprop``'s matrix products go through BLAS,
-so the gradient's bits are fixed for a given numpy/BLAS build and BLAS
-thread count.  ``corpus_xbleu`` is the negated ``full_gradient`` loss.
+Only this module fills a projection table: ``projected`` gives every
+distinct phrase its output row with one ``model.project`` call per
+``full_gradient`` or ``score`` call, and ``pair_similarities`` and phase 2
+read it.  ``backprop`` projects its phrases in one batch of its own, so a
+pair's gradient takes the same path with or without a table.
+``pair_similarities`` scores the stacked rows with ``model.row_similarities``,
+the rule ``model.similarity`` applies to one pair, one BLAS dot per pair;
+``backprop``'s matrix products go through BLAS, so the gradient's bits are
+fixed for a given numpy/BLAS build and BLAS thread count.  ``corpus_xbleu``
+is the negated ``full_gradient`` loss.
 The labels, each candidate's ``bleu_stats`` row and sentence BLEU, are
 computed when a sample is built and stacked once by ``compile_corpus``.
 """
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, count
 
 import numpy as np
@@ -126,20 +128,35 @@ def compile_corpus(samples) -> CompiledCorpus:
     )
 
 
+def projected(compiled: CompiledCorpus, params: ModelParams, vocab: Vocabulary) -> ModelParams:
+    """Params sharing ``params``' arrays, with the projection table of ``compiled``'s phrases.
+
+    One ``model.project`` call gives each distinct phrase's output row
+    (each distinct token's, in word-level mode).
+    """
+    keys = compiled.phrases
+    if params.word_level:
+        keys = tuple(dict.fromkeys((token,) for phrase in keys for token in phrase))
+    return replace(params, projections=dict(zip(keys, model.project(model.encode(keys, vocab), params)[1])))
+
+
 def pair_similarities(compiled: CompiledCorpus, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
     """The (P,) similarities of ``compiled.pairs``.
 
-    Each distinct phrase's output is stacked once from the projection table,
-    and ``model.row_similarities`` scores the pairs' rows ``SIM_BLOCK`` pairs
-    at a time.  Word-level mode scores each pair with ``model.similarity``.
+    The phrases' outputs come from ``params``' projection table, which is
+    ``projected`` here if ``params`` carry none, and ``model.row_similarities``
+    scores the pairs' rows ``SIM_BLOCK`` pairs at a time.  Word-level mode
+    scores each pair with ``model.similarity``.
     """
-    if params.word_level or not compiled.pairs:
+    if params.projections is None:
+        params = projected(compiled, params, vocab)
+    if params.word_level:
         return np.array([model.similarity(p.source, p.target, params, vocab) for p in compiled.pairs], dtype=float)
-    outputs = np.array([model.projection(phrase, params, vocab)[1].output for phrase in compiled.phrases])
+    rows = np.array(model.outputs(compiled.phrases, params, vocab))
     sims = np.empty(len(compiled.pairs))
     for start in range(0, sims.size, SIM_BLOCK):
         f, e = compiled.pair_rows[start : start + SIM_BLOCK].T
-        sims[start : start + SIM_BLOCK] = model.row_similarities(outputs[f], outputs[e], params.sim_mode)
+        sims[start : start + SIM_BLOCK] = model.row_similarities(rows[f], rows[e], params.sim_mode)
     return sims
 
 
@@ -170,8 +187,7 @@ def feature_matrix(compiled: CompiledCorpus, sims: np.ndarray, n_weights: int) -
 def score(samples, params: ModelParams, vocab: Vocabulary, n_weights: int) -> tuple[CompiledCorpus, np.ndarray]:
     """``compile_corpus(samples)`` and its ``feature_matrix`` H under ``params``, each phrase projected once."""
     compiled = compile_corpus(samples)
-    sims = pair_similarities(compiled, model.with_projection_table(params), vocab)
-    return compiled, feature_matrix(compiled, sims, n_weights)
+    return compiled, feature_matrix(compiled, pair_similarities(compiled, params, vocab), n_weights)
 
 
 def candidate_probs(
@@ -215,8 +231,7 @@ def error_terms(
 
 
 def _add_output_grads(out_grads, f_key, e_key, params: ModelParams, vocab: Vocabulary, coeff: float) -> None:
-    u = model.projection(f_key, params, vocab)[1].output
-    v = model.projection(e_key, params, vocab)[1].output
+    u, v = model.outputs((f_key, e_key), params, vocab)
     if params.sim_mode == model.SIM_DOT:
         g_u, g_v = v, u
     else:
@@ -258,24 +273,23 @@ def sim_gradient(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary, out
 def backprop(out_grads, params: ModelParams, vocab: Vocabulary, grad: np.ndarray) -> None:
     """Backpropagate ``out_grads`` through the towers, adding into the ``pack_params`` vector ``grad``.
 
-    One pass over its phrases, the rows of G, Y1 and Y2: E2 = G * (1 - Y2^2),
-    dW2 += Y1^T E2 and E1 = (E2 W2^T) * (1 - Y1^2); each phrase's token counts
-    times its row of E1 (of G for the linear map) go into its tokens' W1 rows.
+    One ``model.project`` call over its phrases gives the rows of Y1 and Y2;
+    with G the rows of ``out_grads``, E2 = G * (1 - Y2^2), dW2 += Y1^T E2 and
+    E1 = (E2 W2^T) * (1 - Y1^2); each phrase's token counts times its row of
+    E1 (of G for the linear map) go into its tokens' W1 rows.
     """
     if not out_grads:
         return
     d_w1, d_w2 = model.param_views(params, grad)
-    forward = [model.projection(key, params, vocab) for key in out_grads]
+    bags = model.encode(list(out_grads), vocab)
+    y1, y2 = model.project(bags, params)
     err = np.array(list(out_grads.values()))
     if params.arch == model.ARCH_NONLINEAR:
-        y1 = np.array([trace.y1 for _, trace in forward])
-        y2 = np.array([trace.y2 for _, trace in forward])
         err = err * (1.0 - y2 * y2)  # tanh'(z2) = 1 - y2^2
         d_w2 += y1.T @ err
         err = (err @ params.w2.T) * (1.0 - y1 * y1)
-    rows = np.repeat(np.arange(len(forward)), [x.indices.size for x, _ in forward])
-    counts = np.concatenate([x.counts for x, _ in forward])
-    np.add.at(d_w1, np.concatenate([x.indices for x, _ in forward]), counts[:, None] * err[rows])
+    rows = np.repeat(np.arange(len(out_grads)), np.diff(bags.starts))
+    np.add.at(d_w1, bags.ids, bags.counts[:, None] * err[rows])
 
 
 def full_gradient(
@@ -292,7 +306,7 @@ def full_gradient(
     samples = list(samples)
     compiled = compile_corpus(samples) if compiled is None else compiled
     lam = np.asarray(lam, dtype=np.float64)
-    params = model.with_projection_table(params)
+    params = projected(compiled, params, vocab)
     totals = feature_matrix(compiled, pair_similarities(compiled, params, vocab), lam.size) @ lam
     total_delta = dict.fromkeys(compiled.pairs, 0.0)
     bounds = compiled.offsets.tolist()

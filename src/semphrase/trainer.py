@@ -460,8 +460,11 @@ def tune(
     of (-SPAN, SPAN).  The envelopes of all dev sentences are walked in
     lockstep by ``_envelopes``, one array step per envelope edge.  The
     midpoint of the best interval (the nearest to the current value on a
-    tie) is kept if it gains more than ``MIN_GAIN``.  Sweeps repeat until
-    none improves, so the result never scores below ``lam_init``.  A NaN or
+    tie) is kept if the picks there, scored afresh, gain more than
+    ``MIN_GAIN``: an interval between two crossing points that are equal in
+    exact arithmetic is a rounding sliver, and its picks can score below
+    what its interval's sum says.  Sweeps repeat until none improves, so
+    the result never scores below ``lam_init``.  A NaN or
     infinite weight in ``lam_init`` is refused.  Returns the tuned weights
     and the dev BLEU ``rerank.rerank`` reports at ``lam_init`` and at them.
     """
@@ -489,9 +492,12 @@ def tune(
             ties = np.flatnonzero(scores == scores.max())
             k = ties[np.argmin(np.abs(np.clip(lam[j], edges[ties], edges[ties + 1]) - lam[j]))]
             if scores[k] > best + MIN_GAIN:
-                lam[j] = 0.5 * (edges[k] + edges[k + 1])
-                best = float(scores[k])
-                improved = True
+                kept, lam[j] = lam[j], 0.5 * (edges[k] + edges[k + 1])
+                gained = picked_bleu()  # a rounding sliver's picks can score below its interval
+                if gained > best + MIN_GAIN:
+                    best, improved = gained, True
+                else:
+                    lam[j] = kept
         if not improved:
             break
-    return lam, before, picked_bleu()
+    return lam, before, best

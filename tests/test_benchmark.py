@@ -23,3 +23,14 @@ def test_real_spec_passes_its_output_checks(tmp_path, capsys, name):
     out = capsys.readouterr().out
     assert result["attempted"] > 0
     assert result["failed"] == 0, out[-3000:]
+
+
+@pytest.mark.parametrize("arch", ["linear", "nonlinear"])
+def test_small_reuse_passes_its_output_checks_under_cosine(tmp_path, capsys, arch):
+    """The benchmark times nonlinear/dot only; every mode shares the forward pass its checks exercise."""
+    model_cfg = dict(run.CONFIG["model"], arch=arch, sim_mode="cosine")
+    wl = run.CONFIG["workloads"]["small-reuse"]
+    result = run.run_workload("small-reuse", wl, seed=0, seconds=0.0, trace=False, work=tmp_path, model_cfg=model_cfg)
+    out = capsys.readouterr().out
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, out[-3000:]

@@ -523,7 +523,7 @@ class TestCliCommands:
         lines = out.read_text().splitlines()
         assert [line.split("\t")[0] for line in lines] == [" ".join(phrase) for phrase in phrases]
         for phrase, line in zip(phrases, lines):
-            output = model.project(model.encode(phrase, vocab), params).output
+            (output,) = model.project(model.encode([phrase], vocab), params)[1]  # the phrase alone
             assert output.size == 8  # k2 of the trained model
             assert line.split("\t")[1] == " ".join(repr(float(v)) for v in output)
 

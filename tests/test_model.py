@@ -1,5 +1,6 @@
 """Encoding, projection, similarity variants, and model persistence."""
 
+import dataclasses
 import json
 import math
 import re
@@ -16,40 +17,55 @@ def tiny_vocab(*tokens):
     return corpus.Vocabulary.from_tokens((corpus.UNK_TOKEN,) + tokens)
 
 
+def _row(bags, i):
+    """Row i of ``bags`` as {token id: count}."""
+    lo, hi = bags.starts[i], bags.starts[i + 1]
+    return dict(zip(bags.ids[lo:hi].tolist(), bags.counts[lo:hi].tolist()))
+
+
 class TestEncode:
     def test_counts(self):
         vocab = tiny_vocab("a", "b")
-        wv = model.encode(("a", "a", "b"), vocab)
-        assert dict(zip(wv.indices.tolist(), wv.counts.tolist())) == {1: 2.0, 2: 1.0}
-        assert wv.length == 3.0
+        bags = model.encode([("a", "a", "b")], vocab)
+        assert _row(bags, 0) == {1: 2.0, 2: 1.0}
+        assert bags.starts.tolist() == [0, 2] and bags.dim == 3
+        assert bags.counts.dtype == np.float64
 
     def test_order_invariant(self):
         vocab = tiny_vocab("a", "b")
-        a = model.encode(("a", "a", "b"), vocab)
-        b = model.encode(("b", "a", "a"), vocab)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.counts, b.counts)
+        bags = model.encode([("a", "a", "b"), ("b", "a", "a")], vocab)
+        assert _row(bags, 0) == _row(bags, 1)
+        assert bags.ids.tolist() == [1, 2, 1, 2]
 
     def test_unknown_tokens_pool_in_unk(self):
         vocab = tiny_vocab("a")
-        wv = model.encode(("zzz", "qqq", "a"), vocab)
-        assert dict(zip(wv.indices.tolist(), wv.counts.tolist())) == {0: 2.0, 1: 1.0}
+        bags = model.encode([("zzz", "qqq", "a")], vocab)
+        assert _row(bags, 0) == {0: 2.0, 1: 1.0}
 
     def test_random_phrase_matches_tally(self, rng):
         vocab = tiny_vocab(*(f"t{i}" for i in range(6)))
-        phrase = tuple(f"t{int(rng.integers(0, 6))}" for _ in range(6))
-        wv = model.encode(phrase, vocab)
-        tally = {}
-        for tok in phrase:
-            idx = vocab.index[tok]
-            tally[idx] = tally.get(idx, 0) + 1
-        assert dict(zip(wv.indices.tolist(), wv.counts.tolist())) == tally
+        phrases = [tuple(f"t{int(rng.integers(0, 7))}" for _ in range(int(rng.integers(1, 7)))) for _ in range(20)]
+        bags = model.encode(phrases, vocab)
+        assert bags.starts.size == len(phrases) + 1
+        for i, phrase in enumerate(phrases):
+            tally = {}
+            for tok in phrase:
+                idx = vocab.token_id(tok)
+                tally[idx] = tally.get(idx, 0) + 1
+            assert _row(bags, i) == tally
+            assert list(_row(bags, i)) == sorted(tally)  # ascending ids
 
     def test_empty_phrase_rejected(self):
         vocab = tiny_vocab("a")
         for empty in ((), []):
             with pytest.raises(ValueError, match="empty phrase"):
-                model.encode(empty, vocab)
+                model.encode([("a",), empty], vocab)
+
+    def test_no_phrases(self):
+        bags = model.encode([], tiny_vocab("a"))
+        assert bags.ids.size == 0 and bags.starts.tolist() == [0]
+        y1, out = model.project(bags, model.init_params(2, 3, 2, seed=0))
+        assert y1.shape == (0, 3) and out.shape == (0, 2)
 
 
 class TestProject:
@@ -57,32 +73,49 @@ class TestProject:
         vocab = tiny_vocab("a")
         params = model.init_params(2, 3, 2, seed=0)
         params.w1[0, :] = 0.0  # zero the UNK row
-        trace = model.project(model.encode(("never-seen",), vocab), params)
-        assert np.all(trace.output == 0.0)
+        _, out = model.project(model.encode([("never-seen",)], vocab), params)
+        assert out.shape == (1, 2) and np.all(out == 0.0)
 
     def test_scalar_hand_computation(self):
         # d=2, k1=k2=1, W1 = (1, 0)^T, W2 = (1): unit mass on token 0 gives
         # z1=1, y1=tanh(1), z2=tanh(1), y2=tanh(tanh(1)).
         vocab = corpus.Vocabulary.from_tokens(("u", "v"))
         params = model.ModelParams(np.array([[1.0], [0.0]]), np.array([[1.0]]))
-        trace = model.project(model.encode(("u",), vocab), params)
-        assert trace.z1[0] == 1.0
-        assert trace.y1[0] == math.tanh(1.0)
-        assert trace.z2[0] == math.tanh(1.0)
-        assert trace.y2[0] == math.tanh(math.tanh(1.0))
+        y1, out = model.project(model.encode([("u",)], vocab), params)
+        assert y1[0, 0] == math.tanh(1.0)
+        assert out[0, 0] == math.tanh(math.tanh(1.0))
 
     def test_linear_identity_projection(self):
         vocab = tiny_vocab("a", "b")
         params = model.ModelParams(np.eye(3), None, arch=model.ARCH_LINEAR, sim_mode=model.SIM_COSINE)
-        wv = model.encode(("a", "b", "b"), vocab)
-        out = model.project(wv, params).output
-        assert np.array_equal(out, np.array([0.0, 1.0, 2.0]))
+        y1, out = model.project(model.encode([("a", "b", "b"), ("zzz",)], vocab), params)
+        assert y1 is None
+        assert np.array_equal(out, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]]))
 
     def test_dimension_mismatch(self):
         vocab = tiny_vocab("a", "b")  # d = 3
         params = model.init_params(5, 2, 2, seed=0)
         with pytest.raises(ValueError, match="dimension"):
-            model.project(model.encode(("a",), vocab), params)
+            model.project(model.encode([("a",)], vocab), params)
+
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
+    def test_each_row_has_the_bits_of_its_phrase_alone(self, rng, arch, sim_mode):
+        vocab = tiny_vocab(*(f"t{i}" for i in range(9)))
+        params = model.init_params(len(vocab), 16, 12, arch=arch, sim_mode=sim_mode, seed=12)
+        # repeated tokens, 3 or 4 tokens, and tokens out of the vocabulary ("t9", "t10")
+        phrases = [tuple(f"t{int(rng.integers(0, 11))}" for _ in range(int(rng.integers(1, 5)))) for _ in range(60)]
+        assert any(len(set(p)) < len(p) for p in phrases) and any(len(p) >= 3 for p in phrases)
+        assert any(vocab.token_id(t) == 0 for p in phrases for t in p)
+        alone = [model.project(model.encode([p], vocab), params) for p in phrases]
+        order = rng.permutation(len(phrases))
+        y1, out = model.project(model.encode([phrases[i] for i in order], vocab), params)
+        for row, i in enumerate(order.tolist()):
+            assert out[row].tobytes() == alone[i][1][0].tobytes()
+            if arch == model.ARCH_NONLINEAR:
+                assert y1[row].tobytes() == alone[i][0][0].tobytes()
+            else:
+                assert y1 is None
 
 
 class TestSimilarity:
@@ -190,24 +223,43 @@ class TestRowSimilarities:
                 assert sims[i, j] == model.similarity((ft,), (et,), params, vocab)
 
 
+def _count_projections(monkeypatch):
+    """Record the bags of each ``model.project`` call."""
+    calls = []
+    real = model.project
+
+    def counting(bags, p):
+        calls.append(bags)
+        return real(bags, p)
+
+    monkeypatch.setattr(model, "project", counting)
+    return calls
+
+
 class TestProjectionTable:
     def test_shares_arrays_and_projects_each_phrase_once(self, monkeypatch):
         vocab = tiny_vocab("a", "b", "c")
         params = model.init_params(4, 3, 2, seed=8)
-        tabled = model.with_projection_table(params)
+        phrases = [("a",), ("b", "c"), ("c", "c", "a")]
+        fresh = np.array(model.outputs(phrases, params, vocab))
+        tabled = dataclasses.replace(params, projections=dict(zip(phrases, fresh)))
         assert tabled.w1 is params.w1 and tabled.w2 is params.w2
-        assert tabled.projections == {} and params.projections is None
-        calls = []
-        real = model.project
+        calls = _count_projections(monkeypatch)
+        assert np.array(model.outputs([["b", "c"], ("a",)], tabled, vocab)).tobytes() == fresh[[1, 0]].tobytes()
+        sim = model.similarity(("a",), ["b", "c"], tabled, vocab)
+        assert sim == model.similarity(("a",), ("b", "c"), params, vocab)
+        assert [bags.starts.size - 1 for bags in calls] == [2]  # one batch of two phrases, without the table
+        with pytest.raises(KeyError):
+            model.outputs([("b",)], tabled, vocab)
 
-        def counting(x, p):
-            calls.append(x)
-            return real(x, p)
-
-        monkeypatch.setattr(model, "project", counting)
-        sims = [model.similarity(f, e, tabled, vocab) for f, e in [(("a",), ("b", "c")), (["a"], ("b", "c"))]]
-        assert sims[0] == sims[1] == model.similarity(("a",), ("b", "c"), params, vocab)
-        assert len(calls) == 4  # two through the table, two without one
+    @pytest.mark.parametrize("word_level", [False, True])
+    def test_similarity_projects_one_batch(self, monkeypatch, word_level):
+        vocab = tiny_vocab("a", "b", "c")
+        params = model.init_params(4, 3, 2, word_level=word_level, seed=8)
+        calls = _count_projections(monkeypatch)
+        model.similarity(("a", "b"), ("c", "a", "a"), params, vocab)
+        assert len(calls) == 1
+        assert calls[0].starts.size - 1 == (5 if word_level else 2)
 
 
 class TestPersistence:

@@ -310,13 +310,13 @@ class TestSimGradient:
         vocab = corpus.Vocabulary.from_tokens(("a", "b", "c"))
         params = model.init_params(3, 3, 2, seed=4)
         f = ("a", "b")
-        trace = model.project(model.encode(f, vocab), params)
-        e2 = trace.y2 * (1.0 - trace.y2 * trace.y2)
-        single_w2 = np.outer(trace.y1, e2)
-        e1 = (params.w2 @ e2) * (1.0 - trace.y1 * trace.y1)
-        x = model.encode(f, vocab)
+        x = model.encode([f], vocab)
+        (y1,), (y2,) = model.project(x, params)
+        e2 = y2 * (1.0 - y2 * y2)
+        single_w2 = np.outer(y1, e2)
+        e1 = (params.w2 @ e2) * (1.0 - y1 * y1)
         single_w1 = np.zeros_like(params.w1)
-        single_w1[x.indices] += x.counts[:, None] * e1[None, :]
+        single_w1[x.ids] += x.counts[:, None] * e1[None, :]
         d_w1, d_w2 = model.param_views(params, pair_gradient(f, f, params, vocab))
         np.testing.assert_allclose(d_w2, 2.0 * single_w2, atol=1e-14)
         np.testing.assert_allclose(d_w1, 2.0 * single_w1, atol=1e-14)
@@ -414,7 +414,7 @@ class TestSimGradient:
         assert sims[0, 0] == sims[0, 1]
         out_grads = {}
         objective.sim_gradient(("a",), e, params, vocab, out_grads, 1.0)
-        u = model.project(model.encode(("a",), vocab), params).output
+        (u,) = model.outputs([("a",)], params, vocab)
         second = "c" if first == "b" else "b"
         # a's best match is the first of the tied tokens (weight 0.5); each
         # target token's best match is a (weight 0.25 each)
@@ -505,49 +505,74 @@ def _distinct_phrases(samples):
 
 
 def _count_projections(monkeypatch):
+    """The bags of each ``model.project`` call."""
     calls = []
     real = model.project
 
-    def counting(x, p):
-        calls.append(x)
-        return real(x, p)
+    def counting(bags, p):
+        calls.append(bags)
+        return real(bags, p)
 
     monkeypatch.setattr(model, "project", counting)
     return calls
 
 
+def _rows(bags):
+    """Each row of ``bags`` as (token ids, counts)."""
+    bounds = bags.starts.tolist()
+    return [(tuple(bags.ids[a:b].tolist()), tuple(bags.counts[a:b].tolist())) for a, b in zip(bounds, bounds[1:])]
+
+
+def _bag_rows(phrases, vocab):
+    return sorted(_rows(model.encode(list(phrases), vocab)))
+
+
 class TestProjectionTable:
-    """One projection per distinct phrase per call; the caller's params never keep a table."""
+    """One ``model.project`` call per forward pass, its rows the distinct phrases; the caller's params keep no table."""
 
     @pytest.mark.parametrize(
         "arch, sim_mode", [(model.ARCH_NONLINEAR, None), (model.ARCH_LINEAR, model.SIM_COSINE)]
     )
-    def test_full_gradient_projects_each_phrase_once(self, rng, monkeypatch, arch, sim_mode):
+    def test_full_gradient_projects_each_phrase_once_per_pass(self, rng, monkeypatch, arch, sim_mode):
         samples, vocab, params, lam = _toy_setup(rng, arch=arch, sim_mode=sim_mode, n_samples=6, n_tokens=4)
         phrases = _distinct_phrases(samples)
         assert len(phrases) < 2 * len(corpus.collect_phrase_pairs(samples))  # pairs share phrases
         calls = _count_projections(monkeypatch)
         objective.full_gradient(samples, params, lam, vocab)
-        assert len(calls) == len(phrases)
+        assert len(calls) == 2  # the forward pass, then ``backprop``
+        assert [sorted(_rows(bags)) for bags in calls] == [_bag_rows(phrases, vocab)] * 2
 
-    def test_word_level_projects_each_token_once(self, rng, monkeypatch):
+    def test_word_level_projects_each_token_once_per_pass(self, rng, monkeypatch):
         samples, vocab, params, lam = _toy_setup(rng, word_level=True, n_samples=6, n_tokens=5)
-        tokens = {tok for phrase in _distinct_phrases(samples) for tok in phrase}
+        tokens = {(tok,) for phrase in _distinct_phrases(samples) for tok in phrase}
         calls = _count_projections(monkeypatch)
         objective.full_gradient(samples, params, lam, vocab)
-        assert len(calls) == len(tokens)
+        assert len(calls) == 2
+        assert sorted(_rows(calls[0])) == _bag_rows(tokens, vocab)
+        assert set(_rows(calls[1])) <= set(_rows(calls[0]))  # the argmax tokens that take gradient
+
+    def _projects_each_phrase_once(self, rng, monkeypatch, run):
+        calls = _count_projections(monkeypatch)
+        for word_level in (False, True):
+            samples, vocab, params, lam = _toy_setup(rng, word_level=word_level, n_samples=6, n_tokens=4)
+            phrases = _distinct_phrases(samples)
+            if word_level:
+                phrases = {(tok,) for phrase in phrases for tok in phrase}
+            calls.clear()
+            run(samples, params, vocab, lam)
+            assert len(calls) == 1
+            assert sorted(_rows(calls[0])) == _bag_rows(phrases, vocab)
+
+    def test_score_projects_each_phrase_once(self, rng, monkeypatch):
+        self._projects_each_phrase_once(rng, monkeypatch, lambda s, p, v, lam: objective.score(s, p, v, lam.size))
 
     def test_tune_lambda_projects_each_dev_phrase_once(self, rng, monkeypatch):
-        samples, vocab, params, lam = _toy_setup(rng, n_samples=6, n_tokens=4)
-        calls = _count_projections(monkeypatch)
-        trainer.tune_lambda(samples, params, vocab, lam, max_sweeps=1)
-        assert len(calls) == len(_distinct_phrases(samples))
+        self._projects_each_phrase_once(
+            rng, monkeypatch, lambda s, p, v, lam: trainer.tune_lambda(s, p, v, lam, max_sweeps=1)
+        )
 
     def test_rerank_projects_each_test_phrase_once(self, rng, monkeypatch):
-        samples, vocab, params, lam = _toy_setup(rng, n_samples=6, n_tokens=4)
-        calls = _count_projections(monkeypatch)
-        rerank.rerank(samples, params, lam, vocab)
-        assert len(calls) == len(_distinct_phrases(samples))
+        self._projects_each_phrase_once(rng, monkeypatch, lambda s, p, v, lam: rerank.rerank(s, p, lam, v))
 
     def test_caller_params_carry_no_table(self, rng):
         samples, vocab, params, lam = _toy_setup(rng)

@@ -181,7 +181,7 @@ class TestRerankBleu:
             lam = rng.integers(-2, 3, size=samples[0].candidates[0].features.size + 1).astype(np.float64)
             result = rerank.rerank(samples, params, lam, vocab)
             compiled = objective.compile_corpus(samples)
-            sims = objective.pair_similarities(compiled, model.with_projection_table(params), vocab)
+            sims = objective.pair_similarities(compiled, params, vocab)
             h = objective.feature_matrix(compiled, sims, lam.size)
             bounds = compiled.offsets.tolist()
             selections, bleus = _per_sample_rerank(samples, bounds, h, lam)
