@@ -533,7 +533,7 @@ class TestProjectionTable:
     @pytest.mark.parametrize(
         "arch, sim_mode", [(model.ARCH_NONLINEAR, None), (model.ARCH_LINEAR, model.SIM_COSINE)]
     )
-    def test_full_gradient_projects_each_phrase_once_per_pass(self, rng, monkeypatch, arch, sim_mode):
+    def test_full_gradient_projects_once_per_pass(self, rng, monkeypatch, arch, sim_mode):
         samples, vocab, params, lam = _toy_setup(rng, arch=arch, sim_mode=sim_mode, n_samples=6, n_tokens=4)
         phrases = _distinct_phrases(samples)
         assert len(phrases) < 2 * len(corpus.collect_phrase_pairs(samples))  # pairs share phrases
@@ -542,7 +542,7 @@ class TestProjectionTable:
         assert len(calls) == 2  # the forward pass, then ``backprop``
         assert [sorted(_rows(bags)) for bags in calls] == [_bag_rows(phrases, vocab)] * 2
 
-    def test_word_level_projects_each_token_once_per_pass(self, rng, monkeypatch):
+    def test_word_level_projects_once_per_pass(self, rng, monkeypatch):
         samples, vocab, params, lam = _toy_setup(rng, word_level=True, n_samples=6, n_tokens=5)
         tokens = {(tok,) for phrase in _distinct_phrases(samples) for tok in phrase}
         calls = _count_projections(monkeypatch)
