@@ -318,8 +318,8 @@ def _cmd_gradcheck(args) -> int:
     if (args.nbest is None) != (args.refs is None):
         print("gradcheck: --nbest and --refs must be given together", file=sys.stderr)
         return EXIT_USAGE
-    if math.isnan(args.tol):
-        raise ValueError("tol must be a number, got nan")
+    if not args.tol >= 0.0:
+        raise ValueError(f"tol must be {'a number' if math.isnan(args.tol) else '>= 0'}, got {args.tol!r}")
     if not (math.isfinite(args.step) and args.step > 0.0):
         raise ValueError(f"step must be finite and > 0, got {args.step!r}")
     if args.nbest:

@@ -16,17 +16,14 @@ fresh arrays between optimizer iterations.
 
 ``encode`` turns a batch of phrases into CSR bag rows and ``project`` runs
 them through the network in one pass; a row's bits do not depend on the
-rest of its batch.  Only ``objective`` fills ``ModelParams.projections``, a
-table of each phrase's output row, with one ``project`` call per
-``full_gradient`` or ``score`` call.  ``outputs`` reads the table, or
-projects its phrases in one batch when params carry none, as a caller's
-own params do.
+rest of its batch.  ``similarity`` projects its own pair in one call,
+``objective.forward`` a whole corpus's phrases.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,8 +58,6 @@ class ModelParams:
     arch: str = ARCH_NONLINEAR
     sim_mode: str = SIM_DOT
     word_level: bool = False
-    # phrase tokens -> output row; see ``outputs``
-    projections: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arch not in (ARCH_NONLINEAR, ARCH_LINEAR):
@@ -187,14 +182,6 @@ def project(bags: Bags, params: ModelParams) -> tuple[np.ndarray | None, np.ndar
     return y1, np.tanh(np.matmul(y1[:, None, :], params.w2)[:, 0, :])
 
 
-def outputs(phrases, params: ModelParams, vocab: Vocabulary) -> list[np.ndarray]:
-    """The output rows of ``phrases``: ``params``' projection table's, or one ``project`` call's without a table."""
-    table = params.projections
-    if table is None:
-        return list(project(encode(phrases, vocab), params)[1])
-    return [table[tuple(phrase)] for phrase in phrases]
-
-
 def row_similarities(u: np.ndarray, v: np.ndarray, sim_mode: str) -> np.ndarray:
     """Similarity of each row of ``u`` with the same row of ``v``, one BLAS dot per row.
 
@@ -207,23 +194,26 @@ def row_similarities(u: np.ndarray, v: np.ndarray, sim_mode: str) -> np.ndarray:
     return np.divide(dots, scale, out=np.zeros_like(dots), where=scale > 0.0)
 
 
-def token_similarity_matrix(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
-    """|f| x |e| matrix of single-token similarities."""
-    out = np.array(outputs([(t,) for t in (*f_tokens, *e_tokens)], params, vocab))
-    f_out, e_out = out[: len(f_tokens)], out[len(f_tokens) :]
-    grid = row_similarities(np.repeat(f_out, len(e_out), axis=0), np.tile(e_out, (len(f_out), 1)), params.sim_mode)
+def token_similarity_matrix(f_out: np.ndarray, e_out: np.ndarray, sim_mode: str) -> np.ndarray:
+    """|f| x |e| matrix of ``row_similarities`` between source token output rows and target token output rows."""
+    grid = row_similarities(np.repeat(f_out, len(e_out), axis=0), np.tile(e_out, (len(f_out), 1)), sim_mode)
     return grid.reshape(len(f_out), len(e_out))
 
 
-def similarity(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> float:
-    """Translation score of a source/target phrase pair: ``row_similarities`` of their projections.
+def word_similarity(sims: np.ndarray) -> float:
+    """Word-level score of a token matrix: half the mean of each row's max plus half that of each column's."""
+    return 0.5 * float(np.mean(sims.max(axis=1))) + 0.5 * float(np.mean(sims.max(axis=0)))
 
-    Word-level: half the mean over source tokens of the best target token's score, plus the converse half.
+
+def similarity(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary) -> float:
+    """Translation score of a phrase pair: ``row_similarities`` of their outputs, from one ``project`` call.
+
+    Word-level: ``word_similarity`` of the matrix of their tokens' outputs.
     """
     if params.word_level:
-        sims = token_similarity_matrix(f_tokens, e_tokens, params, vocab)
-        return 0.5 * float(np.mean(sims.max(axis=1))) + 0.5 * float(np.mean(sims.max(axis=0)))
-    u, v = outputs((f_tokens, e_tokens), params, vocab)
+        out = project(encode([(t,) for t in (*f_tokens, *e_tokens)], vocab), params)[1]
+        return word_similarity(token_similarity_matrix(out[: len(f_tokens)], out[len(f_tokens) :], params.sim_mode))
+    u, v = project(encode((f_tokens, e_tokens), vocab), params)[1]
     return float(row_similarities(u[None], v[None], params.sim_mode)[0])
 
 

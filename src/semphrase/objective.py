@@ -8,13 +8,14 @@ phrase-similarity feature.
 The gradient factors into two independent parts: a scalar error term per
 phrase pair (how the loss moves with that pair's similarity score) and the
 gradient of the similarity score itself with respect to the projection
-matrices.  ``full_gradient`` exploits that separation: phase 1
-(``error_terms``) adds every sample's error terms into one dict keyed by
-unique phrase pair; phase 2 calls ``sim_gradient`` exactly once per unique
-pair, which adds the gradient at both tower outputs into one dict keyed by
-phrase, and ``backprop`` then runs the backward pass once for all phrases
-(as DSSM, Huang et al. 2013, batches its towers).  So phase 2 costs O(k) per
-unique pair plus one backward pass per distinct phrase.
+matrices.  ``full_gradient`` exploits that separation.  One ``forward``
+pass encodes and projects the distinct phrases (their distinct tokens, in
+word-level mode) in one call each; phase 1 (``error_terms``) adds every
+sample's error terms into one dict keyed by unique phrase pair; phase 2
+calls ``sim_gradient`` exactly once per unique pair, adding the gradient at
+both tower outputs into the pass's ``grads`` rows, which ``backprop``
+carries back through the same pass (as DSSM, Huang et al. 2013, does).  So
+phase 2 costs O(k) per unique pair plus one backward pass over the phrases.
 
 Training, tuning and reranking share one log-linear score over one compiled
 corpus: ``compile_corpus`` turns the samples and their labels into arrays,
@@ -30,13 +31,9 @@ probabilities, and ``full_gradient`` one flat float64 vector in the
 ``model.pack_params`` layout (W1 then W2, row-major), the vector the
 optimizer works on and the layout ``backprop`` adds into.
 
-Only this module fills a projection table: ``projected`` gives every
-distinct phrase its output row with one ``model.project`` call per
-``full_gradient`` or ``score`` call, and ``pair_similarities`` and phase 2
-read it.  ``backprop`` projects its phrases in one batch of its own, so a
-pair's gradient takes the same path with or without a table.
-``pair_similarities`` scores the stacked rows with ``model.row_similarities``,
-the rule ``model.similarity`` applies to one pair, one BLAS dot per pair;
+``score`` runs one ``forward`` pass too.  ``pair_similarities`` scores the
+pass's rows with ``model.row_similarities``, the rule ``model.similarity``
+applies to one pair, one BLAS dot per pair;
 ``backprop``'s matrix products go through BLAS, so the gradient's bits are
 fixed for a given numpy/BLAS build and BLAS thread count.  ``corpus_xbleu``
 is the negated ``full_gradient`` loss.
@@ -48,8 +45,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,35 +126,48 @@ def compile_corpus(samples) -> CompiledCorpus:
     )
 
 
-def projected(compiled: CompiledCorpus, params: ModelParams, vocab: Vocabulary) -> ModelParams:
-    """Params sharing ``params``' arrays, with the projection table of ``compiled``'s phrases.
+class Forward(NamedTuple):
+    """One forward pass over distinct keys; key ``k`` owns row ``rows[k]`` of the bags and of each array."""
 
-    One ``model.project`` call gives each distinct phrase's output row
-    (each distinct token's, in word-level mode).
+    rows: dict
+    bags: model.Bags
+    y1: np.ndarray | None  # hidden layer, None for the linear map
+    out: np.ndarray  # output rows
+    grads: np.ndarray  # the gradient at each output row, which phase 2 adds into
+
+
+def forward(keys, params: ModelParams, vocab: Vocabulary) -> Forward:
+    """One ``model.project`` call over the distinct phrases ``keys``, numbered in first-occurrence order.
+
+    In word-level mode the keys are their distinct tokens, as one-token phrases.
     """
-    keys = compiled.phrases
     if params.word_level:
-        keys = tuple(dict.fromkeys((token,) for phrase in keys for token in phrase))
-    return replace(params, projections=dict(zip(keys, model.project(model.encode(keys, vocab), params)[1])))
+        keys = ((token,) for phrase in keys for token in phrase)
+    rows = {key: row for row, key in enumerate(dict.fromkeys(map(tuple, keys)))}
+    bags = model.encode(list(rows), vocab)
+    y1, out = model.project(bags, params)
+    return Forward(rows, bags, y1, out, np.zeros_like(out))
 
 
-def pair_similarities(compiled: CompiledCorpus, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
-    """The (P,) similarities of ``compiled.pairs``.
+def _token_grid(fw: Forward, f_tokens, e_tokens, sim_mode: str):
+    """Word level: the rows of a pair's source and target tokens in ``fw``, and their token similarity matrix."""
+    f, e = ([fw.rows[(token,)] for token in phrase] for phrase in (f_tokens, e_tokens))
+    return f, e, model.token_similarity_matrix(fw.out[f], fw.out[e], sim_mode)
 
-    The phrases' outputs come from ``params``' projection table, which is
-    ``projected`` here if ``params`` carry none, and ``model.row_similarities``
-    scores the pairs' rows ``SIM_BLOCK`` pairs at a time.  Word-level mode
-    scores each pair with ``model.similarity``.
+
+def pair_similarities(compiled: CompiledCorpus, params: ModelParams, fw: Forward) -> np.ndarray:
+    """The (P,) similarities of ``compiled.pairs`` from ``fw``, the ``forward`` pass over ``compiled.phrases``.
+
+    ``model.row_similarities`` scores the pairs' rows ``SIM_BLOCK`` pairs at
+    a time, or in word-level mode ``model.word_similarity`` each pair's token
+    rows: each pair gets the bits ``model.similarity`` gives it.
     """
-    if params.projections is None:
-        params = projected(compiled, params, vocab)
     if params.word_level:
-        return np.array([model.similarity(p.source, p.target, params, vocab) for p in compiled.pairs], dtype=float)
-    rows = np.array(model.outputs(compiled.phrases, params, vocab))
+        return np.array([model.word_similarity(_token_grid(fw, *p, params.sim_mode)[2]) for p in compiled.pairs])
     sims = np.empty(len(compiled.pairs))
     for start in range(0, sims.size, SIM_BLOCK):
         f, e = compiled.pair_rows[start : start + SIM_BLOCK].T
-        sims[start : start + SIM_BLOCK] = model.row_similarities(rows[f], rows[e], params.sim_mode)
+        sims[start : start + SIM_BLOCK] = model.row_similarities(fw.out[f], fw.out[e], params.sim_mode)
     return sims
 
 
@@ -187,7 +198,8 @@ def feature_matrix(compiled: CompiledCorpus, sims: np.ndarray, n_weights: int) -
 def score(samples, params: ModelParams, vocab: Vocabulary, n_weights: int) -> tuple[CompiledCorpus, np.ndarray]:
     """``compile_corpus(samples)`` and its ``feature_matrix`` H under ``params``, each phrase projected once."""
     compiled = compile_corpus(samples)
-    return compiled, feature_matrix(compiled, pair_similarities(compiled, params, vocab), n_weights)
+    sims = pair_similarities(compiled, params, forward(compiled.phrases, params, vocab))
+    return compiled, feature_matrix(compiled, sims, n_weights)
 
 
 def candidate_probs(
@@ -230,9 +242,9 @@ def error_terms(
     return xbleu
 
 
-def _add_output_grads(out_grads, f_key, e_key, params: ModelParams, vocab: Vocabulary, coeff: float) -> None:
-    u, v = model.outputs((f_key, e_key), params, vocab)
-    if params.sim_mode == model.SIM_DOT:
+def _add_output_grads(fw: Forward, i: int, j: int, sim_mode: str, coeff: float) -> None:
+    u, v = fw.out[i], fw.out[j]
+    if sim_mode == model.SIM_DOT:
         g_u, g_v = v, u
     else:
         nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
@@ -241,55 +253,47 @@ def _add_output_grads(out_grads, f_key, e_key, params: ModelParams, vocab: Vocab
         dot, inv = float(u @ v), 1.0 / (nu * nv)
         g_u = v * inv - (dot * inv / (nu * nu)) * u
         g_v = u * inv - (dot * inv / (nv * nv)) * v
-    for key, g in ((f_key, g_u), (e_key, g_v)):
-        out_grads[key] = out_grads.get(key, 0.0) + coeff * g
+    fw.grads[i] += coeff * g_u
+    fw.grads[j] += coeff * g_v
 
 
-def sim_gradient(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary, out_grads, coeff: float) -> None:
-    """Add ``coeff`` times the pair's similarity gradient at the tower outputs into ``out_grads``.
+def sim_gradient(f_tokens, e_tokens, params: ModelParams, vocab: Vocabulary, fw: Forward, coeff: float) -> None:
+    """Add ``coeff`` times the pair's similarity gradient at the tower outputs into ``fw.grads``.
 
-    ``out_grads`` maps a phrase's token tuple to a k-vector, the gradient
-    with respect to its projected vector; ``backprop`` carries it into the
-    matrices.  Dot and cosine similarity have their own output-layer
-    partials; a cosine pair with a zero-norm side adds nothing.  In
-    word-level mode the max over tokens is handled as a subgradient: gradient
-    flows only through the argmax token pair, first index on ties, into
-    single-token keys.
+    ``fw`` is a ``forward`` pass holding both phrases (their tokens, in
+    word-level mode), so ``vocab`` goes unused.  A cosine pair with a
+    zero-norm side adds nothing.  In word-level mode the max over tokens is a
+    subgradient: gradient flows only through the argmax token pair, first
+    index on ties, into one-token rows.
     """
     if not params.word_level:
-        _add_output_grads(out_grads, tuple(f_tokens), tuple(e_tokens), params, vocab, coeff)
+        _add_output_grads(fw, fw.rows[tuple(f_tokens)], fw.rows[tuple(e_tokens)], params.sim_mode, coeff)
         return
-    sims = model.token_similarity_matrix(f_tokens, e_tokens, params, vocab)
-    nf, ne = sims.shape
-    best = [((i, j), 0.5 / nf) for i, j in enumerate(sims.argmax(axis=1).tolist())]  # first index on ties
-    best += [((i, j), 0.5 / ne) for j, i in enumerate(sims.argmax(axis=0).tolist())]
+    f, e, sims = _token_grid(fw, f_tokens, e_tokens, params.sim_mode)
+    best = [((i, j), 0.5 / len(f)) for i, j in enumerate(sims.argmax(axis=1).tolist())]  # first index on ties
+    best += [((i, j), 0.5 / len(e)) for j, i in enumerate(sims.argmax(axis=0).tolist())]
     coeffs: dict[tuple[int, int], float] = {}
     for ij, weight in best:
         coeffs[ij] = coeffs.get(ij, 0.0) + weight
     for (i, j), weight in coeffs.items():
-        _add_output_grads(out_grads, (f_tokens[i],), (e_tokens[j],), params, vocab, coeff * weight)
+        _add_output_grads(fw, f[i], e[j], params.sim_mode, coeff * weight)
 
 
-def backprop(out_grads, params: ModelParams, vocab: Vocabulary, grad: np.ndarray) -> None:
-    """Backpropagate ``out_grads`` through the towers, adding into the ``pack_params`` vector ``grad``.
+def backprop(fw: Forward, params: ModelParams, grad: np.ndarray) -> None:
+    """Backpropagate ``fw.grads`` through the forward pass ``fw``, adding into the ``pack_params`` vector ``grad``.
 
-    One ``model.project`` call over its phrases gives the rows of Y1 and Y2;
-    with G the rows of ``out_grads``, E2 = G * (1 - Y2^2), dW2 += Y1^T E2 and
-    E1 = (E2 W2^T) * (1 - Y1^2); each phrase's token counts times its row of
-    E1 (of G for the linear map) go into its tokens' W1 rows.
+    With Y1 and Y2 the pass's hidden and output rows and G its ``grads``,
+    E2 = G * (1 - Y2^2), dW2 += Y1^T E2 and E1 = (E2 W2^T) * (1 - Y1^2);
+    each key's token counts times its row of E1 (of G for the linear map)
+    go into its tokens' W1 rows.  It neither encodes nor projects.
     """
-    if not out_grads:
-        return
     d_w1, d_w2 = model.param_views(params, grad)
-    bags = model.encode(list(out_grads), vocab)
-    y1, y2 = model.project(bags, params)
-    err = np.array(list(out_grads.values()))
+    err = fw.grads
     if params.arch == model.ARCH_NONLINEAR:
-        err = err * (1.0 - y2 * y2)  # tanh'(z2) = 1 - y2^2
-        d_w2 += y1.T @ err
-        err = (err @ params.w2.T) * (1.0 - y1 * y1)
-    rows = np.repeat(np.arange(len(out_grads)), np.diff(bags.starts))
-    np.add.at(d_w1, bags.ids, bags.counts[:, None] * err[rows])
+        err = err * (1.0 - fw.out * fw.out)  # tanh'(z2) = 1 - y2^2
+        d_w2 += fw.y1.T @ err
+        err = (err @ params.w2.T) * (1.0 - fw.y1 * fw.y1)
+    np.add.at(d_w1, fw.bags.ids, fw.bags.counts[:, None] * np.repeat(err, np.diff(fw.bags.starts), axis=0))
 
 
 def full_gradient(
@@ -297,17 +301,19 @@ def full_gradient(
 ) -> tuple[float, np.ndarray]:
     """Corpus loss (negative mean expected BLEU) and its gradient in ``pack_params`` layout.
 
-    Phase 1 adds every sample's error terms into one dict in sample order;
-    phase 2 adds ``sim_gradient`` of each unique pair into one dict, which
-    ``backprop`` carries into one vector.  ``compiled``, the samples'
-    ``compile_corpus``, is built here if not given.  The result matches the
-    naive per-occurrence summation to floating-point accuracy.
+    One ``forward`` pass projects the distinct phrases; phase 1 adds every
+    sample's error terms into one dict in sample order; phase 2 adds
+    ``sim_gradient`` of each unique pair into the pass's ``grads``, which
+    ``backprop`` carries back through the same pass into one vector.
+    ``compiled``, the samples' ``compile_corpus``, is built here if not
+    given.  The result matches the naive per-occurrence summation to
+    floating-point accuracy.
     """
     samples = list(samples)
     compiled = compile_corpus(samples) if compiled is None else compiled
     lam = np.asarray(lam, dtype=np.float64)
-    params = projected(compiled, params, vocab)
-    totals = feature_matrix(compiled, pair_similarities(compiled, params, vocab), lam.size) @ lam
+    fw = forward(compiled.phrases, params, vocab)
+    totals = feature_matrix(compiled, pair_similarities(compiled, params, fw), lam.size) @ lam
     total_delta = dict.fromkeys(compiled.pairs, 0.0)
     bounds = compiled.offsets.tolist()
     xbleus = [
@@ -315,11 +321,10 @@ def full_gradient(
         for sample, a, b in zip(samples, bounds, bounds[1:])
     ]
     n = len(samples)
-    out_grads = {}
     for pair, delta in total_delta.items():
-        sim_gradient(pair.source, pair.target, params, vocab, out_grads, -delta / n)
+        sim_gradient(pair.source, pair.target, params, vocab, fw, -delta / n)
     grad = np.zeros(params.size)
-    backprop(out_grads, params, vocab, grad)
+    backprop(fw, params, grad)
     return -math.fsum(xbleus) / n, grad
 
 

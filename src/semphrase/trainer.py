@@ -325,11 +325,14 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
     x = model.pack_params(params)
     compiled = objective.compile_corpus(samples)
 
+    def penalty(vec: np.ndarray) -> float:
+        return 0.5 * config.weight_decay * float(vec @ vec) if config.weight_decay else 0.0
+
     def loss_fn(vec: np.ndarray):
         p = model.unpack_params(template, vec)
         loss, g = objective.full_gradient(samples, p, lam, vocab, compiled)
         if config.weight_decay != 0.0:
-            loss = loss + 0.5 * config.weight_decay * float(vec @ vec)
+            loss = loss + penalty(vec)
             g = g + config.weight_decay * vec
         return loss, g
 
@@ -348,7 +351,7 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
 
     state.f, state.g = loss_fn(x)
     state.n_evals += 1
-    log.add(state.iteration, state.f, -state.f, float(np.max(np.abs(state.g))), elapsed())
+    log.add(state.iteration, state.f, -(state.f - penalty(x)), float(np.max(np.abs(state.g))), elapsed())
     # A checkpoint's loss window already ends with the loss at its iteration.
     loss_window = [state.f] if config.resume is None else list(ck["loss_window"])
 
@@ -384,7 +387,7 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
             stop = f"halted: {state.fail_reason}"
             break
         steps_taken += 1
-        log.add(state.iteration, state.f, -state.f, float(np.max(np.abs(state.g))), elapsed())
+        log.add(state.iteration, state.f, -(state.f - penalty(x)), float(np.max(np.abs(state.g))), elapsed())
         loss_window.append(state.f)
         maybe_checkpoint()
         if state.converged:

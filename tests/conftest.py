@@ -62,15 +62,16 @@ def make_tied_corpus(rng, zero_model=False):
 def pair_gradient(f_tokens, e_tokens, params, vocab):
     """The pair's similarity gradient in a fresh dense ``pack_params`` vector.
 
-    A fresh output-gradient dict from ``sim_gradient``, carried back by
-    ``backprop``.  The naive references build one per occurrence, so they
-    share no accumulator with the two-phase ``full_gradient`` they are
-    checked against, and backpropagate each occurrence on its own.
+    A forward pass of its own over the pair's two phrases, ``sim_gradient``
+    into its rows, carried back by ``backprop``.  The naive references run
+    one per occurrence, so they share no accumulator with the two-phase
+    ``full_gradient`` they are checked against, and backpropagate each
+    occurrence on its own.
     """
-    out_grads = {}
-    objective.sim_gradient(f_tokens, e_tokens, params, vocab, out_grads, 1.0)
+    fw = objective.forward((f_tokens, e_tokens), params, vocab)
+    objective.sim_gradient(f_tokens, e_tokens, params, vocab, fw, 1.0)
     grad = np.zeros(params.size)
-    objective.backprop(out_grads, params, vocab, grad)
+    objective.backprop(fw, params, grad)
     return grad
 
 

@@ -378,6 +378,7 @@ class TestCliCommands:
             (["--step", "nan"], "step must be finite and > 0, got nan"),
             (["--step", "inf"], "step must be finite and > 0, got inf"),
             (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--tol=-1"], "tol must be >= 0, got -1.0"),
         ],
     )
     def test_gradcheck_refuses_degenerate_settings(self, capsys, flags, message):

@@ -1,6 +1,5 @@
 """Encoding, projection, similarity variants, and model persistence."""
 
-import dataclasses
 import json
 import math
 import re
@@ -216,7 +215,8 @@ class TestRowSimilarities:
         vocab = tiny_vocab("a", "b", "c")
         params = model.init_params(4, 3, 2, sim_mode=sim_mode, seed=11)
         f, e = ("a", "c", "a"), ("b", "never-seen")
-        sims = model.token_similarity_matrix(f, e, params, vocab)
+        out = model.project(model.encode([(t,) for t in (*f, *e)], vocab), params)[1]
+        sims = model.token_similarity_matrix(out[: len(f)], out[len(f) :], sim_mode)
         assert sims.shape == (3, 2)
         for i, ft in enumerate(f):
             for j, et in enumerate(e):
@@ -237,20 +237,7 @@ def _count_projections(monkeypatch):
 
 
 class TestProjectionTable:
-    def test_shares_arrays_and_projects_each_phrase_once(self, monkeypatch):
-        vocab = tiny_vocab("a", "b", "c")
-        params = model.init_params(4, 3, 2, seed=8)
-        phrases = [("a",), ("b", "c"), ("c", "c", "a")]
-        fresh = np.array(model.outputs(phrases, params, vocab))
-        tabled = dataclasses.replace(params, projections=dict(zip(phrases, fresh)))
-        assert tabled.w1 is params.w1 and tabled.w2 is params.w2
-        calls = _count_projections(monkeypatch)
-        assert np.array(model.outputs([["b", "c"], ("a",)], tabled, vocab)).tobytes() == fresh[[1, 0]].tobytes()
-        sim = model.similarity(("a",), ["b", "c"], tabled, vocab)
-        assert sim == model.similarity(("a",), ("b", "c"), params, vocab)
-        assert [bags.starts.size - 1 for bags in calls] == [2]  # one batch of two phrases, without the table
-        with pytest.raises(KeyError):
-            model.outputs([("b",)], tabled, vocab)
+    """``similarity`` projects its own pair in one call."""
 
     @pytest.mark.parametrize("word_level", [False, True])
     def test_similarity_projects_one_batch(self, monkeypatch, word_level):

@@ -37,9 +37,7 @@ def _uniform_sample(n_cand, sbleus=None):
 class TestFeatureMatrix:
     def test_total_decomposition(self, rng):
         samples, vocab, params, lam = _toy_setup(rng)
-        compiled = objective.compile_corpus(samples)
-        sims = objective.pair_similarities(compiled, params, vocab)
-        totals = objective.feature_matrix(compiled, sims, lam.size) @ lam
+        totals = objective.score(samples, params, vocab, lam.size)[1] @ lam
         entries = [entry for sample in samples for entry in sample.candidates]
         for entry, total in zip(entries, totals, strict=True):
             expected = lam[:-1] @ entry.features + lam[-1] * objective.candidate_feature(entry, params, vocab)
@@ -102,9 +100,8 @@ class TestCompiledCorpus:
         compiled, h = objective.score(samples, params, vocab, 3)
         want = objective.compile_corpus(samples)
         assert compiled.pairs == want.pairs and compiled.offsets.tolist() == want.offsets.tolist()
-        sims = objective.pair_similarities(want, params, vocab)
+        sims = objective.pair_similarities(want, params, objective.forward(want.phrases, params, vocab))
         assert h.tobytes() == objective.feature_matrix(want, sims, 3).tobytes()
-        assert params.projections is None
 
     @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
     @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
@@ -117,7 +114,7 @@ class TestCompiledCorpus:
         params.w1[vocab.token_id("z")] = 0.0  # ("z",) projects to the zero vector
         compiled = objective.compile_corpus(samples)
         assert len(compiled.pairs) > 2 * objective.SIM_BLOCK
-        sims = objective.pair_similarities(compiled, params, vocab)
+        sims = objective.pair_similarities(compiled, params, objective.forward(compiled.phrases, params, vocab))
         for pair, sim in zip(compiled.pairs, sims.tolist(), strict=True):
             assert sim == model.similarity(pair.source, pair.target, params, vocab)  # one rule, the same bits
         if sim_mode == model.SIM_COSINE and not word_level:
@@ -196,9 +193,7 @@ class TestCandidateProbs:
         samples, vocab, params, lam = _toy_setup(rng)
         for sample in samples:
             probs = objective.candidate_probs(sample, params, lam, vocab)
-            compiled = objective.compile_corpus([sample])
-            sims = objective.pair_similarities(compiled, params, vocab)
-            totals = objective.feature_matrix(compiled, sims, lam.size) @ lam
+            totals = objective.score([sample], params, vocab, lam.size)[1] @ lam
             direct = np.exp(totals) / np.exp(totals).sum()
             np.testing.assert_allclose(probs, direct, atol=1e-12)
             assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
@@ -352,43 +347,48 @@ class TestSimGradient:
     @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
     @pytest.mark.parametrize("word_level", [False, True])
     def test_adds_scaled_gradient_into_prefilled_buffer(self, rng, arch, sim_mode, word_level):
-        """``sim_gradient`` adds into a prefilled dict, ``backprop`` into a prefilled vector."""
+        """``sim_gradient`` adds into a forward pass's prefilled ``grads``, ``backprop`` into a prefilled vector."""
         tokens = tuple(f"t{i}" for i in range(6))
         vocab = corpus.Vocabulary.from_tokens((corpus.UNK_TOKEN,) + tokens)
         params = model.init_params(
             len(vocab), 4, 3, arch=arch, sim_mode=sim_mode, word_level=word_level, seed=7
         )
         f, e = ("t0", "t1", "t2"), ("t3", "t4")
-        fresh = {}
-        assert objective.sim_gradient(f, e, params, vocab, fresh, 1.0) is None
-        assert fresh and all(np.any(g != 0.0) for g in fresh.values())
-        width = next(iter(fresh.values())).size
-        start = {key: rng.uniform(-1.0, 1.0, size=width) for key in [*fresh, ("t5",)]}
-        out_grads = {key: g.copy() for key, g in start.items()}
+        fw = objective.forward((f, e, ("t5",)), params, vocab)
+        assert not fw.grads.any()
+        assert objective.sim_gradient(f, e, params, vocab, fw, 1.0) is None
+        fresh = fw.grads.copy()
+        touched = {key for key, row in fw.rows.items() if fresh[row].any()}
+        if word_level:  # the argmax tokens of both sides
+            assert touched & {(t,) for t in f} and touched & {(t,) for t in e} and ("t5",) not in touched
+        else:
+            assert touched == {f, e}
+        start = rng.uniform(-1.0, 1.0, size=fw.grads.shape)
+        fw.grads[:] = start
         coeff = -0.37
-        objective.sim_gradient(f, e, params, vocab, out_grads, coeff)
-        assert list(out_grads) == list(start)
-        assert np.array_equal(out_grads[("t5",)], start[("t5",)])
-        for key, g in fresh.items():
-            np.testing.assert_allclose(out_grads[key], start[key] + coeff * g, rtol=0.0, atol=1e-15)
+        objective.sim_gradient(f, e, params, vocab, fw, coeff)
+        assert np.array_equal(fw.grads[fw.rows[("t5",)]], start[fw.rows[("t5",)]])
+        np.testing.assert_allclose(fw.grads, start + coeff * fresh, rtol=0.0, atol=1e-15)
 
+        fw.grads[:] = fresh
         backward = np.zeros(params.size)
-        objective.backprop(fresh, params, vocab, backward)
+        objective.backprop(fw, params, backward)
         assert np.any(backward != 0.0)
         prefilled = rng.uniform(-1.0, 1.0, size=params.size)
         grad = prefilled.copy()
-        assert objective.backprop(fresh, params, vocab, grad) is None
+        assert objective.backprop(fw, params, grad) is None
         np.testing.assert_allclose(grad, prefilled + backward, rtol=0.0, atol=1e-15)
+        assert np.array_equal(fw.grads, fresh)  # the pass's own arrays are left as they were
 
     @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
     def test_zero_norm_cosine_pair_passes_no_gradient(self, arch):
         vocab = corpus.Vocabulary.from_tokens((corpus.UNK_TOKEN, "a", "b", "c"))
         params = model.init_params(len(vocab), 4, 3, arch=arch, sim_mode=model.SIM_COSINE, seed=8)
         params.w1[vocab.token_id("b")] = 0.0  # ("b",) projects to the zero vector
-        width = params.k2 if arch == model.ARCH_NONLINEAR else params.k1
-        out_grads = {("a",): np.full(width, 0.5)}
-        objective.sim_gradient(("a",), ("b",), params, vocab, out_grads, 1.0)
-        assert list(out_grads) == [("a",)] and np.all(out_grads[("a",)] == 0.5)
+        fw = objective.forward((("a",), ("b",)), params, vocab)
+        fw.grads[fw.rows[("a",)]] = 0.5
+        objective.sim_gradient(("a",), ("b",), params, vocab, fw, 1.0)
+        assert np.all(fw.grads[fw.rows[("a",)]] == 0.5) and np.all(fw.grads[fw.rows[("b",)]] == 0.0)
 
         zero, live = corpus.PhrasePair(("a",), ("b",)), corpus.PhrasePair(("a",), ("c",))
         sample = corpus.TrainingSample(
@@ -410,17 +410,17 @@ class TestSimGradient:
         vocab = corpus.Vocabulary.from_tokens((corpus.UNK_TOKEN, "a", "b", "c"))
         params = model.init_params(len(vocab), 4, 3, arch=arch, sim_mode=model.SIM_DOT, word_level=True, seed=9)
         params.w1[vocab.token_id("c")] = params.w1[vocab.token_id("b")]  # b and c tie as a's best match
-        sims = model.token_similarity_matrix(("a",), e, params, vocab)
+        fw = objective.forward((("a",), e), params, vocab)
+        u = fw.out[fw.rows[("a",)]]
+        sims = model.token_similarity_matrix(u[None], fw.out[[fw.rows[(t,)] for t in e]], params.sim_mode)
         assert sims[0, 0] == sims[0, 1]
-        out_grads = {}
-        objective.sim_gradient(("a",), e, params, vocab, out_grads, 1.0)
-        (u,) = model.outputs([("a",)], params, vocab)
+        objective.sim_gradient(("a",), e, params, vocab, fw, 1.0)
         second = "c" if first == "b" else "b"
         # a's best match is the first of the tied tokens (weight 0.5); each
         # target token's best match is a (weight 0.25 each)
-        assert list(out_grads) == [("a",), (first,), (second,)]
-        np.testing.assert_allclose(out_grads[(first,)], 0.75 * u, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(out_grads[(second,)], 0.25 * u, rtol=0.0, atol=1e-15)
+        assert np.any(fw.grads[fw.rows[("a",)]] != 0.0)
+        np.testing.assert_allclose(fw.grads[fw.rows[(first,)]], 0.75 * u, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(fw.grads[fw.rows[(second,)]], 0.25 * u, rtol=0.0, atol=1e-15)
 
 
 class TestFullGradient:
@@ -504,16 +504,16 @@ def _distinct_phrases(samples):
     return {p.source for p in pairs} | {p.target for p in pairs}
 
 
-def _count_projections(monkeypatch):
-    """The bags of each ``model.project`` call."""
+def _record(monkeypatch, name):
+    """The first argument (the phrases, or their bags) of each call of ``model.<name>``."""
     calls = []
-    real = model.project
+    real = getattr(model, name)
 
-    def counting(bags, p):
-        calls.append(bags)
-        return real(bags, p)
+    def recording(first, p):
+        calls.append(first)
+        return real(first, p)
 
-    monkeypatch.setattr(model, "project", counting)
+    monkeypatch.setattr(model, name, recording)
     return calls
 
 
@@ -528,7 +528,7 @@ def _bag_rows(phrases, vocab):
 
 
 class TestProjectionTable:
-    """One ``model.project`` call per forward pass, its rows the distinct phrases; the caller's params keep no table."""
+    """One ``model.project`` call per evaluation, its rows the distinct phrases; ``backprop`` projects nothing."""
 
     @pytest.mark.parametrize(
         "arch, sim_mode", [(model.ARCH_NONLINEAR, None), (model.ARCH_LINEAR, model.SIM_COSINE)]
@@ -537,22 +537,35 @@ class TestProjectionTable:
         samples, vocab, params, lam = _toy_setup(rng, arch=arch, sim_mode=sim_mode, n_samples=6, n_tokens=4)
         phrases = _distinct_phrases(samples)
         assert len(phrases) < 2 * len(corpus.collect_phrase_pairs(samples))  # pairs share phrases
-        calls = _count_projections(monkeypatch)
+        encoded, calls = _record(monkeypatch, "encode"), _record(monkeypatch, "project")
         objective.full_gradient(samples, params, lam, vocab)
-        assert len(calls) == 2  # the forward pass, then ``backprop``
-        assert [sorted(_rows(bags)) for bags in calls] == [_bag_rows(phrases, vocab)] * 2
+        assert len(encoded) == 1 and sorted(encoded[0]) == sorted(phrases)
+        assert len(calls) == 1  # the forward pass; ``backprop`` reuses its arrays
+        assert sorted(_rows(calls[0])) == _bag_rows(phrases, vocab)
 
     def test_word_level_projects_once_per_pass(self, rng, monkeypatch):
         samples, vocab, params, lam = _toy_setup(rng, word_level=True, n_samples=6, n_tokens=5)
         tokens = {(tok,) for phrase in _distinct_phrases(samples) for tok in phrase}
-        calls = _count_projections(monkeypatch)
+        calls = _record(monkeypatch, "project")
         objective.full_gradient(samples, params, lam, vocab)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert sorted(_rows(calls[0])) == _bag_rows(tokens, vocab)
-        assert set(_rows(calls[1])) <= set(_rows(calls[0]))  # the argmax tokens that take gradient
+
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    @pytest.mark.parametrize("word_level", [False, True])
+    def test_backprop_neither_encodes_nor_projects(self, rng, monkeypatch, arch, word_level):
+        samples, vocab, params, _ = _toy_setup(rng, arch=arch, word_level=word_level, n_samples=4)
+        compiled = objective.compile_corpus(samples)
+        fw = objective.forward(compiled.phrases, params, vocab)
+        for pair in compiled.pairs:
+            objective.sim_gradient(pair.source, pair.target, params, vocab, fw, 1.0)
+        encoded, calls = _record(monkeypatch, "encode"), _record(monkeypatch, "project")
+        grad = np.zeros(params.size)
+        objective.backprop(fw, params, grad)
+        assert encoded == [] and calls == [] and np.any(grad != 0.0)
 
     def _projects_each_phrase_once(self, rng, monkeypatch, run):
-        calls = _count_projections(monkeypatch)
+        calls = _record(monkeypatch, "project")
         for word_level in (False, True):
             samples, vocab, params, lam = _toy_setup(rng, word_level=word_level, n_samples=6, n_tokens=4)
             phrases = _distinct_phrases(samples)
@@ -573,14 +586,6 @@ class TestProjectionTable:
 
     def test_rerank_projects_each_test_phrase_once(self, rng, monkeypatch):
         self._projects_each_phrase_once(rng, monkeypatch, lambda s, p, v, lam: rerank.rerank(s, p, lam, v))
-
-    def test_caller_params_carry_no_table(self, rng):
-        samples, vocab, params, lam = _toy_setup(rng)
-        objective.full_gradient(samples, params, lam, vocab)
-        objective.corpus_xbleu(samples, params, lam, vocab)
-        trainer.tune_lambda(samples, params, vocab, lam, max_sweeps=1)
-        rerank.rerank(samples, params, lam, vocab)
-        assert params.projections is None
 
     def test_in_place_edit_between_calls_matches_fresh_params(self, rng):
         samples, vocab, params, lam = _toy_setup(rng, n_samples=4)

@@ -180,9 +180,7 @@ class TestRerankBleu:
             samples, vocab, params = make_tied_corpus(rng, zero_model)
             lam = rng.integers(-2, 3, size=samples[0].candidates[0].features.size + 1).astype(np.float64)
             result = rerank.rerank(samples, params, lam, vocab)
-            compiled = objective.compile_corpus(samples)
-            sims = objective.pair_similarities(compiled, params, vocab)
-            h = objective.feature_matrix(compiled, sims, lam.size)
+            compiled, h = objective.score(samples, params, vocab, lam.size)
             bounds = compiled.offsets.tolist()
             selections, bleus = _per_sample_rerank(samples, bounds, h, lam)
             fields = [(s.sample_id, s.index, s.total.hex(), s.feature.hex()) for s in result.selections]

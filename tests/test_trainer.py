@@ -176,6 +176,20 @@ class TestTrain:
         assert decayed.log.rows[0].loss > plain.log.rows[0].loss  # penalty term is positive
         assert np.all(np.isfinite(decayed.params.w1))
 
+    def test_weight_decay_logs_the_undecayed_xbleu(self):
+        """The loss column is the decayed objective; the xbleu column is the corpus expected BLEU alone."""
+        samples, lam = synth.generate(synth.SynthSpec(sentences=20, seed=4))
+        samples = corpus.dedupe_candidates(samples)
+        config = trainer.TrainConfig(max_iterations=3, k1=8, k2=6, weight_decay=0.5, timing=False)
+        result = trainer.train(samples, config, lam)
+        assert len(result.log.rows) == 4
+        assert all(0.0 <= row.xbleu <= 1.0 for row in result.log.rows)
+        assert result.log.rows[0].loss > 1.0  # the penalty dominates the starting loss
+        lam = np.array(lam, dtype=np.float64)
+        lam[-1] = config.lambda_feature
+        xbleu = objective.corpus_xbleu(samples, result.params, lam, result.vocab)
+        assert result.log.rows[-1].xbleu == pytest.approx(xbleu, rel=0.0, abs=1e-12)
+
     def test_warm_start_from_linear_model(self, tmp_path):
         samples, lam = synth.generate(_small_spec(sentences=12))
         samples = corpus.dedupe_candidates(samples)
@@ -359,9 +373,7 @@ def _envelope(a, b):
 def _tune_lambda_per_sentence(dev_samples, params, vocab, lam_init, max_sweeps=20):
     """``trainer.tune_lambda`` with one ``_envelope`` call per dev sentence per weight: the oracle of the lockstep walk."""
     lam = np.asarray(lam_init, dtype=np.float64).copy()
-    compiled = objective.compile_corpus(dev_samples)
-    sims = objective.pair_similarities(compiled, params, vocab)
-    h = objective.feature_matrix(compiled, sims, lam.size)
+    compiled, h = objective.score(dev_samples, params, vocab, lam.size)
     bounds = compiled.offsets.tolist()
     feature_rows = [h[a:b] for a, b in zip(bounds, bounds[1:])]
     stats = [s.stats for s in dev_samples]
@@ -456,8 +468,8 @@ class TestTuneLambda:
         calls = []
         real = objective.pair_similarities
 
-        def recording(compiled, p, v):
-            sims = real(compiled, p, v)
+        def recording(compiled, p, fw):
+            sims = real(compiled, p, fw)
             calls.append((compiled.pairs, sims))
             return sims
 
