@@ -52,6 +52,7 @@ def build_parser():
     sub.add_argument("--out-model", required=True, help="where to write the trained model")
     sub.add_argument("--out-vocab", help="vocabulary file (default: <out-model>.vocab)")
     sub.add_argument("--log", help="write the per-iteration TSV log here")
+    sub.add_argument("--trace", help="write one JSON line per L-BFGS iteration here (step lengths, evaluations)")
     sub.add_argument("--iters", type=int, default=100, help="max optimizer iterations")
     sub.add_argument("--tol", type=float, default=1e-6, help="gradient infinity-norm tolerance")
     sub.add_argument("--k1", type=int, default=100, help="hidden layer width")
@@ -246,6 +247,8 @@ def _cmd_train(args) -> int:
     corpus.save_vocabulary(result.vocab, vocab_path)
     if args.log:
         result.log.write(args.log)
+    if args.trace:
+        result.log.write_trace(args.trace)
     first, last = result.log.rows[0], result.log.rows[-1]
     print(f"iterations: {last.iteration}")
     print(f"initial loss {first.loss:.6f} xbleu {first.xbleu:.6f}")

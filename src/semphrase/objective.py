@@ -16,6 +16,9 @@ calls ``sim_gradient`` exactly once per unique pair, adding the gradient at
 both tower outputs into the pass's ``grads`` rows, which ``backprop``
 carries back through the same pass (as DSSM, Huang et al. 2013, does).  So
 phase 2 costs O(k) per unique pair plus one backward pass over the phrases.
+In word-level mode the pass also keeps each pair's token similarity matrix,
+built by whichever of ``pair_similarities`` and ``sim_gradient`` reaches the
+pair first.
 
 Training, tuning and reranking share one log-linear score over one compiled
 corpus: ``compile_corpus`` turns the samples and their labels into arrays,
@@ -134,6 +137,7 @@ class Forward(NamedTuple):
     y1: np.ndarray | None  # hidden layer, None for the linear map
     out: np.ndarray  # output rows
     grads: np.ndarray  # the gradient at each output row, which phase 2 adds into
+    grids: dict  # word level: each scored pair's ``_token_grid``, built once per pass
 
 
 def forward(keys, params: ModelParams, vocab: Vocabulary) -> Forward:
@@ -146,13 +150,21 @@ def forward(keys, params: ModelParams, vocab: Vocabulary) -> Forward:
     rows = {key: row for row, key in enumerate(dict.fromkeys(map(tuple, keys)))}
     bags = model.encode(list(rows), vocab)
     y1, out = model.project(bags, params)
-    return Forward(rows, bags, y1, out, np.zeros_like(out))
+    return Forward(rows, bags, y1, out, np.zeros_like(out), {})
 
 
 def _token_grid(fw: Forward, f_tokens, e_tokens, sim_mode: str):
-    """Word level: the rows of a pair's source and target tokens in ``fw``, and their token similarity matrix."""
-    f, e = ([fw.rows[(token,)] for token in phrase] for phrase in (f_tokens, e_tokens))
-    return f, e, model.token_similarity_matrix(fw.out[f], fw.out[e], sim_mode)
+    """Word level: the rows of a pair's source and target tokens in ``fw``, and their token similarity matrix.
+
+    The first call for a pair builds them and keeps them in ``fw.grids``, so
+    scoring a pair and its gradient share one matrix per pass.
+    """
+    key = (tuple(f_tokens), tuple(e_tokens))
+    grid = fw.grids.get(key)
+    if grid is None:
+        f, e = ([fw.rows[(token,)] for token in phrase] for phrase in key)
+        grid = fw.grids[key] = f, e, model.token_similarity_matrix(fw.out[f], fw.out[e], sim_mode)
+    return grid
 
 
 def pair_similarities(compiled: CompiledCorpus, params: ModelParams, fw: Forward) -> np.ndarray:

@@ -3,9 +3,19 @@
 The projection matrices are fit with limited-memory BFGS over the whole
 corpus, on the flat ``model.pack_params`` vector that ``objective.full_gradient``
 returns its gradient in: two-loop recursion over the last ``HISTORY`` curvature
-pairs and a strong-Wolfe line search (``C1`` = 1e-4, ``C2`` = 0.9).  Every
-accepted step strictly lowers the loss, so the logged loss sequence is
-non-increasing.
+pairs and a strong-Wolfe line search (``C1`` = 1e-4, ``C2`` = 0.9).  With no
+curvature pairs held (at the start, and after a restart to steepest descent)
+the first trial step is 1/‖g‖₂, a unit move along -g; otherwise it is 1 on the
+two-loop direction, which sᵀy/yᵀy already scales (Nocedal & Wright 2006, §3.5
+and §7.2).  The search doubles the trial step until it brackets an acceptable
+one; the zoom then picks each trial by the cubic that matches the loss and its
+slope at both ends of the bracket (N&W eq. 3.59), and bisects when that
+cubic's minimiser is not finite or lies within a tenth of the bracket's width
+of an end, or when an end's loss is not finite.  Every accepted step strictly
+lowers the loss, so the logged loss sequence is non-increasing.  Each step's
+``StepInfo`` (trial and accepted step length, evaluations, zoom fallback,
+rejected curvature pair, restart) rides on its log row, and
+``TrainingLog.write_trace`` writes them as JSON lines (``train --trace``).
 The feature weights are tuned afterwards by deterministic coordinate ascent
 on dev-set corpus BLEU of the ``H @ lam`` argmax that reranking selects by,
 with the exact line search of minimum error rate training (Och 2003): each
@@ -25,10 +35,11 @@ are written atomically by ``model.save_model``.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,6 +53,18 @@ C1 = 1e-4  # strong-Wolfe sufficient decrease
 C2 = 0.9  # strong-Wolfe curvature
 SPAN = 5.0  # tuning searches each weight over (-SPAN, SPAN)
 MIN_GAIN = 1e-6  # dev corpus BLEU gain a tuned weight must bring
+
+
+@dataclass(frozen=True)
+class StepInfo:
+    """What one L-BFGS step did, as ``train --trace`` records it."""
+
+    alpha0: float  # the first trial step length
+    alpha: float  # the accepted step length
+    evals: int  # objective evaluations the line search made
+    zoom_fallback: bool  # the zoom took its best sufficient decrease, the curvature condition unmet
+    pair_rejected: bool  # ``store_pair`` refused the step's curvature pair
+    restarted: bool  # the two-loop direction was not a descent direction: the step restarted from -g
 
 
 @dataclass
@@ -60,11 +83,13 @@ class LbfgsState:
     converged: bool = False
     failed: bool = False
     fail_reason: str = ""
+    last_step: StepInfo | None = None
 
-    def store_pair(self, s: np.ndarray, y: np.ndarray) -> None:
+    def store_pair(self, s: np.ndarray, y: np.ndarray) -> bool:
+        """Keep the pair unless its curvature sᵀy is not > 0; returns whether it was kept."""
         curvature = float(s @ y)
         if curvature <= 0.0:  # keep the inverse-Hessian estimate positive definite
-            return
+            return False
         self.s_list.append(s)
         self.y_list.append(y)
         self.rho_list.append(1.0 / curvature)
@@ -72,6 +97,7 @@ class LbfgsState:
             self.s_list.pop(0)
             self.y_list.pop(0)
             self.rho_list.pop(0)
+        return True
 
 
 def _two_loop_direction(state: LbfgsState, g: np.ndarray) -> np.ndarray:
@@ -95,29 +121,74 @@ def _two_loop_direction(state: LbfgsState, g: np.ndarray) -> np.ndarray:
     return -r
 
 
-def _zoom(evaluate, f0, d0, a_lo, f_lo, g_lo, a_hi, max_iter=40):
+def _unit_step(g: np.ndarray) -> float:
+    """1/‖g‖₂, the trial step that moves the parameters a unit distance along -g; 1.0 if that is not finite and > 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.sqrt(g @ g))
+    a0 = 1.0 / norm if norm > 0.0 else math.inf
+    return a0 if 0.0 < a0 < math.inf else 1.0
+
+
+def _cubic_minimizer(lo, hi) -> float:
+    """The minimiser of the cubic matching f and φ′ at both ends (Nocedal & Wright eq. 3.59); NaN if it has none."""
+    (a, fa, _, da), (b, fb, _, db) = lo, hi
+    fa, fb = float(fa), float(fb)  # Python floats: an overflow gives inf, not a numpy warning
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    radicand = d1 * d1 - da * db
+    if not radicand >= 0.0:
+        return math.nan
+    d2 = math.copysign(math.sqrt(radicand), b - a)
+    denominator = db - da + 2.0 * d2
+    return b - (b - a) * (db + d2 - d1) / denominator if denominator != 0.0 else math.nan
+
+
+def _zoom_trial(lo, hi) -> float:
+    """The zoom's next trial step: the cubic minimiser, or the midpoint when it is unsafe.
+
+    The midpoint is taken when an end's loss is not finite, or when the
+    minimiser is not finite or lies within a tenth of the bracket's width of
+    either end.
+    """
+    a_lo, a_hi = lo[0], hi[0]
+    if math.isfinite(lo[1]) and math.isfinite(hi[1]):
+        a = _cubic_minimizer(lo, hi)
+        margin = 0.1 * abs(a_hi - a_lo)
+        if min(a_lo, a_hi) + margin <= a <= max(a_lo, a_hi) - margin:
+            return a
+    return 0.5 * (a_lo + a_hi)
+
+
+def _zoom(evaluate, f0, d0, lo, hi, max_iter=40):
+    """Shrink the bracket between the points ``lo`` and ``hi``, each ``(alpha, f, g, dphi)``, to a strong-Wolfe step.
+
+    ``lo`` always satisfies sufficient decrease with the lowest loss seen.
+    Returns ``(alpha, f, g, fell_back)``, or None on failure: when the
+    bracket collapses (or ``max_iter`` trials pass) before the curvature
+    condition holds, it falls back to ``lo`` if that moved off 0.
+    """
     for _ in range(max_iter):
-        if abs(a_hi - a_lo) < 1e-16 * max(1.0, abs(a_lo)):
+        if abs(hi[0] - lo[0]) < 1e-16 * max(1.0, abs(lo[0])):
             break
-        a = 0.5 * (a_lo + a_hi)
-        f, g, d = evaluate(a)
-        if not np.isfinite(f) or f > f0 + C1 * a * d0 or f >= f_lo:
-            a_hi = a
+        point = evaluate(_zoom_trial(lo, hi))
+        a, f, g, d = point
+        if not np.isfinite(f) or f > f0 + C1 * a * d0 or f >= lo[1]:
+            hi = point
             continue
         if abs(d) <= -C2 * d0:
-            return a, f, g
-        if d * (a_hi - a_lo) >= 0.0:
-            a_hi = a_lo
-        a_lo, f_lo, g_lo = a, f, g
-    # The interval collapsed before the curvature condition held; fall back to
-    # the best point satisfying sufficient decrease, if any.
-    if a_lo > 0.0 and g_lo is not None:
-        return a_lo, f_lo, g_lo
-    return None
+            return a, f, g, False
+        if d * (hi[0] - lo[0]) >= 0.0:
+            hi = lo
+        lo = point
+    return (*lo[:3], True) if lo[0] > 0.0 else None
 
 
-def _strong_wolfe(loss_fn, x, f0, g0, p, max_iter=20):
-    """Line search returning (alpha, f, g, evals) or None on failure."""
+def _strong_wolfe(loss_fn, x, f0, g0, p, a0, max_iter=20):
+    """Line search from the trial step ``a0``, doubled until it brackets a strong-Wolfe step.
+
+    Returns ``(alpha, f, g, fell_back, evals)``, ``fell_back`` telling
+    whether ``_zoom`` fell back to its best sufficient decrease, or None on
+    failure.
+    """
     d0 = float(g0 @ p)
     if d0 >= 0.0:
         return None
@@ -127,21 +198,22 @@ def _strong_wolfe(loss_fn, x, f0, g0, p, max_iter=20):
         nonlocal evals
         evals += 1
         f, g = loss_fn(x + a * p)
-        return f, g, float(g @ p)
+        return a, f, g, float(g @ p)
 
-    a_prev, f_prev, g_prev = 0.0, f0, g0
-    a = 1.0
+    prev = (0.0, f0, g0, d0)
+    a = a0
     for i in range(max_iter):
-        f, g, d = evaluate(a)
-        if not np.isfinite(f) or f > f0 + C1 * a * d0 or (i > 0 and f >= f_prev):
-            result = _zoom(evaluate, f0, d0, a_prev, f_prev, g_prev, a)
+        point = evaluate(a)
+        _, f, g, d = point
+        if not np.isfinite(f) or f > f0 + C1 * a * d0 or (i > 0 and f >= prev[1]):
+            result = _zoom(evaluate, f0, d0, prev, point)
             return None if result is None else (*result, evals)
         if abs(d) <= -C2 * d0:
-            return a, f, g, evals
+            return a, f, g, False, evals
         if d >= 0.0:
-            result = _zoom(evaluate, f0, d0, a, f, g, a_prev)
+            result = _zoom(evaluate, f0, d0, point, prev)
             return None if result is None else (*result, evals)
-        a_prev, f_prev, g_prev = a, f, g
+        prev = point
         a *= 2.0
     return None
 
@@ -153,7 +225,7 @@ def lbfgs_step(state: LbfgsState, x: np.ndarray, loss_fn) -> tuple[np.ndarray, L
     deterministic.  When the gradient is already below the state's tolerance
     the step is a no-op and the state is marked converged; a failed line
     search marks the state failed and leaves the parameters at their last
-    good value.
+    good value.  A step records what it did in ``state.last_step``.
     """
     if state.f is None or state.g is None:
         state.f, state.g = loss_fn(x)
@@ -162,20 +234,23 @@ def lbfgs_step(state: LbfgsState, x: np.ndarray, loss_fn) -> tuple[np.ndarray, L
         state.converged = True
         return x, state
     p = _two_loop_direction(state, state.g)
-    if float(state.g @ p) >= 0.0:  # stale curvature info: restart from steepest descent
+    restarted = float(state.g @ p) >= 0.0
+    if restarted:  # stale curvature info: restart from steepest descent
         state.s_list.clear()
         state.y_list.clear()
         state.rho_list.clear()
         p = -state.g.copy()
-    result = _strong_wolfe(loss_fn, x, state.f, state.g, p)
+    alpha0 = 1.0 if state.s_list else _unit_step(state.g)  # sᵀy/yᵀy already scales the two-loop direction
+    result = _strong_wolfe(loss_fn, x, state.f, state.g, p, alpha0)
     if result is None:
         state.failed = True
         state.fail_reason = "line search failed to find an acceptable step"
         return x, state
-    alpha, f_new, g_new, evals = result
+    alpha, f_new, g_new, fell_back, evals = result
     state.n_evals += evals
     x_new = x + alpha * p
-    state.store_pair(x_new - x, g_new - state.g)
+    stored = state.store_pair(x_new - x, g_new - state.g)
+    state.last_step = StepInfo(alpha0, alpha, evals, fell_back, not stored, restarted)
     state.f, state.g = f_new, g_new
     state.iteration += 1
     if float(np.max(np.abs(g_new))) <= state.gtol:
@@ -228,6 +303,7 @@ class LogRow:
     xbleu: float
     grad_norm: float
     seconds: float
+    step: StepInfo | None = None  # the L-BFGS step that reached this row; None at the starting point
 
 
 @dataclass
@@ -235,8 +311,8 @@ class TrainingLog:
     rows: list[LogRow] = field(default_factory=list)
     stop_reason: str = ""
 
-    def add(self, iteration, loss, xbleu, grad_norm, seconds) -> None:
-        self.rows.append(LogRow(iteration, loss, xbleu, grad_norm, seconds))
+    def add(self, iteration, loss, xbleu, grad_norm, seconds, step=None) -> None:
+        self.rows.append(LogRow(iteration, loss, xbleu, grad_norm, seconds, step))
 
     def write(self, path) -> None:
         with atomic_writer(path) as fh:
@@ -245,6 +321,14 @@ class TrainingLog:
                 fh.write(
                     f"{r.iteration}\t{r.loss!r}\t{r.xbleu!r}\t{r.grad_norm!r}\t{r.seconds:.6f}\n"
                 )
+
+    def write_trace(self, path) -> None:
+        """One JSON line per L-BFGS step: the row's loss, xBLEU and gradient infinity norm, then its ``StepInfo``."""
+        with atomic_writer(path) as fh:
+            for r in self.rows:
+                if r.step is not None:
+                    row = {"iteration": r.iteration, "loss": r.loss, "xbleu": r.xbleu, "grad_norm": r.grad_norm}
+                    fh.write(json.dumps({**row, **asdict(r.step)}) + "\n")
 
 
 @dataclass
@@ -349,9 +433,13 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
         last_mark = now
         return seconds
 
+    def log_row() -> None:
+        grad_norm = float(np.max(np.abs(state.g)))
+        log.add(state.iteration, state.f, -(state.f - penalty(x)), grad_norm, elapsed(), state.last_step)
+
     state.f, state.g = loss_fn(x)
     state.n_evals += 1
-    log.add(state.iteration, state.f, -(state.f - penalty(x)), float(np.max(np.abs(state.g))), elapsed())
+    log_row()
     # A checkpoint's loss window already ends with the loss at its iteration.
     loss_window = [state.f] if config.resume is None else list(ck["loss_window"])
 
@@ -387,7 +475,7 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
             stop = f"halted: {state.fail_reason}"
             break
         steps_taken += 1
-        log.add(state.iteration, state.f, -(state.f - penalty(x)), float(np.max(np.abs(state.g))), elapsed())
+        log_row()
         loss_window.append(state.f)
         maybe_checkpoint()
         if state.converged:

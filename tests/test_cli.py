@@ -101,6 +101,7 @@ def _writers(root, data, model_path):
     vocab = corpus.load_vocabulary(root / "model.bin.vocab")
     log = trainer.TrainingLog()
     log.add(0, -0.5, 0.5, 0.25, 0.0)
+    log.add(1, -0.6, 0.6, 0.125, 0.0, trainer.StepInfo(0.5, 1.0, 2, False, False, False))
     scoring = ["--model", str(model_path), "--vocab", str(root / "model.bin.vocab"), "--nbest", str(data / "nbest.txt")]
     return {
         "save_model": lambda path: model.save_model(model.load_model(model_path), path),
@@ -109,6 +110,7 @@ def _writers(root, data, model_path):
         "save_nbest": lambda path: corpus.save_nbest(samples, path),
         "save_references": lambda path: corpus.save_references(samples, path),
         "TrainingLog.write": log.write,
+        "TrainingLog.write_trace": log.write_trace,
         "rerank --output": lambda path: run(
             ["rerank", *scoring, "--refs", str(data / "refs.txt"), "--weights", str(data / "lambda.txt"),
              "--output", str(path)]
@@ -121,7 +123,7 @@ class TestAtomicWrites:
     @pytest.mark.parametrize(
         "writer",
         ["save_model", "save_lambda", "save_vocabulary", "save_nbest", "save_references",
-         "TrainingLog.write", "rerank --output", "export-embeddings --out"],
+         "TrainingLog.write", "TrainingLog.write_trace", "rerank --output", "export-embeddings --out"],
     )
     def test_failed_save_keeps_previous_file(self, small_run, tmp_path, monkeypatch, capsys, writer):
         write = _writers(*small_run)[writer]
@@ -407,6 +409,24 @@ class TestCliCommands:
         params = model.load_model(model_path)
         assert params.k1 == 8
 
+    def test_train_trace_leaves_the_model_and_log_alone(self, small_run, tmp_path, capsys):
+        root, data, model_path = small_run
+        capsys.readouterr()
+        argv = ["train", "--nbest", str(data / "nbest.txt"), "--refs", str(data / "refs.txt"),
+                "--weights", str(data / "lambda.txt"), "--out-model", str(tmp_path / "model.bin"),
+                "--log", str(tmp_path / "train.tsv"), "--trace", str(tmp_path / "trace.jsonl"),
+                "--iters", "12", "--k1", "8", "--k2", "8", "--seed", "2", "--no-timing"]  # small_run's, plus --trace
+        assert run(argv) == 0
+        assert (tmp_path / "model.bin").read_bytes() == model_path.read_bytes()
+        assert (tmp_path / "train.tsv").read_bytes() == (root / "train.tsv").read_bytes()
+        rows = [line.split("\t") for line in (root / "train.tsv").read_text().splitlines()[2:]]  # the steps
+        records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+        assert [(str(r["iteration"]), repr(r["loss"]), repr(r["grad_norm"])) for r in records] == [
+            (row[0], row[1], row[3]) for row in rows
+        ]
+        assert set(records[0]) == {"iteration", "loss", "xbleu", "grad_norm", "alpha0", "alpha", "evals",
+                                   "zoom_fallback", "pair_rejected", "restarted"}
+
     def test_rerank_output_and_eval(self, small_run, tmp_path, capsys):
         root, data, model_path = small_run
         out = tmp_path / "chosen.txt"
@@ -483,17 +503,37 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_tune_lambda_prints_the_reranked_bleu_before_and_after(self, small_run, tmp_path, capsys, seed):
-        dev = tmp_path / "dev"  # seed 4 is the training corpus, where tuning gains nothing
+        """Seed 4 is the training corpus, where tuning from the data's weights gains nothing.
+
+        On seed 5 tuning starts from the data's weights with weight 0 moved to
+        the worst of a few values.  The first line search moves weight 0 along
+        a line through the data's weights, so tuning must end at least as high
+        as they score, above its start, whatever model the fixture trained.
+        """
+        dev = tmp_path / "dev"
         assert run(["synthgen", "--out-dir", str(dev), "--sentences", "25", "--seed", str(seed)]) == 0
-        files, out = _files(small_run, nbest=dev / "nbest.txt", refs=dev / "refs.txt"), tmp_path / "tuned.txt"
-        capsys.readouterr()
-        assert run(_command_argv("tune-lambda", files, out)) == 0
+        files = _files(small_run, nbest=dev / "nbest.txt", refs=dev / "refs.txt")
         samples = corpus.load_samples(files["nbest"], files["refs"])
         params, vocab = model.load_model(files["model"]), corpus.load_vocabulary(files["vocab"])
-        before = rerank.rerank(samples, params, corpus.load_lambda(files["weights"]), vocab).reranked_bleu
-        after = rerank.rerank(samples, params, corpus.load_lambda(out), vocab).reranked_bleu
+
+        def reranked(lam):
+            return rerank.rerank(samples, params, lam, vocab).reranked_bleu
+
+        data_weights = corpus.load_lambda(files["weights"])
+        if seed != 4:
+            starts = [np.concatenate(([value], data_weights[1:])) for value in (-4.0, -2.0, -1.0, 0.0, 2.0, 4.0)]
+            files["weights"] = tmp_path / "start.txt"
+            corpus.save_lambda(min(starts, key=reranked), files["weights"])
+        out = tmp_path / "tuned.txt"
+        capsys.readouterr()
+        assert run(_command_argv("tune-lambda", files, out)) == 0
+        before = reranked(corpus.load_lambda(files["weights"]))
+        after = reranked(corpus.load_lambda(out))
         assert capsys.readouterr().out == f"dev BLEU {before:.4f} -> {after:.4f}\n"
-        assert (after > before) == (seed != 4)
+        if seed == 4:
+            assert after == before
+        else:
+            assert before + trainer.MIN_GAIN < reranked(data_weights) <= after
 
     @pytest.mark.parametrize("command", ["rerank", "tune-lambda"])
     def test_scores_the_corpus_once(self, small_run, tmp_path, monkeypatch, command):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semphrase import corpus, model, objective, rerank, trainer
+from semphrase import corpus, model, objective, rerank, synth, trainer
 
 from conftest import make_random_corpus, pair_gradient, random_lambda
 
@@ -550,6 +550,21 @@ class TestProjectionTable:
         objective.full_gradient(samples, params, lam, vocab)
         assert len(calls) == 1
         assert sorted(_rows(calls[0])) == _bag_rows(tokens, vocab)
+
+    @pytest.mark.parametrize("sim_mode", [model.SIM_DOT, model.SIM_COSINE])
+    def test_word_level_builds_one_token_matrix_per_unique_pair(self, monkeypatch, sim_mode):
+        samples, lam = synth.generate(synth.SynthSpec(sentences=20, seed=4))
+        vocab = corpus.build_vocabulary(samples)
+        params = model.init_params(len(vocab), 4, 3, sim_mode=sim_mode, word_level=True, seed=5)
+        built = []
+        real = model.token_similarity_matrix
+        monkeypatch.setattr(
+            model, "token_similarity_matrix", lambda f, e, mode: built.append((len(f), len(e))) or real(f, e, mode)
+        )
+        objective.full_gradient(samples, params, lam, vocab)
+        pairs = corpus.collect_phrase_pairs(samples)
+        assert len(pairs) < sum(pairs.values())  # pairs recur, so a per-occurrence build would show
+        assert sorted(built) == sorted((len(p.source), len(p.target)) for p in pairs)
 
     @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
     @pytest.mark.parametrize("word_level", [False, True])

@@ -1,6 +1,8 @@
 """L-BFGS behavior, training loop guarantees, checkpoints, and weight tuning."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,9 +72,9 @@ class TestLbfgsStep:
 
     def test_curvature_condition_guards_history(self):
         state = trainer.LbfgsState()
-        state.store_pair(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))  # s@y < 0: rejected
+        assert not state.store_pair(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))  # s@y < 0: rejected
         assert len(state.s_list) == 0
-        state.store_pair(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+        assert state.store_pair(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         assert len(state.s_list) == 1
 
     def test_history_window_is_bounded(self, rng):
@@ -81,6 +83,124 @@ class TestLbfgsStep:
             s = rng.normal(size=4)
             state.store_pair(s, s + rng.uniform(0.1, 0.5, size=4) * s)
         assert len(state.s_list) <= 3
+
+
+def _recording(loss_fn):
+    """``loss_fn`` and the list of points it is evaluated at, in order."""
+    points = []
+
+    def recorded(x):
+        points.append(x.copy())
+        return loss_fn(x)
+
+    return recorded, points
+
+
+def _line(phi, dphi):
+    """A loss along the first coordinate, ``phi`` with slope ``dphi``, and its search from 0 along +e1."""
+
+    def loss_fn(x):
+        g = np.zeros_like(x)
+        g[0] = dphi(x[0])
+        return phi(x[0]), g
+
+    x = np.zeros(2)
+    f0, g0 = loss_fn(x)
+    return loss_fn, x, f0, g0, np.array([1.0, 0.0])
+
+
+def _meets_strong_wolfe(f0, d0, alpha, f, d):
+    return f <= f0 + trainer.C1 * alpha * d0 and abs(d) <= -trainer.C2 * d0
+
+
+class TestLineSearch:
+    def test_first_trial_moves_a_unit_distance_unless_pairs_are_held(self, rng, monkeypatch):
+        target, scale = 10.0 * rng.normal(size=5), np.arange(1.0, 6.0)
+
+        def ellipse(x):  # a quadratic L-BFGS does not solve in two steps
+            g = scale * (x - target)
+            return 0.5 * float((x - target) @ g), g
+
+        loss_fn, points = _recording(ellipse)
+        state = trainer.LbfgsState(gtol=1e-12)
+        x0 = np.zeros(5)
+        x1, state = trainer.lbfgs_step(state, x0, loss_fn)  # the start: no pairs, direction -g
+        g0 = scale * (x0 - target)
+        assert state.last_step.alpha0 == pytest.approx(1.0 / np.linalg.norm(g0), rel=1e-15)
+        np.testing.assert_allclose(points[1], x0 - g0 / np.linalg.norm(g0), rtol=1e-15, atol=0.0)
+        assert not state.last_step.restarted and len(state.s_list) == 1
+
+        points.clear()
+        p = trainer._two_loop_direction(state, state.g)
+        x2, state = trainer.lbfgs_step(state, x1, loss_fn)  # a pair held: the scaled two-loop direction, at 1
+        assert state.last_step.alpha0 == 1.0 and not state.last_step.restarted
+        assert np.array_equal(points[0], x1 + 1.0 * p)
+
+        points.clear()
+        monkeypatch.setattr(trainer, "_two_loop_direction", lambda st, g: g.copy())  # an ascent direction
+        g2 = state.g.copy()
+        _, state = trainer.lbfgs_step(state, x2, loss_fn)
+        assert state.last_step.restarted
+        assert state.last_step.alpha0 == pytest.approx(1.0 / np.linalg.norm(g2), rel=1e-15)
+        np.testing.assert_allclose(points[0], x2 - g2 / np.linalg.norm(g2), rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("g", [[np.inf, 1.0], [np.nan, 1.0], [1e200, 1e200]])
+    def test_first_trial_falls_back_to_one_when_the_norm_is_not_finite(self, g):
+        assert trainer._unit_step(np.array(g)) == 1.0
+
+    def test_cubic_zoom_lands_on_a_quadratics_minimiser_in_one_evaluation(self, rng):
+        for _ in range(20):
+            a = rng.normal(size=(6, 6))
+            hessian = a @ a.T + 0.1 * np.eye(6)
+            target = rng.normal(size=6)
+
+            def loss_fn(x):
+                g = hessian @ (x - target)
+                return 0.5 * float((x - target) @ g), g
+
+            x = rng.normal(size=6)
+            f0, g0 = loss_fn(x)
+            p = -g0
+            d0 = float(g0 @ p)
+            minimiser = -d0 / float(p @ hessian @ p)
+            # a first trial past 2 * minimiser fails sufficient decrease, so the search zooms on [0, a0]
+            a0 = minimiser * rng.uniform(2.1, 3.0)
+            alpha, f, g, fell_back, evals = trainer._strong_wolfe(loss_fn, x, f0, g0, p, a0)
+            assert evals == 2 and not fell_back  # the trial, then one zoom evaluation
+            assert alpha == pytest.approx(minimiser, rel=1e-9)
+            assert _meets_strong_wolfe(f0, d0, alpha, f, float(g @ p))
+
+    def test_cubic_minimiser_near_an_end_bisects(self):
+        # the cubic through phi at 0 and 1 is phi, whose minimiser 0.05 lies within a tenth of 0
+        loss_fn, x, f0, g0, p = _line(lambda a: 0.5 * (a - 0.05) ** 2, lambda a: a - 0.05)
+        loss_fn, points = _recording(loss_fn)
+        alpha, f, g, _, evals = trainer._strong_wolfe(loss_fn, x, f0, g0, p, 1.0)
+        assert [q[0] for q in points[:2]] == [1.0, 0.5]
+        assert _meets_strong_wolfe(f0, float(g0 @ p), alpha, f, float(g @ p))
+
+    def test_cubic_minimiser_inside_the_safeguard_is_taken(self):
+        loss_fn, x, f0, g0, p = _line(lambda a: 0.5 * (a - 0.3) ** 2, lambda a: a - 0.3)
+        loss_fn, points = _recording(loss_fn)
+        alpha, *_ = trainer._strong_wolfe(loss_fn, x, f0, g0, p, 1.0)
+        assert [q[0] for q in points] == [1.0, alpha] and alpha == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_loss_that_is_not_finite_at_one_end_bisects(self, bad):
+        # finite up to 0.8: the cubic through the finite stretch alone would pick 0.3
+        loss_fn, x, f0, g0, p = _line(lambda a: 0.5 * (a - 0.3) ** 2 if a <= 0.8 else bad, lambda a: a - 0.3)
+        loss_fn, points = _recording(loss_fn)
+        alpha, f, g, _, evals = trainer._strong_wolfe(loss_fn, x, f0, g0, p, 1.0)
+        assert [q[0] for q in points[:2]] == [1.0, 0.5]
+        assert _meets_strong_wolfe(f0, float(g0 @ p), alpha, f, float(g @ p))
+
+    def test_zoom_trial_rules(self):
+        lo = (0.0, 0.5 * 0.3**2, None, -0.3)
+        assert trainer._zoom_trial(lo, (1.0, 0.5 * 0.7**2, None, 0.7)) == pytest.approx(0.3, rel=1e-12)
+        assert trainer._zoom_trial((1.0, 0.5 * 0.7**2, None, 0.7), lo) == pytest.approx(0.3, rel=1e-12)
+        assert trainer._zoom_trial(lo, (1.0, np.inf, None, 0.7)) == 0.5
+        assert trainer._zoom_trial(lo, (0.2, 0.0, None, np.nan)) == 0.1  # no finite minimiser
+        # phi = -a^3 + a: phi'(0) = 1 and phi'(1) = -2 bracket a maximum; the cubic has no minimiser between
+        assert trainer._zoom_trial((0.0, 0.0, None, 1.0), (1.0, 0.0, None, -2.0)) == 0.5
 
 
 def _small_spec(seed=11, sentences=30):
@@ -205,6 +325,58 @@ class TestTrain:
         )
 
 
+BENCHMARK_WORKLOADS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json").read_text())
+
+
+@pytest.mark.parametrize("name, most", [("small-reuse", 4), ("phrase-table", 6), ("long-nbest", 3)])
+def test_evaluations_at_the_benchmark_caps(tmp_path, name, most):
+    """Set 0 of a benchmark workload at seed 301 (its train corpus), trained with the benchmark's model to its cap.
+
+    Doubling from a unit first step and bisecting took 6 / 11 / 5 evaluations here.
+    """
+    workload, cfg = BENCHMARK_WORKLOADS["workloads"][name], BENCHMARK_WORKLOADS["model"]
+    refs, nbest, weights = synth.synthgen(synth.SynthSpec(seed=301, **workload["spec"]), tmp_path)
+    config = trainer.TrainConfig(
+        max_iterations=workload["iterations"],
+        k1=cfg["k1"],
+        k2=cfg["k2"],
+        arch=cfg["arch"],
+        sim_mode=cfg["sim_mode"],
+        seed=cfg["seed"],
+        timing=False,
+    )
+    result = trainer.train(corpus.load_samples(nbest, refs), config, corpus.load_lambda(weights))
+    assert result.log.stop_reason == "reached max iterations"
+    assert result.state.n_evals <= most
+
+
+class TestTrace:
+    def test_records_account_for_every_evaluation(self, tmp_path):
+        samples, lam = synth.generate(_small_spec(sentences=12))
+        result = trainer.train(samples, _small_config(max_iterations=8), lam)
+        path = tmp_path / "trace.jsonl"
+        result.log.write_trace(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        steps = result.log.rows[1:]
+        assert len(records) == len(steps) == result.state.iteration == 8
+        assert sum(r["evals"] for r in records) + 1 == result.state.n_evals  # plus the starting point's
+        for record, row in zip(records, steps):
+            assert record == {"iteration": row.iteration, "loss": row.loss, "xbleu": row.xbleu,
+                              "grad_norm": row.grad_norm, **vars(row.step)}
+            assert record["evals"] >= 1 and 0.0 < record["alpha"]
+        assert records[0]["alpha0"] != 1.0 and records[1]["alpha0"] == 1.0  # no pairs at the start, one after
+
+    def test_a_zoom_fallback_and_a_rejected_pair_are_recorded(self):
+        def loss_fn(x):  # a constant slope up to a wall: the curvature condition never holds
+            return (-float(x[0]) if x[0] <= 1.5 else np.inf), np.array([-1.0])
+
+        x, state = trainer.lbfgs_step(trainer.LbfgsState(), np.zeros(1), loss_fn)
+        assert x[0] == pytest.approx(1.5) and state.f < 0.0
+        # the zoom bisects toward the wall, then takes its best sufficient decrease; y = 0 there, so s @ y = 0
+        assert state.last_step == trainer.StepInfo(1.0, x[0], 42, True, True, False)
+        assert state.s_list == [] and state.n_evals == 43
+
+
 class TestCheckpoints:
     def _train_with_checkpoints(self, tmp_path, iters, interval=2):
         samples, lam = synth.generate(_small_spec(sentences=12))
@@ -244,6 +416,14 @@ class TestCheckpoints:
         assert np.array_equal(
             resumed.params.w1.shape, full.params.w1.shape
         )
+
+    def test_resumed_steps_match_the_uninterrupted_run(self, tmp_path):
+        """The checkpoint restores the curvature pairs, so the resumed run's first trial step is 1, as it was."""
+        samples, lam, full = self._train_with_checkpoints(tmp_path, iters=8)
+        config = _small_config(max_iterations=4, tolerance=1e-12, resume=str(tmp_path / "ck" / "checkpoint-0004.mdl"))
+        resumed = trainer.train(samples, config, lam)
+        assert resumed.log.rows[0].step is None and resumed.log.rows[1].step.alpha0 == 1.0
+        assert [r.step for r in resumed.log.rows[1:]] == [r.step for r in full.log.rows[5:]]
 
     def test_resume_stops_where_the_uninterrupted_run_stops(self, tmp_path):
         spec = synth.SynthSpec(
