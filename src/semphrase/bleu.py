@@ -22,6 +22,8 @@ whole corpus in one array pass, folding each distinct token once.
 building ``corpus.TrainingSample`` objects walks candidates against their
 references: each sample keeps its candidates' rows and the sentence BLEU of
 each row, and training, tuning and reranking read the kept arrays.
+``sentence_bleus`` scores a corpus's rows through ``math``, once per
+distinct row.
 """
 
 from __future__ import annotations
@@ -134,6 +136,13 @@ def sentence_bleu_from_stats(row) -> float:
             log_precision += math.log((m + 1.0) / (t + 1.0))
     geo_mean = math.exp(log_precision / top_order)
     return _brevity_penalty(candidate_len, reference_len) * geo_mean
+
+
+def sentence_bleus(rows) -> np.ndarray:
+    """``sentence_bleu_from_stats`` of each row of the (C, 10) array ``rows``, scoring each distinct row once."""
+    rows = list(map(tuple, rows.tolist()))
+    scores = {row: sentence_bleu_from_stats(row) for row in dict.fromkeys(rows)}
+    return np.fromiter(map(scores.__getitem__, rows), np.float64, len(rows))
 
 
 def sentence_bleu(reference, candidate) -> float:

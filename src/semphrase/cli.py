@@ -299,7 +299,7 @@ def _read_hypotheses(path) -> dict[int, tuple[str, ...]]:
     for lineno, sent_id, fields in corpus.read_records(path, 2, "file", at_least=True):
         if sent_id in out:
             raise corpus.CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
-        out[sent_id] = corpus.fold(fields[-1].split())
+        out[sent_id] = corpus.fold_field(fields[-1])
     return out
 
 

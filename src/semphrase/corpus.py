@@ -16,18 +16,21 @@ Two readers serve every text input but the vocabulary (whose check sees a
 token's whitespace): ``read_lines`` for the weight and config files, and
 ``read_records`` for the ``|||`` files.  Reals are ASCII without ``_``.
 
-Tokens are lowercased at load time, and loaded corpora are immutable by
-convention.  A phrase pair is a tuple value: ``PhrasePair(s, t)`` hashes and
-compares as the plain tuple ``(s, t)``, so every per-pair dict keys on it in C.
-``parse_nbest`` parses each distinct derivation segment once per file and
-shares one object per distinct pair and per distinct phrase across every
-candidate of the file, so a per-pair dict hit is an identity check.
+Tokens are lowercased at load time, a whole field in one ``fold_field``
+call, and loaded corpora are immutable by convention.  A phrase pair is a
+tuple value: ``PhrasePair(s, t)`` hashes and compares as the plain tuple
+``(s, t)``, so every per-pair dict keys on it in C.  ``parse_nbest`` splits
+each distinct derivation segment once per file, checks a derivation against
+its candidate in one tuple comparison, and shares one object per distinct
+pair and per distinct phrase across every candidate of the file, so a
+per-pair dict hit is an identity check.  A file's features are one array.
 Sentence ids are ASCII decimal digits (``parse_sentence_id``).
 A ``TrainingSample`` is labelled when it is built: ``stats`` holds the
 (n, 10) ``bleu.bleu_stats`` rows of its n candidates against the reference
 and ``sbleus`` the sentence BLEU of each row.  ``load_nbest`` and
-``label_samples`` label a whole corpus with one ``bleu.stats_rows`` call and
-hand each sample its slice of the rows; a sample built directly labels
+``label_samples`` label a whole corpus with one ``bleu.stats_rows`` call,
+score each distinct row once with ``bleu.sentence_bleus``, and hand each
+sample its slice of the rows and scores; a sample built directly labels
 itself as a corpus of one.  Training reads ``sbleus``, tuning reads
 ``stats`` and reranking reads both.  Every file the package writes goes
 through ``atomic_writer``.
@@ -41,6 +44,8 @@ import uuid
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -117,9 +122,9 @@ class TrainingSample:
 
     ``stats`` is the (n, 10) int64 array of the candidates' ``bleu.bleu_stats``
     rows against ``reference``, and ``sbleus`` the (n,) sentence BLEU of each
-    row.  ``stats`` may be given when the rows are already known (as
-    ``label_samples`` and ``dedupe_candidates`` do); otherwise the sample
-    labels itself with ``bleu.stats_rows``.
+    row.  Either may be given when it is already known (as ``label_samples``
+    and ``dedupe_candidates`` do); otherwise the sample labels itself with
+    ``bleu.stats_rows`` and ``bleu.sentence_bleus``.
     """
 
     sample_id: int
@@ -127,28 +132,33 @@ class TrainingSample:
     reference: tuple[str, ...]
     candidates: list[NBestEntry]
     stats: np.ndarray | None = None
-    sbleus: np.ndarray = field(init=False)
+    sbleus: np.ndarray | None = None
 
     def __post_init__(self):
+        n = len(self.candidates)
         if self.stats is None:
             self.stats = bleu.stats_rows([self.reference], [[entry.tokens for entry in self.candidates]])
-        if self.stats.shape != (len(self.candidates), 2 * bleu.MAX_ORDER + 2):
-            raise ValueError(f"stats of shape {self.stats.shape} for {len(self.candidates)} candidates")
-        rows = self.stats.tolist()
-        self.sbleus = np.array([bleu.sentence_bleu_from_stats(row) for row in rows], dtype=np.float64)
+        if self.stats.shape != (n, 2 * bleu.MAX_ORDER + 2):
+            raise ValueError(f"stats of shape {self.stats.shape} for {n} candidates")
+        if self.sbleus is None:
+            self.sbleus = bleu.sentence_bleus(self.stats)
+        if self.sbleus.shape != (n,):
+            raise ValueError(f"sbleus of shape {self.sbleus.shape} for {n} candidates")
 
 
 def label_samples(parts) -> list[TrainingSample]:
     """``TrainingSample(*part)`` of each (sample_id, source, reference, candidates) part.
 
-    The whole corpus is labelled with one ``bleu.stats_rows`` call, and each
-    sample keeps its slice of the rows.
+    The whole corpus is labelled with one ``bleu.stats_rows`` call and one
+    ``bleu.sentence_bleus`` call, which scores each distinct row once; each
+    sample keeps its slice of the rows and of the scores.
     """
     parts = list(parts)
     candidate_lists = [[entry.tokens for entry in candidates] for *_, candidates in parts]
     rows = bleu.stats_rows([reference for _, _, reference, _ in parts], candidate_lists)
-    ends = np.cumsum([len(candidates) for candidates in candidate_lists], dtype=np.int64)
-    return [TrainingSample(*part, block) for part, block in zip(parts, np.split(rows, ends[:-1]))]
+    ends = np.cumsum([len(candidates) for candidates in candidate_lists], dtype=np.int64)[:-1]
+    labels = zip(np.split(rows, ends), np.split(bleu.sentence_bleus(rows), ends))
+    return [TrainingSample(*part, *label) for part, label in zip(parts, labels)]
 
 
 @contextmanager
@@ -179,15 +189,13 @@ def fold(tokens) -> tuple[str, ...]:
     return tuple(t.lower() for t in tokens)
 
 
-def _check_derivation(entry: NBestEntry, path, line) -> None:
-    flat = tuple(tok for pair in entry.derivation for tok in pair.target)
-    if flat != entry.tokens:
-        raise CorpusError(
-            "derivation target phrases do not concatenate to the candidate "
-            f"(derivation yields {' '.join(flat)!r}, candidate is {' '.join(entry.tokens)!r})",
-            path,
-            line,
-        )
+def fold_field(text: str) -> tuple[str, ...]:
+    """``fold(text.split())``, lowering the whole field in one call.
+
+    The two agree on every text: no code point lowers to or from whitespace,
+    and whitespace ends the context of a final sigma.
+    """
+    return tuple(text.lower().split())
 
 
 def _parse_derivation(text: str, path, line) -> list[PhrasePair]:
@@ -232,11 +240,28 @@ def _shared(pair: PhrasePair, shared: dict) -> PhrasePair:
     return shared.setdefault(pair, pair)
 
 
+def _segment(piece: str, shared: dict) -> PhrasePair | None:
+    """The shared pair of ``[piece]`` if ``_parse_derivation`` reads it as exactly one pair, else None.
+
+    It does exactly when the piece begins and ends with whitespace (so ``[``
+    and ``]`` stand alone) and its tokens hold a ``#`` whose tokens before the
+    first one and after it are both non-empty, the latter without ``]``.
+    """
+    tokens = fold_field(piece)
+    if "#" not in tokens or not (piece[:1].isspace() and piece[-1:].isspace()):
+        return None
+    i = tokens.index("#")
+    source, target = tokens[:i], tokens[i + 1 :]
+    if not source or not target or "]" in target:
+        return None
+    return _shared(PhrasePair(source, target), shared)
+
+
 def _derivation(text: str, segments: dict, shared: dict, path, line) -> list[PhrasePair]:
     """``_parse_derivation(text)``, parsing each distinct segment once per file.
 
     The text between the outer ``[`` and ``]`` splits on ``"] ["``; each piece
-    not yet in ``segments`` is parsed once as ``[piece]``.  ``segments`` maps a
+    not yet in ``segments`` is read once by ``_segment``.  ``segments`` maps a
     piece to its shared pair, or to None when ``[piece]`` alone is not exactly
     one pair.  A line with such a piece, or not bracketed at both ends, is
     parsed whole by ``_parse_derivation``, so it is accepted or refused exactly
@@ -246,15 +271,13 @@ def _derivation(text: str, segments: dict, shared: dict, path, line) -> list[Phr
     """
     if text.startswith("[") and text.endswith("]"):
         pieces = text[1:-1].split("] [")
-        for piece in pieces:
-            if piece not in segments:
-                try:
-                    pairs = _parse_derivation(f"[{piece}]", path, line)
-                except CorpusError:
-                    pairs = []
-                segments[piece] = _shared(pairs[0], shared) if len(pairs) == 1 else None
-        derivation = [segments[piece] for piece in pieces]
-        if all(derivation):
+        derivation = list(map(segments.get, pieces))
+        if None in derivation:
+            for piece in pieces:
+                if piece not in segments:
+                    segments[piece] = _segment(piece, shared)
+            derivation = list(map(segments.get, pieces))
+        if None not in derivation:
             return derivation
     return [_shared(pair, shared) for pair in _parse_derivation(text, path, line)]
 
@@ -274,30 +297,32 @@ def _reals(text: str) -> list[float]:
     """The reals of ``text``, or ``ValueError``; ``float`` alone would also read ``1_0`` or ``٣``."""
     if not text.isascii() or "_" in text:
         raise ValueError(text)
-    return [float(v) for v in text.split()]
+    return list(map(float, text.split()))
 
 
 def read_lines(path):
     """``(line number, stripped text)`` of each non-blank line of the UTF-8 file ``path``."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if text:
-                yield lineno, text
+        yield from filter(itemgetter(1), enumerate(map(str.strip, fh), start=1))
 
 
 def read_records(path, n_fields: int, what: str, at_least: bool = False):
     """``(line number, sentence id, other fields)`` of each line of ``n_fields`` ``|||`` fields.
 
     More fields are allowed if ``at_least``; a file without records is refused as ``what``.
+    Each distinct id field is read once per call.
     """
     lineno = 0
+    ids: dict[str, int] = {}
     for lineno, text in read_lines(path):
-        parts = [p.strip() for p in text.split(FIELD_SEP)]
+        parts = list(map(str.strip, text.split(FIELD_SEP)))
         if len(parts) != n_fields and not (at_least and len(parts) > n_fields):
             expected = f"at least {n_fields}" if at_least else n_fields
             raise CorpusError(f"expected {expected} '{FIELD_SEP}' fields, got {len(parts)}", path, lineno)
-        yield lineno, parse_sentence_id(parts[0], path, lineno), parts[1:]
+        sent_id = ids.get(parts[0])
+        if sent_id is None:
+            sent_id = ids[parts[0]] = parse_sentence_id(parts[0], path, lineno)
+        yield lineno, sent_id, parts[1:]
     if not lineno:
         raise CorpusError(f"{what} is empty", path)
 
@@ -312,10 +337,10 @@ def load_references(path) -> dict[int, tuple[tuple[str, ...], tuple[str, ...]]]:
     for lineno, sent_id, (source, reference) in read_records(path, 3, "reference file"):
         if sent_id in refs:
             raise CorpusError(f"duplicate sentence id {sent_id}", path, lineno)
-        reference = fold(reference.split())
+        reference = fold_field(reference)
         if not reference:
             raise CorpusError("empty reference", path, lineno)
-        refs[sent_id] = (fold(source.split()), reference)
+        refs[sent_id] = (fold_field(source), reference)
     return refs
 
 
@@ -326,34 +351,48 @@ def parse_nbest(path) -> dict[int, list[NBestEntry]]:
     Every derivation is validated against its candidate tokens, the feature
     count must be consistent across the file, and exact duplicate
     (tokens, derivation) candidates within a sentence collapse to their first
-    occurrence.  Each distinct derivation segment is parsed once per file, and
-    every occurrence of a pair in the file is one shared ``PhrasePair``, as is
-    every occurrence of a phrase; nothing is kept from one call to the next.
+    occurrence.  Each field is folded in one ``fold_field`` call.  Each
+    distinct derivation segment is split once per file, and every occurrence
+    of a pair in the file is one shared ``PhrasePair``, as is every occurrence
+    of a phrase; nothing is kept from one call to the next.  The file's
+    features are one array, and each entry's ``features`` is its row.
     """
-    by_id: dict[int, list[NBestEntry]] = {}
+    lines: list[tuple[int, tuple[str, ...], list[PhrasePair]]] = []
+    values: list[float] = []
     n_features: int | None = None
     segments: dict[str, PhrasePair | None] = {}
     shared: dict[tuple, tuple] = {}
     for lineno, sent_id, (candidate, features, derivation) in read_records(path, 4, "N-best file"):
-        tokens = fold(candidate.split())
+        tokens = fold_field(candidate)
         if not tokens:
             raise CorpusError("empty candidate", path, lineno)
         try:
-            values = _reals(features)
+            reals = _reals(features)
         except ValueError:
             raise CorpusError(f"bad feature value in {features!r}", path, lineno) from None
-        if not values or not all(map(math.isfinite, values)):
+        if not reals or not all(map(math.isfinite, reals)):
             raise CorpusError("features must be a non-empty list of finite reals", path, lineno)
-        if n_features is None:
-            n_features = len(values)
-        elif len(values) != n_features:
-            raise CorpusError(
-                f"inconsistent feature count: expected {n_features}, got {len(values)}", path, lineno
-            )
+        if len(reals) != n_features:
+            if n_features is not None:
+                raise CorpusError(
+                    f"inconsistent feature count: expected {n_features}, got {len(reals)}", path, lineno
+                )
+            n_features = len(reals)
         derivation = _derivation(derivation, segments, shared, path, lineno)
-        entry = NBestEntry(tokens, np.array(values, dtype=np.float64), derivation)
-        _check_derivation(entry, path, lineno)
-        by_id.setdefault(sent_id, []).append(entry)
+        targets = tuple(chain.from_iterable(map(itemgetter(1), derivation)))
+        if targets != tokens:
+            raise CorpusError(
+                "derivation target phrases do not concatenate to the candidate "
+                f"(derivation yields {' '.join(targets)!r}, candidate is {' '.join(tokens)!r})",
+                path,
+                lineno,
+            )
+        values += reals
+        lines.append((sent_id, tokens, derivation))
+    by_id: dict[int, list[NBestEntry]] = {}
+    rows = np.array(values, dtype=np.float64).reshape(len(lines), n_features)
+    for (sent_id, tokens, derivation), row in zip(lines, rows):
+        by_id.setdefault(sent_id, []).append(NBestEntry(tokens, row, derivation))
     return {sent_id: [entries[i] for i in _first_occurrences(entries)] for sent_id, entries in by_id.items()}
 
 
@@ -410,14 +449,13 @@ def dedupe_candidates(samples) -> list[TrainingSample]:
     """Collapse exact duplicate (tokens, derivation) candidates, keeping the first.
 
     Mirrors what ``load_nbest`` does, for corpora built in memory.  The kept
-    candidates keep their rows of ``stats``; nothing is labelled again.
+    candidates keep their rows of ``stats`` and ``sbleus``; nothing is labelled again.
     """
     deduped = []
     for s in samples:
         kept = _first_occurrences(s.candidates)
-        deduped.append(
-            TrainingSample(s.sample_id, s.source, s.reference, [s.candidates[i] for i in kept], s.stats[kept])
-        )
+        candidates = [s.candidates[i] for i in kept]
+        deduped.append(TrainingSample(s.sample_id, s.source, s.reference, candidates, s.stats[kept], s.sbleus[kept]))
     return deduped
 
 

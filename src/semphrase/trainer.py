@@ -186,12 +186,14 @@ def _strong_wolfe(loss_fn, x, f0, g0, p, a0, max_iter=20):
     """Line search from the trial step ``a0``, doubled until it brackets a strong-Wolfe step.
 
     Returns ``(alpha, f, g, fell_back, evals)``, ``fell_back`` telling
-    whether ``_zoom`` fell back to its best sufficient decrease, or None on
-    failure.
+    whether ``_zoom`` fell back to its best sufficient decrease.  On failure
+    ``alpha``, ``f`` and ``g`` are None and ``evals`` still counts the
+    evaluations made.
     """
+    failed = (None, None, None, False)
     d0 = float(g0 @ p)
     if d0 >= 0.0:
-        return None
+        return (*failed, 0)
     evals = 0
 
     def evaluate(a: float):
@@ -206,16 +208,14 @@ def _strong_wolfe(loss_fn, x, f0, g0, p, a0, max_iter=20):
         point = evaluate(a)
         _, f, g, d = point
         if not np.isfinite(f) or f > f0 + C1 * a * d0 or (i > 0 and f >= prev[1]):
-            result = _zoom(evaluate, f0, d0, prev, point)
-            return None if result is None else (*result, evals)
+            return (*(_zoom(evaluate, f0, d0, prev, point) or failed), evals)
         if abs(d) <= -C2 * d0:
             return a, f, g, False, evals
         if d >= 0.0:
-            result = _zoom(evaluate, f0, d0, point, prev)
-            return None if result is None else (*result, evals)
+            return (*(_zoom(evaluate, f0, d0, point, prev) or failed), evals)
         prev = point
         a *= 2.0
-    return None
+    return (*failed, evals)
 
 
 def lbfgs_step(state: LbfgsState, x: np.ndarray, loss_fn) -> tuple[np.ndarray, LbfgsState]:
@@ -241,13 +241,12 @@ def lbfgs_step(state: LbfgsState, x: np.ndarray, loss_fn) -> tuple[np.ndarray, L
         state.rho_list.clear()
         p = -state.g.copy()
     alpha0 = 1.0 if state.s_list else _unit_step(state.g)  # sᵀy/yᵀy already scales the two-loop direction
-    result = _strong_wolfe(loss_fn, x, state.f, state.g, p, alpha0)
-    if result is None:
+    alpha, f_new, g_new, fell_back, evals = _strong_wolfe(loss_fn, x, state.f, state.g, p, alpha0)
+    state.n_evals += evals
+    if alpha is None:
         state.failed = True
         state.fail_reason = "line search failed to find an acceptable step"
         return x, state
-    alpha, f_new, g_new, fell_back, evals = result
-    state.n_evals += evals
     x_new = x + alpha * p
     stored = state.store_pair(x_new - x, g_new - state.g)
     state.last_step = StepInfo(alpha0, alpha, evals, fell_back, not stored, restarted)

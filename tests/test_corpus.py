@@ -132,6 +132,20 @@ class TestLoading:
         assert samples[0].candidates[0].tokens == ("the", "house")
         assert samples[0].candidates[0].derivation[0].source == ("das", "haus")
 
+    @pytest.mark.parametrize(
+        "text", ["ΟΔΟΣ ΟΔΟΣ", "İ", "ẞ", "The\tHouse", "the   House", "ΑΣ\t\tΣ  ΟΔΟΣ'Σ \t X"]
+    )
+    def test_fields_fold_as_each_token(self, tmp_path, text):
+        """Candidate, reference, source and derivation fields load as ``corpus.fold`` of their tokens."""
+        nbest = (f"0 ||| {text} ||| 0.5 ||| [ {text} # {text} ]\n"
+                 f"0 ||| x {text} ||| 0.5 ||| [ y # x ] [ {text} # {text} ]\n")
+        refs = f"0 ||| {text} ||| {text}\n"
+        (sample,) = corpus.load_samples(_write(tmp_path, "n", nbest), _write(tmp_path, "r", refs))
+        want = corpus.fold(text.split())
+        assert sample.source == sample.reference == sample.candidates[0].tokens == want
+        assert sample.candidates[1].tokens == ("x", *want)
+        assert sample.candidates[0].derivation == [(want, want)] == sample.candidates[1].derivation[1:]
+
 
 # Mixed case, Greek capitals with a final sigma, and segments repeated across lines.
 FUZZ_BASE = [
@@ -279,6 +293,16 @@ class TestReals:
         nbest = NBEST_SMALL.replace("0.5 -1.0", "1e-05 -1E3", 1)
         assert corpus.parse_nbest(_write(tmp_path, "nbest", nbest))[0][0].features.tolist() == [1e-05, -1000.0]
 
+    def test_features_hold_the_bytes_float_reads(self, tmp_path):
+        fields = ["0.1 -0.0", "5e-324 1e308", "0.30000000000000004 +.5", "3. -1E3",
+                  "123456789012345678901234567890 2.2250738585072014e-308", "7 1e-05"]
+        text = "".join(f"{i} ||| the ||| {feats} ||| [ das # the ]\n" for i, feats in enumerate(fields))
+        parsed = corpus.parse_nbest(_write(tmp_path, "nbest", text))
+        for i, feats in enumerate(fields):
+            (entry,) = parsed[i]
+            assert entry.features.dtype == np.float64 and entry.features.shape == (2,)
+            assert entry.features.tobytes() == np.array([float(v) for v in feats.split()]).tobytes()
+
 
 # Each line-oriented input: its reader, a valid line, a line it refuses with
 # the message, the field count of its records (None for plain lines), and
@@ -377,7 +401,31 @@ def stats_rows_calls(monkeypatch):
     return calls
 
 
+def _assert_scored_row_by_row(samples):
+    """Each label is ``sentence_bleu_from_stats`` of its own row, bit for bit."""
+    for sample in samples:
+        want = [bleu.sentence_bleu_from_stats(row) for row in sample.stats.tolist()]
+        assert sample.sbleus.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
 class TestLabels:
+    def test_repeated_rows_are_labelled_as_each_row_alone(self, tmp_path):
+        refs, nbest, _ = synth.synthgen(synth.SynthSpec(sentences=20, candidates=30, noise=0.5, seed=3), tmp_path)
+        samples = corpus.load_samples(nbest, refs)
+        rows = np.concatenate([s.stats for s in samples])
+        assert len(np.unique(rows, axis=0)) < len(rows) // 2
+        _assert_scored_row_by_row(samples)
+
+    def test_distinct_rows_are_labelled_as_each_row_alone(self, tmp_path):
+        words = "the house is small and old".split()
+        text = "".join(f"{i} ||| {' '.join(words[:n])} ||| 0.5 ||| [ f # {' '.join(words[:n])} ]\n"
+                       for i in range(2) for n in range(1, len(words) + 1))
+        refs = "0 ||| f ||| the house is small\n1 ||| f ||| house is small and old\n"
+        samples = corpus.load_samples(_write(tmp_path, "n", text), _write(tmp_path, "r", refs))
+        rows = np.concatenate([s.stats for s in samples])
+        assert len(np.unique(rows, axis=0)) == len(rows) == 12
+        _assert_scored_row_by_row(samples)
+
     def test_loaded_candidates_carry_the_oracle_rows(self, tmp_path):
         refs, nbest, _ = synth.synthgen(synth.SynthSpec(sentences=20, candidates=6, seed=3), tmp_path)
         _assert_labelled_as_the_oracle(corpus.load_samples(nbest, refs))

@@ -84,6 +84,19 @@ class TestLbfgsStep:
             state.store_pair(s, s + rng.uniform(0.1, 0.5, size=4) * s)
         assert len(state.s_list) <= 3
 
+    def test_a_failed_line_search_counts_its_evaluations(self):
+        """A loss falling without bound at a constant slope: 20 doublings never meet the curvature condition."""
+        calls = []
+
+        def loss_fn(x):
+            calls.append(x.copy())
+            return -x[0], np.array([-1.0])
+
+        x, state = trainer.lbfgs_step(trainer.LbfgsState(), np.zeros(1), loss_fn)
+        assert state.failed and state.fail_reason == "line search failed to find an acceptable step"
+        assert np.array_equal(x, np.zeros(1)) and state.last_step is None
+        assert len(calls) == state.n_evals == 21
+
 
 def _recording(loss_fn):
     """``loss_fn`` and the list of points it is evaluated at, in order."""
