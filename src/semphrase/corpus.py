@@ -228,16 +228,19 @@ def _parse_derivation(text: str, path, line) -> list[PhrasePair]:
     return pairs
 
 
-def _shared(pair: PhrasePair, shared: dict) -> PhrasePair:
-    """The one object ``shared`` keeps for ``pair``, whose phrases are likewise the kept ones.
+def _shared(source: tuple[str, ...], target: tuple[str, ...], shared: dict) -> PhrasePair:
+    """The one ``PhrasePair`` ``shared`` keeps for (source, target), whose phrases are likewise the kept ones.
 
     Phrases (tuples of strings) and pairs (tuples of two phrases) never compare
-    equal, so one dict holds both.
+    equal, so one dict holds both.  A pair is built the first time it is seen.
     """
-    source = shared.setdefault(pair.source, pair.source)
-    target = shared.setdefault(pair.target, pair.target)
-    pair = PhrasePair(source, target)
-    return shared.setdefault(pair, pair)
+    source = shared.setdefault(source, source)
+    target = shared.setdefault(target, target)
+    pair = shared.get((source, target))
+    if pair is None:
+        pair = PhrasePair(source, target)
+        shared[pair] = pair
+    return pair
 
 
 def _segment(piece: str, shared: dict) -> PhrasePair | None:
@@ -254,7 +257,7 @@ def _segment(piece: str, shared: dict) -> PhrasePair | None:
     source, target = tokens[:i], tokens[i + 1 :]
     if not source or not target or "]" in target:
         return None
-    return _shared(PhrasePair(source, target), shared)
+    return _shared(source, target, shared)
 
 
 def _derivation(text: str, segments: dict, shared: dict, path, line) -> list[PhrasePair]:
@@ -279,7 +282,7 @@ def _derivation(text: str, segments: dict, shared: dict, path, line) -> list[Phr
             derivation = list(map(segments.get, pieces))
         if None not in derivation:
             return derivation
-    return [_shared(pair, shared) for pair in _parse_derivation(text, path, line)]
+    return [_shared(*pair, shared) for pair in _parse_derivation(text, path, line)]
 
 
 def parse_sentence_id(text: str, path, line) -> int:

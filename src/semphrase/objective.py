@@ -10,11 +10,14 @@ phrase pair (how the loss moves with that pair's similarity score) and the
 gradient of the similarity score itself with respect to the projection
 matrices.  ``full_gradient`` exploits that separation.  One ``forward``
 pass encodes and projects the distinct phrases (their distinct tokens, in
-word-level mode) in one call each; phase 1 (``error_terms``) adds every
-sample's error terms into one dict keyed by unique phrase pair; phase 2
-calls ``sim_gradient`` exactly once per unique pair, adding the gradient at
-both tower outputs into the pass's ``grads`` rows, which ``backprop``
-carries back through the same pass (as DSSM, Huang et al. 2013, does).  So
+word-level mode) in one call each; phase 1 is one corpus pass
+(``list_terms``) for every sample's softmax, expected BLEU and per-candidate
+error terms, then ``error_terms`` adds each sample's terms, in sample,
+candidate and occurrence order, into one dict keyed by unique phrase pair;
+phase 2 calls ``sim_gradient`` exactly once per unique pair, adding the
+gradient at both tower outputs into the pass's ``grads`` rows, which
+``backprop`` carries back through the same pass (as DSSM, Huang et al.
+2013, does).  So
 phase 2 costs O(k) per unique pair plus one backward pass over the phrases.
 In word-level mode the pass also keeps each pair's token similarity matrix,
 built by whichever of ``pair_similarities`` and ``sim_gradient`` reaches the
@@ -110,8 +113,9 @@ def compile_corpus(samples) -> CompiledCorpus:
     pair_id = defaultdict(count().__next__)  # numbers each pair at its first occurrence
     occurrences = chain.from_iterable(derivations)
     occ_pair = np.fromiter(map(pair_id.__getitem__, occurrences), dtype=np.intp, count=int(lengths.sum()))
-    phrase_id = defaultdict(count().__next__)
-    pair_rows = [(phrase_id[p.source], phrase_id[p.target]) for p in pair_id]
+    phrase_id = defaultdict(count().__next__)  # source before target, at first occurrence
+    phrases = chain.from_iterable(pair_id)
+    pair_rows = np.fromiter(map(phrase_id.__getitem__, phrases), dtype=np.intp, count=2 * len(pair_id))
     try:
         features = np.array([entry.features for entry in entries], dtype=np.float64)
     except ValueError:
@@ -119,7 +123,7 @@ def compile_corpus(samples) -> CompiledCorpus:
     return CompiledCorpus(
         tuple(pair_id),
         tuple(phrase_id),
-        np.array(pair_rows, dtype=np.intp).reshape(-1, 2),
+        pair_rows.reshape(-1, 2),
         occ_pair,
         np.repeat(np.arange(len(entries)), lengths),
         np.cumsum([0] + [len(sample.candidates) for sample in samples]),
@@ -236,19 +240,45 @@ def expected_bleu(
     return math.fsum((probs * sample.sbleus).tolist())
 
 
+def list_terms(compiled: CompiledCorpus, totals: np.ndarray, lam: np.ndarray) -> tuple[list, list]:
+    """Phase 1 over the whole corpus: each sample's expected BLEU and each candidate's error term.
+
+    ``totals`` are the corpus's ``H @ lam``.  Every sample's softmax, expected
+    BLEU and terms lam[-1] * prob * (sbleu - xbleu) come from one numpy pass
+    each, with ``math.fsum`` over each sample's slice for the two sums, so
+    every value has the bits ``candidate_probs`` and ``expected_bleu`` give
+    it.  Returns the per-sample xBLEUs and the per-candidate terms, as lists.
+    """
+    lengths = np.diff(compiled.offsets)
+    bounds = compiled.offsets.tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    exps = np.exp(totals - np.repeat(np.maximum.reduceat(totals, compiled.offsets[:-1]), lengths))
+    flat = exps.tolist()
+    probs = exps / np.repeat([math.fsum(flat[a:b]) for a, b in spans], lengths)
+    flat = (probs * compiled.sbleus).tolist()
+    xbleus = [math.fsum(flat[a:b]) for a, b in spans]
+    terms = float(lam[-1]) * (probs * (compiled.sbleus - np.repeat(xbleus, lengths)))
+    return xbleus, terms.tolist()
+
+
 def error_terms(
-    sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, deltas, totals=None
+    sample: TrainingSample, params: ModelParams, lam: np.ndarray, vocab: Vocabulary, deltas, terms=None
 ) -> float:
     """Add how the sample's expected BLEU moves with each phrase pair's similarity into ``deltas``.
 
-    Each occurrence of a pair in a candidate's derivation adds the feature
-    weight times prob * (sbleu - xbleu) to ``deltas[pair]``.  Returns
-    ``xbleu``, the sample's expected BLEU; ``totals`` as for ``candidate_probs``.
+    Each occurrence of a pair in a candidate's derivation adds the candidate's
+    term, the feature weight times prob * (sbleu - xbleu), to ``deltas[pair]``,
+    in candidate and occurrence order.  ``terms`` is the sample's xbleu and
+    its candidates' terms from ``list_terms``; without it, ``list_terms`` runs
+    on the sample alone.  Returns ``xbleu``, the sample's expected BLEU.
     """
-    probs = candidate_probs(sample, params, lam, vocab, totals)
-    xbleu = math.fsum((probs * sample.sbleus).tolist())
-    terms = float(lam[-1]) * (probs * (sample.sbleus - xbleu))
-    for entry, term in zip(sample.candidates, terms.tolist()):
+    if terms is None:
+        lam = np.asarray(lam, dtype=np.float64)
+        compiled, h = score([sample], params, vocab, lam.size)
+        xbleus, flat = list_terms(compiled, h @ lam, lam)
+        terms = xbleus[0], flat
+    xbleu, flat = terms
+    for entry, term in zip(sample.candidates, flat):
         for pair in entry.derivation:
             deltas[pair] = deltas.get(pair, 0.0) + term
     return xbleu
@@ -313,10 +343,12 @@ def full_gradient(
 ) -> tuple[float, np.ndarray]:
     """Corpus loss (negative mean expected BLEU) and its gradient in ``pack_params`` layout.
 
-    One ``forward`` pass projects the distinct phrases; phase 1 adds every
-    sample's error terms into one dict in sample order; phase 2 adds
-    ``sim_gradient`` of each unique pair into the pass's ``grads``, which
-    ``backprop`` carries back through the same pass into one vector.
+    One ``forward`` pass projects the distinct phrases; phase 1 computes every
+    sample's expected BLEU and error terms in one ``list_terms`` pass, then
+    ``error_terms`` adds each sample's terms into one dict in sample order;
+    phase 2 adds ``sim_gradient`` of each unique pair into the pass's
+    ``grads``, which ``backprop`` carries back through the same pass into one
+    vector.
     ``compiled``, the samples' ``compile_corpus``, is built here if not
     given.  The result matches the naive per-occurrence summation to
     floating-point accuracy.
@@ -327,11 +359,10 @@ def full_gradient(
     fw = forward(compiled.phrases, params, vocab)
     totals = feature_matrix(compiled, pair_similarities(compiled, params, fw), lam.size) @ lam
     total_delta = dict.fromkeys(compiled.pairs, 0.0)
+    xbleus, terms = list_terms(compiled, totals, lam)
     bounds = compiled.offsets.tolist()
-    xbleus = [
-        error_terms(sample, params, lam, vocab, total_delta, totals[a:b])
-        for sample, a, b in zip(samples, bounds, bounds[1:])
-    ]
+    for sample, xbleu, a, b in zip(samples, xbleus, bounds, bounds[1:]):
+        error_terms(sample, params, lam, vocab, total_delta, (xbleu, terms[a:b]))
     n = len(samples)
     for pair, delta in total_delta.items():
         sim_gradient(pair.source, pair.target, params, vocab, fw, -delta / n)

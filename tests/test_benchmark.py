@@ -5,8 +5,10 @@ iteration cap with a non-increasing loss, tuned weights rerank the test set
 above the baseline weights' selection, and model and selection bytes repeat.
 The perfbench smoke test runs a tiny spec; this runs every set of each real
 spec once, so a change that fails those checks fails here too.  Long-nbest
-also runs once traced, so its gates on where the time goes (parsing over
-half of setup, phase 1 longer than phase 2) run here as well.
+and phrase-table also run once traced, so their gates on where the time goes
+(long-nbest: parsing over half of setup, phase 1 longer than phase 2;
+phrase-table: ``sim_gradient`` the largest self time in training) run here
+as well.
 """
 
 import sys
@@ -42,6 +44,15 @@ def test_long_nbest_passes_its_traced_gates(tmp_path, capsys):
     """One traced run: its timing gates (parsing over half of setup, phase 1 longer than phase 2) hold."""
     wl = run.CONFIG["workloads"]["long-nbest"]
     result = run.run_workload("long-nbest", wl, seed=0, seconds=0.0, trace=True, work=tmp_path)
+    out = capsys.readouterr().out
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, out[-3000:]
+
+
+def test_phrase_table_passes_its_traced_gates(tmp_path, capsys):
+    """One traced run: its timing gate (phase 2's ``sim_gradient`` the largest self time in train) holds."""
+    wl = run.CONFIG["workloads"]["phrase-table"]
+    result = run.run_workload("phrase-table", wl, seed=0, seconds=0.0, trace=True, work=tmp_path)
     out = capsys.readouterr().out
     assert result["attempted"] > 0
     assert result["failed"] == 0, out[-3000:]

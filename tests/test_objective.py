@@ -300,6 +300,67 @@ class TestErrorTerms:
                 assert deltas[pair] == pytest.approx(start[pair] + delta, abs=1e-15)
 
 
+def _spread_totals(rng, compiled):
+    """Totals spread by about ±800, so some ``exp`` terms underflow to 0.0, with ties at some maxima."""
+    n = int(compiled.offsets[-1])
+    totals = np.where(rng.random(n) < 0.5, rng.integers(-4, 5, n) * 200.0, rng.normal(0.0, 3.0, n))
+    bounds = compiled.offsets.tolist()
+    for a, b in list(zip(bounds, bounds[1:]))[::3]:
+        totals[a:b][-1] = totals[a:b].max()
+    return totals
+
+
+class TestListTerms:
+    """The corpus pass gives every value the bits of the per-sample references."""
+
+    @staticmethod
+    def _corpus(rng, **model_kw):
+        samples = [*make_random_corpus(rng, n_samples=15, max_candidates=6), _uniform_sample(1, sbleus=[0.6])]
+        vocab = corpus.build_vocabulary(samples)
+        params = model.init_params(len(vocab), 4, 3, seed=int(rng.integers(0, 2**31)), **model_kw)
+        return samples, vocab, params, random_lambda(rng)
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_each_sample_gets_the_bits_of_candidate_probs_and_expected_bleu(self, trial):
+        rng = np.random.default_rng([20261021, trial])
+        samples, vocab, params, lam = self._corpus(rng)
+        compiled = objective.compile_corpus(samples)
+        totals = _spread_totals(rng, compiled)
+        xbleus, terms = objective.list_terms(compiled, totals, lam)
+        bounds = compiled.offsets.tolist()
+        underflows = ties = 0
+        for sample, xbleu, a, b in zip(samples, xbleus, bounds[:-1], bounds[1:], strict=True):
+            probs = objective.candidate_probs(sample, params, lam, vocab, totals[a:b])
+            want = objective.expected_bleu(sample, params, lam, vocab, totals[a:b])
+            assert xbleu == want
+            assert terms[a:b] == (float(lam[-1]) * (probs * (sample.sbleus - want))).tolist()
+            underflows += int(np.count_nonzero(probs == 0.0))
+            ties += int(np.count_nonzero(totals[a:b] == totals[a:b].max()) > 1)
+        assert len(terms) == bounds[-1]
+        assert underflows > 0 and ties > 0 and 1 in np.diff(bounds)
+
+    @pytest.mark.parametrize("arch", [model.ARCH_NONLINEAR, model.ARCH_LINEAR])
+    @pytest.mark.parametrize("word_level", [False, True])
+    def test_full_gradient_has_the_bits_of_a_loop_over_error_terms(self, rng, arch, word_level):
+        samples, vocab, params, lam = self._corpus(rng, arch=arch, word_level=word_level)
+        for entry in (entry for sample in samples for entry in sample.candidates):
+            entry.features = entry.features * 400.0  # totals spread by hundreds: some probabilities underflow
+        loss, grad = objective.full_gradient(samples, params, lam, vocab)
+
+        compiled = objective.compile_corpus(samples)
+        deltas = dict.fromkeys(compiled.pairs, 0.0)
+        xbleus = [objective.error_terms(sample, params, lam, vocab, deltas) for sample in samples]
+        n = len(samples)
+        fw = objective.forward(compiled.phrases, params, vocab)
+        for pair, delta in deltas.items():
+            objective.sim_gradient(pair.source, pair.target, params, vocab, fw, -delta / n)
+        want = np.zeros(params.size)
+        objective.backprop(fw, params, want)
+        assert np.any(want != 0.0)
+        assert loss == -math.fsum(xbleus) / n
+        assert grad.tobytes() == want.tobytes()
+
+
 class TestSimGradient:
     def test_identical_phrases_double_single_side(self):
         vocab = corpus.Vocabulary.from_tokens(("a", "b", "c"))
