@@ -29,7 +29,8 @@ distinct row.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from collections import defaultdict
+from itertools import chain, count
 
 import numpy as np
 
@@ -63,10 +64,10 @@ def stats_rows(references, candidate_lists) -> np.ndarray:
     lens = np.fromiter(map(len, sentences), np.int64, len(sentences))
     sample_of = np.repeat(np.arange(n_refs), per_sample)
 
+    raw_id = defaultdict(count().__next__)  # each distinct token, numbered at its first occurrence
+    raw = np.fromiter(map(raw_id.__getitem__, chain.from_iterable(sentences)), np.int64, int(lens.sum()))
     folded: dict[str, int] = {}
-    distinct_tokens = dict.fromkeys(chain.from_iterable(sentences))
-    token_id = {t: folded.setdefault(t.lower(), len(folded)) for t in distinct_tokens}
-    ids = np.fromiter(map(token_id.__getitem__, chain.from_iterable(sentences)), np.int64, int(lens.sum()))
+    ids = np.fromiter((folded.setdefault(t.lower(), len(folded)) for t in raw_id), np.int64, len(raw_id))[raw]
     # Each position's sentence and the end of that sentence.  The references
     # come first, so candidate positions start at ``ref_tokens``.
     sentence = np.repeat(np.arange(len(sentences)), lens)

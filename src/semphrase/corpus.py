@@ -44,7 +44,7 @@ import uuid
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -53,6 +53,7 @@ from . import bleu
 
 UNK_TOKEN = "<unk>"
 FIELD_SEP = "|||"
+LINE_BLOCK = 512  # N-best lines read per block, bounding the parser's transient lists
 
 
 class CorpusError(ValueError):
@@ -232,15 +233,11 @@ def _shared(source: tuple[str, ...], target: tuple[str, ...], shared: dict) -> P
     """The one ``PhrasePair`` ``shared`` keeps for (source, target), whose phrases are likewise the kept ones.
 
     Phrases (tuples of strings) and pairs (tuples of two phrases) never compare
-    equal, so one dict holds both.  A pair is built the first time it is seen.
+    equal, so one dict holds both.  Both phrases must be non-empty, as every
+    caller has checked, so the pair is built as the plain tuple it is.
     """
-    source = shared.setdefault(source, source)
-    target = shared.setdefault(target, target)
-    pair = shared.get((source, target))
-    if pair is None:
-        pair = PhrasePair(source, target)
-        shared[pair] = pair
-    return pair
+    pair = tuple.__new__(PhrasePair, (shared.setdefault(source, source), shared.setdefault(target, target)))
+    return shared.setdefault(pair, pair)
 
 
 def _segment(piece: str, shared: dict) -> PhrasePair | None:
@@ -303,21 +300,23 @@ def _reals(text: str) -> list[float]:
     return list(map(float, text.split()))
 
 
+def _numbered(lines, start: int = 1):
+    """``(line number, stripped text)`` of each non-blank line of ``lines``, the first numbered ``start``."""
+    return filter(itemgetter(1), enumerate(map(str.strip, lines), start=start))
+
+
 def read_lines(path):
     """``(line number, stripped text)`` of each non-blank line of the UTF-8 file ``path``."""
     with open(path, encoding="utf-8") as fh:
-        yield from filter(itemgetter(1), enumerate(map(str.strip, fh), start=1))
+        yield from _numbered(fh)
 
 
-def read_records(path, n_fields: int, what: str, at_least: bool = False):
-    """``(line number, sentence id, other fields)`` of each line of ``n_fields`` ``|||`` fields.
+def _records(numbered, n_fields: int, ids: dict, path, at_least: bool = False):
+    """``(line number, sentence id, other fields)`` of each ``(line number, text)`` of ``numbered``.
 
-    More fields are allowed if ``at_least``; a file without records is refused as ``what``.
-    Each distinct id field is read once per call.
+    ``ids`` maps each id field already read to its id, and gains each new one.
     """
-    lineno = 0
-    ids: dict[str, int] = {}
-    for lineno, text in read_lines(path):
+    for lineno, text in numbered:
         parts = list(map(str.strip, text.split(FIELD_SEP)))
         if len(parts) != n_fields and not (at_least and len(parts) > n_fields):
             expected = f"at least {n_fields}" if at_least else n_fields
@@ -326,8 +325,20 @@ def read_records(path, n_fields: int, what: str, at_least: bool = False):
         if sent_id is None:
             sent_id = ids[parts[0]] = parse_sentence_id(parts[0], path, lineno)
         yield lineno, sent_id, parts[1:]
-    if not lineno:
+
+
+def read_records(path, n_fields: int, what: str, at_least: bool = False):
+    """``(line number, sentence id, other fields)`` of each line of ``n_fields`` ``|||`` fields.
+
+    More fields are allowed if ``at_least``; a file without records is refused as ``what``.
+    Each distinct id field is read once per call.
+    """
+    records = _records(read_lines(path), n_fields, {}, path, at_least)
+    first = next(records, None)
+    if first is None:
         raise CorpusError(f"{what} is empty", path)
+    yield first
+    yield from records
 
 
 def format_derivation(derivation) -> str:
@@ -347,6 +358,106 @@ def load_references(path) -> dict[int, tuple[tuple[str, ...], tuple[str, ...]]]:
     return refs
 
 
+class _NBestBlocks:
+    """What ``parse_nbest`` keeps while it reads one file, and its two ways of reading a block of lines.
+
+    ``ids`` maps each sentence id field read to its id, ``segments`` and
+    ``shared`` are ``_derivation``'s caches, and ``n_features`` is the file's
+    feature count once a record is read.  Both readers give a block's
+    (sentence ids, tokens, feature rows, derivations), one item per record.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.ids: dict[str, int] = {}
+        self.segments: dict[str, PhrasePair | None] = {}
+        self.shared: dict[tuple, tuple] = {}
+        self.n_features: int | None = None
+
+    def columns(self, texts):
+        """The stripped non-blank lines ``texts`` read one check at a time over all of them, or None.
+
+        None means that some line is not plainly regular: the block then goes
+        through ``lines``, which names the first bad line or, for a line that
+        only the column checks doubt, reads it as they would have.  Anything
+        the checks cache (sentence ids, segments, shared pairs) is what
+        ``lines`` would cache for the same lines, so a refused block reads alike.
+        """
+        fields = [text.split(FIELD_SEP) for text in texts]
+        if set(map(len, fields)) != {4}:
+            return None
+        id_texts, candidates, features, derivation_texts = zip(*fields)
+        id_texts = list(map(str.strip, id_texts))
+        tokens = list(map(fold_field, candidates))
+        if not all(tokens):
+            return None
+        joined = " ".join(features)
+        if not joined.isascii() or "_" in joined:
+            return None
+        reals = list(map(str.split, features))
+        n_features = self.n_features or len(reals[0])
+        if not n_features or set(map(len, reals)) != {n_features}:
+            return None
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(reals)), np.float64, n_features * len(texts))
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        try:
+            for text in set(id_texts).difference(self.ids):
+                self.ids[text] = parse_sentence_id(text, self.path, None)
+            derivations = [
+                _derivation(text, self.segments, self.shared, self.path, None)
+                for text in map(str.strip, derivation_texts)
+            ]
+        except CorpusError:
+            return None
+        if [sum(map(itemgetter(1), derivation), ()) for derivation in derivations] != tokens:
+            return None
+        self.n_features = n_features
+        return list(map(self.ids.__getitem__, id_texts)), tokens, values.reshape(len(texts), n_features), derivations
+
+    def lines(self, block, start: int):
+        """The raw lines ``block``, the first of them line ``start``, read one line at a time.
+
+        This is the one reader that refuses a file: it raises for the first
+        bad line, naming it.
+        """
+        path = self.path
+        sent_ids, tokens, values, derivations = [], [], [], []
+        for lineno, sent_id, (candidate, features, derivation) in _records(_numbered(block, start), 4, self.ids, path):
+            candidate = fold_field(candidate)
+            if not candidate:
+                raise CorpusError("empty candidate", path, lineno)
+            try:
+                reals = _reals(features)
+            except ValueError:
+                raise CorpusError(f"bad feature value in {features!r}", path, lineno) from None
+            if not reals or not all(map(math.isfinite, reals)):
+                raise CorpusError("features must be a non-empty list of finite reals", path, lineno)
+            if len(reals) != self.n_features:
+                if self.n_features is not None:
+                    raise CorpusError(
+                        f"inconsistent feature count: expected {self.n_features}, got {len(reals)}", path, lineno
+                    )
+                self.n_features = len(reals)
+            derivation = _derivation(derivation, self.segments, self.shared, path, lineno)
+            targets = tuple(chain.from_iterable(map(itemgetter(1), derivation)))
+            if targets != candidate:
+                raise CorpusError(
+                    "derivation target phrases do not concatenate to the candidate "
+                    f"(derivation yields {' '.join(targets)!r}, candidate is {' '.join(candidate)!r})",
+                    path,
+                    lineno,
+                )
+            sent_ids.append(sent_id)
+            tokens.append(candidate)
+            values += reals
+            derivations.append(derivation)
+        return sent_ids, tokens, np.array(values, dtype=np.float64).reshape(len(tokens), self.n_features), derivations
+
+
 def parse_nbest(path) -> dict[int, list[NBestEntry]]:
     """Parse an N-best file into candidate lists keyed by sentence id.
 
@@ -354,49 +465,34 @@ def parse_nbest(path) -> dict[int, list[NBestEntry]]:
     Every derivation is validated against its candidate tokens, the feature
     count must be consistent across the file, and exact duplicate
     (tokens, derivation) candidates within a sentence collapse to their first
-    occurrence.  Each field is folded in one ``fold_field`` call.  Each
+    occurrence.
+
+    The file is read ``LINE_BLOCK`` lines at a time, so the parser's
+    transient lists hold one block, not the file.  Each block is first read
+    in column passes (``_NBestBlocks.columns``): one pass per check over all
+    of its lines.  A block with any irregular line is read again one line at
+    a time (``_NBestBlocks.lines``), the one reader that names a file's first
+    bad line.  Each field is folded in one ``fold_field`` call.  Each
     distinct derivation segment is split once per file, and every occurrence
     of a pair in the file is one shared ``PhrasePair``, as is every occurrence
-    of a phrase; nothing is kept from one call to the next.  The file's
+    of a phrase; nothing is kept from one call to the next.  A block's
     features are one array, and each entry's ``features`` is its row.
     """
-    lines: list[tuple[int, tuple[str, ...], list[PhrasePair]]] = []
-    values: list[float] = []
-    n_features: int | None = None
-    segments: dict[str, PhrasePair | None] = {}
-    shared: dict[tuple, tuple] = {}
-    for lineno, sent_id, (candidate, features, derivation) in read_records(path, 4, "N-best file"):
-        tokens = fold_field(candidate)
-        if not tokens:
-            raise CorpusError("empty candidate", path, lineno)
-        try:
-            reals = _reals(features)
-        except ValueError:
-            raise CorpusError(f"bad feature value in {features!r}", path, lineno) from None
-        if not reals or not all(map(math.isfinite, reals)):
-            raise CorpusError("features must be a non-empty list of finite reals", path, lineno)
-        if len(reals) != n_features:
-            if n_features is not None:
-                raise CorpusError(
-                    f"inconsistent feature count: expected {n_features}, got {len(reals)}", path, lineno
-                )
-            n_features = len(reals)
-        derivation = _derivation(derivation, segments, shared, path, lineno)
-        targets = tuple(chain.from_iterable(map(itemgetter(1), derivation)))
-        if targets != tokens:
-            raise CorpusError(
-                "derivation target phrases do not concatenate to the candidate "
-                f"(derivation yields {' '.join(targets)!r}, candidate is {' '.join(tokens)!r})",
-                path,
-                lineno,
-            )
-        values += reals
-        lines.append((sent_id, tokens, derivation))
+    blocks = _NBestBlocks(path)
     by_id: dict[int, list[NBestEntry]] = {}
-    rows = np.array(values, dtype=np.float64).reshape(len(lines), n_features)
-    for (sent_id, tokens, derivation), row in zip(lines, rows):
-        by_id.setdefault(sent_id, []).append(NBestEntry(tokens, row, derivation))
-    return {sent_id: [entries[i] for i in _first_occurrences(entries)] for sent_id, entries in by_id.items()}
+    start = 1
+    with open(path, encoding="utf-8") as fh:
+        while block := list(islice(fh, LINE_BLOCK)):
+            texts = list(filter(None, map(str.strip, block)))
+            if texts:
+                for sent_id, tokens, row, derivation in zip(*(blocks.columns(texts) or blocks.lines(block, start))):
+                    by_id.setdefault(sent_id, []).append(NBestEntry(tokens, row, derivation))
+            start += len(block)
+    if not by_id:
+        raise CorpusError("N-best file is empty", path)
+    for sent_id, entries in by_id.items():
+        by_id[sent_id] = [entries[i] for i in _first_occurrences(entries)]
+    return by_id
 
 
 def _first_occurrences(entries) -> list[int]:
@@ -463,9 +559,14 @@ def dedupe_candidates(samples) -> list[TrainingSample]:
 
 
 def build_vocabulary(samples) -> Vocabulary:
-    """First-occurrence-ordered vocabulary over both languages, UNK at index 0."""
+    """First-occurrence-ordered vocabulary over both languages, UNK at index 0.
+
+    A pair's phrases are read at its first occurrence only: an equal pair
+    seen again brings no new token.
+    """
     tokens: list[str] = [UNK_TOKEN]
     seen = {UNK_TOKEN}
+    pairs = set()
 
     def add(seq):
         for tok in seq:
@@ -482,8 +583,10 @@ def build_vocabulary(samples) -> Vocabulary:
             add(entry.tokens)
             any_token = any_token or bool(entry.tokens)
             for pair in entry.derivation:
-                add(pair.source)
-                add(pair.target)
+                if pair not in pairs:
+                    pairs.add(pair)
+                    add(pair.source)
+                    add(pair.target)
     if not any_token:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     return Vocabulary.from_tokens(tokens)
