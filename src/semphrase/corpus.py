@@ -19,11 +19,14 @@ token's whitespace): ``read_lines`` for the weight and config files, and
 Tokens are lowercased at load time, a whole field in one ``fold_field``
 call, and loaded corpora are immutable by convention.  A phrase pair is a
 tuple value: ``PhrasePair(s, t)`` hashes and compares as the plain tuple
-``(s, t)``, so every per-pair dict keys on it in C.  ``parse_nbest`` splits
+``(s, t)``, so every per-pair dict keys on it in C.  ``parse_nbest`` reads
+an N-best file ``LINE_BLOCK`` lines at a time and runs each check as one
+pass over the block's fields; a block with any irregular line is read line
+by line instead, and that line loop names the first bad line.  It splits
 each distinct derivation segment once per file, checks a derivation against
 its candidate in one tuple comparison, and shares one object per distinct
 pair and per distinct phrase across every candidate of the file, so a
-per-pair dict hit is an identity check.  A file's features are one array.
+per-pair dict hit is an identity check.  A block's features are one array.
 Sentence ids are ASCII decimal digits (``parse_sentence_id``).
 A ``TrainingSample`` is labelled when it is built: ``stats`` holds the
 (n, 10) ``bleu.bleu_stats`` rows of its n candidates against the reference
@@ -377,11 +380,13 @@ class _NBestBlocks:
     def columns(self, texts):
         """The stripped non-blank lines ``texts`` read one check at a time over all of them, or None.
 
-        None means that some line is not plainly regular: the block then goes
-        through ``lines``, which names the first bad line or, for a line that
-        only the column checks doubt, reads it as they would have.  Anything
-        the checks cache (sentence ids, segments, shared pairs) is what
-        ``lines`` would cache for the same lines, so a refused block reads alike.
+        None means that some line is not plainly regular, and the block goes
+        through ``lines``: it names the first bad line, and reads a line these
+        checks only doubt (a non-ASCII space around the features, say) as it
+        reads every line.  ``_derivation`` gets no line number here, since its
+        error only sends the block there.  What the checks cache before they
+        give up (sentence ids, segments, shared pairs and phrases) is what
+        ``lines`` caches for the same lines.
         """
         fields = [text.split(FIELD_SEP) for text in texts]
         if set(map(len, fields)) != {4}:

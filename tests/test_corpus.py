@@ -1,6 +1,7 @@
 """Corpus parsing, persistence round trips, vocabulary, and phrase-pair counting."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -581,3 +582,160 @@ class TestPhrasePairs:
         assert pair == plain and hash(pair) == hash(plain)
         assert (pair.source, pair.target) == plain
         assert {plain: 1}[pair] == 1 and {pair: 2}[plain] == 2
+
+
+def _line_loop_outcome(path, monkeypatch):
+    """``_parse_outcome`` with every block read by the line loop, as if there were no column pass."""
+    with monkeypatch.context() as m:
+        m.setattr(corpus._NBestBlocks, "columns", lambda self, texts: None)
+        return _parse_outcome(path)
+
+
+def _generated_lines(tmp_path, n_blocks, seed):
+    """The lines of a generated N-best file of ``n_blocks`` * ``LINE_BLOCK`` lines."""
+    spec = synth.SynthSpec(sentences=n_blocks * corpus.LINE_BLOCK // 8, candidates=8, seed=seed)
+    _, nbest, _ = synth.synthgen(spec, tmp_path / f"gen{seed}")
+    with open(nbest, encoding="utf-8") as fh:
+        return nbest, fh.read().splitlines()
+
+
+def _edit_field(i, edit):
+    """An edit of field ``i`` of one line: ``edit(text, rng)`` is the field's new text."""
+    def apply(lines, at, rng):
+        fields = lines[at].split(" ||| ")
+        fields[i] = edit(fields[i], rng)
+        lines[at] = " ||| ".join(fields)
+    return apply
+
+
+def _pick(*texts):
+    return lambda text, rng: texts[int(rng.integers(0, len(texts)))]
+
+
+def _feature(*texts):
+    """One feature value replaced by one of ``texts``."""
+    def edit(text, rng):
+        values = text.split()
+        values[int(rng.integers(0, len(values)))] = texts[int(rng.integers(0, len(texts)))]
+        return " ".join(values)
+    return _edit_field(2, edit)
+
+
+def _other_count(text, rng, fewer=None):
+    values = text.split()
+    if fewer is None:
+        fewer = len(values) > 1 and rng.random() < 0.5
+    return " ".join(values[:-1] if fewer else values + ["0.5"])
+
+
+def _count_from_here(lines, at, rng):
+    """Every line from ``at`` on with one feature more, or every one with one fewer: blocks of their own count."""
+    fewer = bool(rng.random() < 0.5)
+    for i in range(at, len(lines)):
+        _edit_field(2, lambda text, rng: _other_count(text, rng, fewer))(lines, i, rng)
+
+
+def _separators(lines, at, rng):
+    fields = lines[at].split(" ||| ")
+    if rng.random() < 0.5:  # a missing '|||': two neighbouring fields joined
+        j = int(rng.integers(0, 3))
+        fields[j : j + 2] = [fields[j] + " " + fields[j + 1]]
+    else:  # an extra one, between two fields or at either end
+        fields.insert(int(rng.integers(0, 5)), ["", "x", "0.5", "[ a # b ]"][int(rng.integers(0, 4))])
+    lines[at] = " ||| ".join(fields)
+
+
+def _blank_lines(lines, at, rng):
+    for _ in range(int(rng.integers(1, 4))):
+        lines.insert(at, ["", " ", "\t", " \t "][int(rng.integers(0, 4))])
+
+
+# Seeded edits of the fields the column pass decides, each with whether the
+# line loop refuses the edited line.
+COLUMN_CASES = {
+    "sentence id": (_edit_field(0, _pick("1_0", "٣", "-1", "+1", "１")), True),
+    "padded sentence id": (_edit_field(0, lambda text, rng: f" 00{text}\t"), False),
+    "empty candidate": (_edit_field(1, _pick("", " ", "\t")), True),
+    "nan": (_feature("nan", "-NaN"), True),
+    "inf": (_feature("inf", "-inf", "Infinity"), True),
+    "1e999": (_feature("1e999", "-1e999"), True),
+    "1_0": (_feature("1_0", "1e1_0"), True),
+    "+.5": (_feature("+.5", "-.5e-3"), False),
+    "non-ASCII digit": (_feature("٣", "１", "٣.٥"), True),
+    "non-ASCII space around the features": (_edit_field(2, lambda text, rng: f"\u00a0{text}\u2003"), False),
+    "count on one line": (_edit_field(2, _other_count), True),
+    "count from a line on": (_count_from_here, True),
+    "separators": (_separators, True),
+    "blank lines": (_blank_lines, False),
+}
+
+
+class TestColumnPass:
+    """Each block's column pass gives what the line loop gives over the whole file: its entries or its error."""
+
+    @pytest.mark.parametrize("case", list(COLUMN_CASES))
+    def test_edits_around_a_block_boundary_read_as_the_line_loop(self, tmp_path, monkeypatch, case):
+        edit, refused = COLUMN_CASES[case]
+        _, base = _generated_lines(tmp_path, 2, seed=7)
+        block = corpus.LINE_BLOCK
+        for trial, at in enumerate([block - 1, block, block + 1, 2 * block - 1]):  # lines 512, 513, 514, 1024
+            rng = np.random.default_rng([20261022, list(COLUMN_CASES).index(case), trial])
+            lines = list(base)
+            edit(lines, at, rng)
+            newline = ["\n", "\r\n"][int(rng.integers(0, 2))]
+            path = tmp_path / f"{trial}.nbest"
+            path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+            got = _parse_outcome(path)
+            assert got == _line_loop_outcome(path, monkeypatch), (case, at, newline)
+            if refused:
+                assert got[1] == at + 1, (case, at, got)
+            else:
+                assert isinstance(got, dict), (case, at, got)
+
+    def test_a_regular_file_never_reaches_the_line_loop(self, tmp_path, monkeypatch):
+        path, _ = _generated_lines(tmp_path, 3, seed=8)
+        want = _line_loop_outcome(path, monkeypatch)
+        monkeypatch.setattr(corpus._NBestBlocks, "lines", None)
+        assert _parse_outcome(path) == want
+
+
+def _transient_peak(path):
+    """The peak of memory ``parse_nbest(path)`` allocates, less what its result keeps."""
+    tracemalloc.start()
+    try:
+        parsed = corpus.parse_nbest(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed
+    return peak - kept
+
+
+def test_transient_memory_grows_with_the_block_not_the_file(tmp_path, monkeypatch):
+    """Files of 4 and 16 blocks: the larger one's transient peak is not much above the smaller one's.
+
+    Duplicates collapse once the whole file is read, so a dropped duplicate
+    would count as transient and grow with the file however its lines are
+    read; every candidate is kept here, so the peak is the reading's own.
+    """
+    monkeypatch.setattr(corpus, "_first_occurrences", lambda entries: range(len(entries)))
+    small, _ = _generated_lines(tmp_path / "small", 4, seed=9)
+    large, _ = _generated_lines(tmp_path / "large", 16, seed=9)
+    _transient_peak(small)  # anything allocated once per process is allocated here
+    assert _transient_peak(large) < 1.5 * _transient_peak(small)
+
+
+def test_vocabulary_reads_every_token_of_a_corpus_whose_targets_differ_from_its_tokens(rng):
+    """Repeated pairs add their phrases once; candidate tokens are read whether or not the targets match them."""
+    samples = make_random_corpus(rng, n_samples=6, max_candidates=5, n_tokens=12)
+    pair = corpus.PhrasePair(("only-source",), ("only-target",))
+    for i, sample in enumerate(samples):
+        for entry in sample.candidates:
+            entry.tokens = (f"tok{i}", *entry.tokens[::-1])
+            entry.derivation = [pair, *entry.derivation, pair]
+    every_token = [corpus.UNK_TOKEN]
+    for sample in samples:
+        every_token += [*sample.source, *sample.reference]
+        for entry in sample.candidates:
+            every_token += [*entry.tokens, *(tok for p in entry.derivation for phrase in p for tok in phrase)]
+    assert corpus.build_vocabulary(samples).tokens == tuple(dict.fromkeys(every_token))
