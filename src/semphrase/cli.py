@@ -277,10 +277,21 @@ def _write_lines(lines, path) -> None:
         sys.stdout.writelines(lines)
 
 
+@contextlib.contextmanager
+def _blaming_the_nbest(path):
+    """A floating-point error raised inside is malformed data in the N-best ``path``: its features times the weights."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{path}: arithmetic with its features and the weights failed: {exc}") from None
+
+
 def _cmd_rerank(args) -> int:
     params, vocab = _load_model_and_vocabulary(args)
     samples, lam = _load_corpus_and_weights(args)
-    result = rerank.rerank(samples, params, lam, vocab)
+    scored = objective.score(samples, params, vocab, lam.size)
+    with _blaming_the_nbest(args.nbest):
+        result = rerank.select(samples, *scored, lam)
     lines = []
     for sample, sel in zip(samples, result.selections):
         tokens = " ".join(sample.candidates[sel.index].tokens)
@@ -361,7 +372,9 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_tune_lambda(args) -> int:
     params, vocab = _load_model_and_vocabulary(args)
     samples, lam = _load_corpus_and_weights(args)
-    tuned, before, after = trainer.tune(*objective.score(samples, params, vocab, lam.size), lam)
+    scored = objective.score(samples, params, vocab, lam.size)
+    with _blaming_the_nbest(args.nbest):
+        tuned, before, after = trainer.tune(*scored, lam)
     corpus.save_lambda(tuned, args.out)
     print(f"dev BLEU {before:.4f} -> {after:.4f}")
     return EXIT_OK
@@ -391,6 +404,8 @@ _HANDLERS = {
 # Commands that score with a loaded model.  They run with numpy raising on
 # overflow and invalid values: finite weights near the float64 maximum still
 # overflow the forward pass, and that is malformed model data, not a warning.
+# Past ``objective.score``, what overflows is the N-best's features times the
+# weights, and ``_blaming_the_nbest`` names the N-best instead.
 _SCORING = ("rerank", "tune-lambda", "export-embeddings")
 
 

@@ -52,7 +52,12 @@ def rerank(samples, params: ModelParams, lam, vocab: Vocabulary) -> RerankResult
     """Select the argmax candidate per sample and score the selections; a NaN or infinite weight is refused."""
     samples = list(samples)
     lam = finite_weights(lam)
-    compiled, h = objective.score(samples, params, vocab, lam.size)
+    return select(samples, *objective.score(samples, params, vocab, lam.size), lam)
+
+
+def select(samples, compiled: objective.CompiledCorpus, h: np.ndarray, lam) -> RerankResult:
+    """``rerank`` of ``samples`` that ``objective.score`` compiled and scored as ``compiled`` and ``h``."""
+    lam = finite_weights(lam)
     totals = h @ lam
     picks = np.array([compiled.picks(v) for v in (totals, h[:, :-1] @ lam[:-1], compiled.sbleus, -compiled.sbleus)])
     rows = compiled.offsets[:-1] + picks  # (4, S) candidate rows of the corpus

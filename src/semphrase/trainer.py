@@ -12,10 +12,14 @@ one; the zoom then picks each trial by the cubic that matches the loss and its
 slope at both ends of the bracket (N&W eq. 3.59), and bisects when that
 cubic's minimiser is not finite or lies within a tenth of the bracket's width
 of an end, or when an end's loss is not finite.  Every accepted step strictly
-lowers the loss, so the logged loss sequence is non-increasing.  Each step's
-``StepInfo`` (trial and accepted step length, evaluations, zoom fallback,
-rejected curvature pair, restart) rides on its log row, and
-``TrainingLog.write_trace`` writes them as JSON lines (``train --trace``).
+lowers the loss, so the logged loss sequence is non-increasing.  ``train``
+makes every stopping decision, before each step: the gradient's infinity norm
+against the tolerance, then the relative loss change over three steps, then
+the iteration cap.  ``lbfgs_step`` takes one step, or returns None when its
+line search fails, which halts training.  Each step's ``StepInfo`` (trial and
+accepted step length, evaluations, zoom fallback, rejected curvature pair,
+restart) rides on its log row, and ``TrainingLog.write_trace`` writes them as
+JSON lines (``train --trace``).
 The feature weights are tuned afterwards by deterministic coordinate ascent
 on dev-set corpus BLEU of the ``H @ lam`` argmax that reranking selects by,
 with the exact line search of minimum error rate training (Och 2003): each
@@ -69,53 +73,47 @@ class StepInfo:
 
 @dataclass
 class LbfgsState:
-    """Optimizer memory: displacement/gradient-difference pairs and stopping tolerance."""
+    """L-BFGS memory: the last ``m`` curvature pairs, and the loss ``f`` and gradient ``g`` at the current point.
+
+    ``iteration`` counts accepted steps, ``n_evals`` evaluations (a failed line search's among them).
+    """
 
     m: int = HISTORY
-    gtol: float = 1e-6
     s_list: list = field(default_factory=list)
     y_list: list = field(default_factory=list)
-    rho_list: list = field(default_factory=list)
     iteration: int = 0
     f: float | None = None
     g: np.ndarray | None = None
     n_evals: int = 0
-    converged: bool = False
-    failed: bool = False
-    fail_reason: str = ""
     last_step: StepInfo | None = None
 
     def store_pair(self, s: np.ndarray, y: np.ndarray) -> bool:
         """Keep the pair unless its curvature sᵀy is not > 0; returns whether it was kept."""
-        curvature = float(s @ y)
-        if curvature <= 0.0:  # keep the inverse-Hessian estimate positive definite
+        if float(s @ y) <= 0.0:  # keep the inverse-Hessian estimate positive definite
             return False
         self.s_list.append(s)
         self.y_list.append(y)
-        self.rho_list.append(1.0 / curvature)
         if len(self.s_list) > self.m:
             self.s_list.pop(0)
             self.y_list.pop(0)
-            self.rho_list.pop(0)
         return True
 
 
 def _two_loop_direction(state: LbfgsState, g: np.ndarray) -> np.ndarray:
+    pairs = [(s, y, 1.0 / float(s @ y)) for s, y in zip(state.s_list, state.y_list)]
     q = g.copy()
     alphas = []
-    for s, y, rho in zip(reversed(state.s_list), reversed(state.y_list), reversed(state.rho_list)):
+    for s, y, rho in reversed(pairs):
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    if state.y_list:
-        s, y = state.s_list[-1], state.y_list[-1]
+    if pairs:
+        s, y, _ = pairs[-1]
         gamma = float(s @ y) / float(y @ y)
     else:
         gamma = 1.0
     r = gamma * q
-    for (s, y, rho), a in zip(
-        zip(state.s_list, state.y_list, state.rho_list), reversed(alphas)
-    ):
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ r)
         r += (a - b) * s
     return -r
@@ -218,43 +216,31 @@ def _strong_wolfe(loss_fn, x, f0, g0, p, a0, max_iter=20):
     return (*failed, evals)
 
 
-def lbfgs_step(state: LbfgsState, x: np.ndarray, loss_fn) -> tuple[np.ndarray, LbfgsState]:
-    """One quasi-Newton update of the flat parameter vector.
+def lbfgs_step(state: LbfgsState, x: np.ndarray, loss_fn) -> np.ndarray | None:
+    """One quasi-Newton step from ``x``; ``state.f`` and ``state.g`` must be the loss and gradient there.
 
-    ``loss_fn`` maps a vector to ``(loss, gradient)`` and must be
-    deterministic.  When the gradient is already below the state's tolerance
-    the step is a no-op and the state is marked converged; a failed line
-    search marks the state failed and leaves the parameters at their last
-    good value.  A step records what it did in ``state.last_step``.
+    ``loss_fn`` maps a vector to ``(loss, gradient)`` and must be deterministic.
+    Returns the new parameters (``state`` moved there, ``state.last_step``
+    recording the step), or None when the line search finds no acceptable
+    step.  ``state.n_evals`` counts the search's evaluations either way.
     """
-    if state.f is None or state.g is None:
-        state.f, state.g = loss_fn(x)
-        state.n_evals += 1
-    if float(np.max(np.abs(state.g))) <= state.gtol:
-        state.converged = True
-        return x, state
     p = _two_loop_direction(state, state.g)
     restarted = float(state.g @ p) >= 0.0
     if restarted:  # stale curvature info: restart from steepest descent
         state.s_list.clear()
         state.y_list.clear()
-        state.rho_list.clear()
         p = -state.g.copy()
     alpha0 = 1.0 if state.s_list else _unit_step(state.g)  # sᵀy/yᵀy already scales the two-loop direction
     alpha, f_new, g_new, fell_back, evals = _strong_wolfe(loss_fn, x, state.f, state.g, p, alpha0)
     state.n_evals += evals
     if alpha is None:
-        state.failed = True
-        state.fail_reason = "line search failed to find an acceptable step"
-        return x, state
+        return None
     x_new = x + alpha * p
     stored = state.store_pair(x_new - x, g_new - state.g)
     state.last_step = StepInfo(alpha0, alpha, evals, fell_back, not stored, restarted)
     state.f, state.g = f_new, g_new
     state.iteration += 1
-    if float(np.max(np.abs(g_new))) <= state.gtol:
-        state.converged = True
-    return x_new, state
+    return x_new
 
 
 @dataclass
@@ -397,14 +383,13 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
         if ck is None:
             raise model.ModelIOError(f"{config.resume}: model file carries no optimizer state")
         _check_resume(config.resume, params, config, vocab)
-        state = LbfgsState(gtol=config.tolerance, iteration=ck["iteration"])
+        state = LbfgsState(iteration=ck["iteration"])
         for s, y in zip(ck["s_list"], ck["y_list"]):
             state.store_pair(s, y)
     else:
         params = _initial_params(config, vocab)
-        state = LbfgsState(gtol=config.tolerance)
+        state = LbfgsState()
 
-    template = params
     x = model.pack_params(params)
     compiled = objective.compile_corpus(samples)
 
@@ -412,7 +397,7 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
         return 0.5 * config.weight_decay * float(vec @ vec) if config.weight_decay else 0.0
 
     def loss_fn(vec: np.ndarray):
-        p = model.unpack_params(template, vec)
+        p = model.unpack_params(params, vec)
         loss, g = objective.full_gradient(samples, p, lam, vocab, compiled)
         if config.weight_decay != 0.0:
             loss = loss + penalty(vec)
@@ -420,8 +405,7 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
         return loss, g
 
     log = TrainingLog()
-    start = time.perf_counter()
-    last_mark = start
+    last_mark = time.perf_counter()
 
     def elapsed() -> float:
         nonlocal last_mark
@@ -452,37 +436,32 @@ def train(samples, config: TrainConfig, lam, vocab: Vocabulary | None = None) ->
                 "y_list": state.y_list,
                 "loss_window": loss_window[-4:],
             }
-            model.save_model(model.unpack_params(template, x), path, trainer=history)
+            model.save_model(model.unpack_params(params, x), path, trainer=history)
 
     stop = ""
-    if float(np.max(np.abs(state.g))) <= config.tolerance:
-        stop = "gradient below tolerance at the starting point"
     steps_taken = 0
     while not stop:
         # Checked before each step, so a run resumed from the checkpoint it stopped at stops there too.
         recent = loss_window[-4:]
-        if len(recent) == 4 and all(
+        if float(np.max(np.abs(state.g))) <= config.tolerance:
+            stop = "gradient below tolerance" + ("" if steps_taken else " at the starting point")
+        elif len(recent) == 4 and all(
             abs(b - a) <= REL_LOSS_TOLERANCE * max(1.0, abs(a)) for a, b in zip(recent, recent[1:])
         ):
             stop = "relative loss change below tolerance for 3 iterations"
-            break
-        if steps_taken >= config.max_iterations:
+        elif steps_taken >= config.max_iterations:
             stop = "reached max iterations"
-            break
-        x, state = lbfgs_step(state, x, loss_fn)
-        if state.failed:
-            stop = f"halted: {state.fail_reason}"
-            break
-        steps_taken += 1
-        log_row()
-        loss_window.append(state.f)
-        maybe_checkpoint()
-        if state.converged:
-            stop = "gradient below tolerance"
-            break
+        elif (x_new := lbfgs_step(state, x, loss_fn)) is None:
+            stop = "halted: line search failed to find an acceptable step"
+        else:
+            x = x_new
+            steps_taken += 1
+            log_row()
+            loss_window.append(state.f)
+            maybe_checkpoint()
 
     log.stop_reason = stop
-    return TrainResult(model.unpack_params(template, x), vocab, log, state)
+    return TrainResult(model.unpack_params(params, x), vocab, log, state)
 
 
 def _envelopes(compiled: objective.CompiledCorpus, a: np.ndarray, b: np.ndarray):

@@ -615,6 +615,28 @@ class TestCliCommands:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["rerank", "tune-lambda"])
+    def test_features_that_overflow_with_the_weights_name_the_nbest(self, small_run, tmp_path, capsys, command):
+        root, data, model_path = small_run
+        first, rest = (data / "nbest.txt").read_text().split("\n", 1)
+        fields = first.split(" ||| ")
+        fields[2] = " ".join(["1e308"] + fields[2].split()[1:])  # finite, but twice it overflows
+        nbest = tmp_path / "huge.txt"
+        nbest.write_text(" ||| ".join(fields) + "\n" + rest)
+        weights = tmp_path / "weights.txt"
+        weights.write_text("2.0\n0.1\n1.0\n")
+        out = tmp_path / "out.txt"
+        argv = [command, "--model", str(model_path), "--vocab", str(root / "model.bin.vocab"),
+                "--nbest", str(nbest), "--refs", str(data / "refs.txt"), "--weights", str(weights),
+                "--output" if command == "rerank" else "--out", str(out)]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert f"semphrase: {nbest}: arithmetic with its features and the weights failed: overflow" in captured.err
+        assert "Traceback" not in captured.err and str(model_path) not in captured.err
+        assert not out.exists()
+        argv[argv.index(str(nbest))] = str(data / "nbest.txt")
+        assert run(argv) == 0  # the same model and weights on the unedited file
+
     @pytest.mark.parametrize("command", ["rerank", "tune-lambda", "export-embeddings"])
     def test_vocabulary_that_does_not_fit_the_model_exits_4(self, small_run, tmp_path, capsys, command):
         root, data, model_path = small_run

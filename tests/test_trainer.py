@@ -20,37 +20,43 @@ def quadratic(target):
     return loss_fn
 
 
+def _started(loss_fn, x):
+    """A state holding ``loss_fn`` at ``x``, as ``train`` makes one before its first step."""
+    f, g = loss_fn(x)
+    return trainer.LbfgsState(f=f, g=g, n_evals=1)
+
+
+def _converged(state, tol):
+    """``train``'s gradient test."""
+    return float(np.max(np.abs(state.g))) <= tol
+
+
 class TestLbfgsStep:
     def test_quadratic_converges_fast(self, rng):
         for dim in (2, 5, 12):
             target = rng.normal(size=dim)
             x = rng.normal(size=dim)
-            state = trainer.LbfgsState(gtol=1e-12)
             loss_fn = quadratic(target)
+            state = _started(loss_fn, x)
             for _ in range(dim + 5):
-                x, state = trainer.lbfgs_step(state, x, loss_fn)
-                if state.converged:
+                if _converged(state, 1e-12):
                     break
+                x = trainer.lbfgs_step(state, x, loss_fn)
             assert np.linalg.norm(x - target) <= 1e-8
-
-    def test_zero_gradient_is_noop(self):
-        target = np.array([1.0, -2.0])
-        state = trainer.LbfgsState()
-        x, state = trainer.lbfgs_step(state, target.copy(), quadratic(target))
-        assert state.converged
-        assert np.array_equal(x, target)
-        assert state.iteration == 0
 
     def test_first_direction_is_scaled_steepest_descent(self, rng):
         target = rng.normal(size=4)
         x0 = rng.normal(size=4)
-        _, g0 = quadratic(target)(x0)
-        x1, state = trainer.lbfgs_step(trainer.LbfgsState(), x0.copy(), quadratic(target))
+        loss_fn = quadratic(target)
+        state = _started(loss_fn, x0)
+        g0 = state.g.copy()
+        x1 = trainer.lbfgs_step(state, x0.copy(), loss_fn)
         step = x1 - x0
         # step = -alpha * g0 for some alpha > 0
         alpha = float(step @ -g0) / float(g0 @ g0)
         assert alpha > 0
         np.testing.assert_allclose(step, -alpha * g0, atol=1e-12)
+        assert state.iteration == 1 and state.n_evals == 1 + state.last_step.evals
 
     def test_accepted_steps_strictly_decrease(self, rng):
         # a gentle non-quadratic bowl
@@ -60,15 +66,16 @@ class TestLbfgsStep:
             return f, g
 
         x = rng.normal(size=6)
-        state = trainer.LbfgsState(gtol=1e-10)
-        prev = loss_fn(x)[0]
+        state = _started(loss_fn, x)
+        prev = state.f
         for _ in range(50):
-            x, state = trainer.lbfgs_step(state, x, loss_fn)
-            if state.converged or state.failed:
+            if _converged(state, 1e-10):
                 break
+            x = trainer.lbfgs_step(state, x, loss_fn)
+            assert x is not None
             assert state.f < prev
             prev = state.f
-        assert state.converged
+        assert _converged(state, 1e-10)
 
     def test_curvature_condition_guards_history(self):
         state = trainer.LbfgsState()
@@ -92,9 +99,9 @@ class TestLbfgsStep:
             calls.append(x.copy())
             return -x[0], np.array([-1.0])
 
-        x, state = trainer.lbfgs_step(trainer.LbfgsState(), np.zeros(1), loss_fn)
-        assert state.failed and state.fail_reason == "line search failed to find an acceptable step"
-        assert np.array_equal(x, np.zeros(1)) and state.last_step is None
+        state = _started(loss_fn, np.zeros(1))
+        assert trainer.lbfgs_step(state, np.zeros(1), loss_fn) is None
+        assert state.last_step is None and state.iteration == 0 and state.f == 0.0
         assert len(calls) == state.n_evals == 21
 
 
@@ -135,9 +142,9 @@ class TestLineSearch:
             return 0.5 * float((x - target) @ g), g
 
         loss_fn, points = _recording(ellipse)
-        state = trainer.LbfgsState(gtol=1e-12)
         x0 = np.zeros(5)
-        x1, state = trainer.lbfgs_step(state, x0, loss_fn)  # the start: no pairs, direction -g
+        state = _started(loss_fn, x0)
+        x1 = trainer.lbfgs_step(state, x0, loss_fn)  # the start: no pairs, direction -g
         g0 = scale * (x0 - target)
         assert state.last_step.alpha0 == pytest.approx(1.0 / np.linalg.norm(g0), rel=1e-15)
         np.testing.assert_allclose(points[1], x0 - g0 / np.linalg.norm(g0), rtol=1e-15, atol=0.0)
@@ -145,14 +152,14 @@ class TestLineSearch:
 
         points.clear()
         p = trainer._two_loop_direction(state, state.g)
-        x2, state = trainer.lbfgs_step(state, x1, loss_fn)  # a pair held: the scaled two-loop direction, at 1
+        x2 = trainer.lbfgs_step(state, x1, loss_fn)  # a pair held: the scaled two-loop direction, at 1
         assert state.last_step.alpha0 == 1.0 and not state.last_step.restarted
         assert np.array_equal(points[0], x1 + 1.0 * p)
 
         points.clear()
         monkeypatch.setattr(trainer, "_two_loop_direction", lambda st, g: g.copy())  # an ascent direction
         g2 = state.g.copy()
-        _, state = trainer.lbfgs_step(state, x2, loss_fn)
+        trainer.lbfgs_step(state, x2, loss_fn)
         assert state.last_step.restarted
         assert state.last_step.alpha0 == pytest.approx(1.0 / np.linalg.norm(g2), rel=1e-15)
         np.testing.assert_allclose(points[0], x2 - g2 / np.linalg.norm(g2), rtol=1e-15, atol=1e-15)
@@ -245,6 +252,38 @@ class TestTrain:
         result = trainer.train(samples, _small_config(), random_lambda(rng))
         assert result.log.rows[-1].iteration == 0
         assert "starting point" in result.log.stop_reason
+
+    def test_a_failed_line_search_halts_training_at_the_start(self, monkeypatch):
+        """A loss falling without bound at a constant slope: the first search fails after 20 doublings."""
+        samples, lam = synth.generate(_small_spec(sentences=10))
+        samples = corpus.dedupe_candidates(samples)
+
+        def unbounded(samples, params, lam, vocab, compiled=None):
+            vec = model.pack_params(params)
+            return -float(vec.sum()), -np.ones_like(vec)
+
+        monkeypatch.setattr(objective, "full_gradient", unbounded)
+        result = trainer.train(samples, _small_config(), lam)
+        assert result.log.stop_reason == "halted: line search failed to find an acceptable step"
+        fresh = model.init_params(len(result.vocab), 8, 8, seed=5)
+        assert np.array_equal(result.params.w1, fresh.w1) and np.array_equal(result.params.w2, fresh.w2)
+        assert len(result.log.rows) == 1 and result.state.iteration == 0
+        assert result.state.n_evals == 21
+
+    def test_a_gradient_below_tolerance_after_a_step_stops_training(self, monkeypatch):
+        samples, lam = synth.generate(_small_spec(sentences=10))
+        samples = corpus.dedupe_candidates(samples)
+        target = model.pack_params(model.init_params(len(corpus.build_vocabulary(samples)), 8, 8, seed=6))
+
+        def bowl(samples, params, lam, vocab, compiled=None):
+            g = model.pack_params(params) - target
+            return 0.5 * float(g @ g), g
+
+        monkeypatch.setattr(objective, "full_gradient", bowl)
+        result = trainer.train(samples, _small_config(), lam)
+        assert result.log.stop_reason == "gradient below tolerance"
+        assert result.state.iteration >= 1 and len(result.log.rows) == result.state.iteration + 1
+        assert result.log.rows[-1].grad_norm <= 1e-6 < result.log.rows[-2].grad_norm
 
     def test_training_improves_xbleu_and_loss_monotone(self):
         samples, lam = synth.generate(_small_spec())
@@ -383,7 +422,8 @@ class TestTrace:
         def loss_fn(x):  # a constant slope up to a wall: the curvature condition never holds
             return (-float(x[0]) if x[0] <= 1.5 else np.inf), np.array([-1.0])
 
-        x, state = trainer.lbfgs_step(trainer.LbfgsState(), np.zeros(1), loss_fn)
+        state = _started(loss_fn, np.zeros(1))
+        x = trainer.lbfgs_step(state, np.zeros(1), loss_fn)
         assert x[0] == pytest.approx(1.5) and state.f < 0.0
         # the zoom bisects toward the wall, then takes its best sufficient decrease; y = 0 there, so s @ y = 0
         assert state.last_step == trainer.StepInfo(1.0, x[0], 42, True, True, False)
